@@ -65,8 +65,12 @@ class SimConfig:
             raise ConfigError("P must be >= 1")
         if self.n_vc < 1:
             raise ConfigError("n_vc must be >= 1")
-        if self.cycles_per_hop < 1:
-            raise ConfigError("cycles_per_hop must be >= 1")
+        for name in ("cycles_per_hop", "fifo_depth", "inter_cluster_slowdown",
+                     "cluster_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if self.t_max is not None and self.t_max < 0:
+            raise ConfigError("t_max must be >= 0")
         if self.c_update < 0 or self.c_spike < 0:
             raise ConfigError("cycle costs must be >= 0")
         if min(self.grid) < 1:

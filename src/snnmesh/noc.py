@@ -138,7 +138,7 @@ def vc_for_packet(p: Packet, n_vc: int) -> int:
 
 class _Router:
     __slots__ = ("coord", "ports", "vc_rr", "out_rr", "reserved", "next_free",
-                 "resident", "port_count", "grants", "occ_hist",
+                 "resident", "vc_mask", "spike_src", "links", "occ_hist",
                  "_occ_last_cycle")
 
     def __init__(self, coord: tuple[int, int], n_vc_total: int):
@@ -146,11 +146,15 @@ class _Router:
         self.ports = [[deque() for _ in range(n_vc_total)] for _ in range(5)]
         self.vc_rr = [0] * 5
         self.out_rr = [0] * 5
-        self.reserved = [[0] * n_vc_total for _ in range(5)]
+        self.reserved = [[0] * n_vc_total for _ in range(5)]  # credits in use
         self.next_free = [0] * 5
         self.resident = 0
-        self.port_count = [0] * 5
-        self.grants = 0
+        self.vc_mask = [0] * 5  # per input port: bit v set iff VC v is non-empty
+        # per input port: src_xy -> resident spikes from it (FINISH mask filter)
+        self.spike_src: list[dict] = [{} for _ in range(5)]
+        # per output port: (next router's VC queues and credits on the input
+        # port it sees, next router, that port, hop cycles); None off the mesh
+        self.links: list[tuple | None] = [None] * 5
         self.occ_hist: dict[int, int] = {}
         self._occ_last_cycle = 0
 
@@ -161,6 +165,10 @@ class _Router:
             )
             self._occ_last_cycle = cycle
         self.resident += delta
+
+
+# events in MeshNoc._pending: (_HOP, router, port, vc, pkt) or (_DELIVER, pkt)
+_HOP, _DELIVER = 0, 1
 
 
 class MeshNoc:
@@ -175,61 +183,59 @@ class MeshNoc:
             raise NocError("grid must be at least 1x1")
         if n_vc < 1:
             raise NocError("need at least one data VC")
+        for name, value in (("cycles_per_hop", cycles_per_hop), ("fifo_depth", fifo_depth),
+                            ("inter_cluster_slowdown", inter_cluster_slowdown),
+                            ("cluster_size", cluster_size)):
+            if value < 1:
+                raise NocError(f"{name} must be >= 1, got {value}")
         self.grid = grid
         self.n_vc = n_vc
         self.n_vc_total = n_vc + 1  # data VCs plus the reserved control VC
         self.cycles_per_hop = cycles_per_hop
         self.fifo_depth = fifo_depth
-        self.slowdown = max(1, inter_cluster_slowdown)
-        self.cluster_size = max(1, cluster_size)
+        self.slowdown = inter_cluster_slowdown
         self.routers = [_Router((x, y), self.n_vc_total)
                         for y in range(h) for x in range(w)]
-        # cycle -> ordered events; each event is ("hop", ridx, port, vc, pkt)
-        # or ("deliver", pkt)
-        self._pending: dict[int, list] = {}
+        for r in self.routers:
+            x, y = r.coord
+            for out, (dx, dy, in_port) in _LINKS.items():
+                nx, ny = x + dx, y + dy
+                if 0 <= nx < w and 0 <= ny < h:
+                    crosses = (x // cluster_size != nx // cluster_size
+                               or y // cluster_size != ny // cluster_size)
+                    hop = cycles_per_hop * (inter_cluster_slowdown if crosses else 1)
+                    nxt = self.routers[ny * w + nx]
+                    r.links[out] = (nxt.ports[in_port], nxt.reserved[in_port],
+                                    nxt, in_port, hop)
+        self._pending: dict[int, list] = {}  # cycle -> events in order
         self._pending_heap: list[int] = []
         self.in_flight = {SPIKE: 0, DEP: 0, SYNC: 0}
         self.injected = {SPIKE: 0, DEP: 0, SYNC: 0}
         self.delivered = {SPIKE: 0, DEP: 0, SYNC: 0}
         self.hops = 0
         self.blocked = {SPIKE: 0, DEP: 0, SYNC: 0}
-        self._delivered_now: dict[tuple[int, int], list[Packet]] = {}
+        self._last_delivered: list[Packet] = []  # deliveries of the latest cycle
         self._queued = 0  # packets sitting in router FIFOs
-
-    # -- helpers ----------------------------------------------------------
-
-    def _ridx(self, xy: tuple[int, int]) -> int:
-        return xy[1] * self.grid[0] + xy[0]
-
-    def _cluster(self, xy: tuple[int, int]) -> tuple[int, int]:
-        return (xy[0] // self.cluster_size, xy[1] // self.cluster_size)
-
-    def _hop_cycles(self, a: tuple[int, int], b: tuple[int, int]) -> int:
-        if self.slowdown > 1 and self._cluster(a) != self._cluster(b):
-            return self.cycles_per_hop * self.slowdown
-        return self.cycles_per_hop
-
-    def _schedule(self, cycle: int, event) -> None:
-        bucket = self._pending.get(cycle)
-        if bucket is None:
-            self._pending[cycle] = [event]
-            heapq.heappush(self._pending_heap, cycle)
-        else:
-            bucket.append(event)
+        # (vc_mask * n_vc_total + vc_rr) -> non-empty VCs in round-robin order
+        self._rr_orders: dict[int, tuple[int, ...]] = {}
 
     # -- public surface ----------------------------------------------------
 
     def inject(self, at: tuple[int, int], packet: Packet, cycle: int) -> None:
         packet.validate()
-        if tuple(at) != tuple(packet.src_xy):
+        packet.src_xy = tuple(packet.src_xy)  # keys the FINISH mask's spike counts
+        if tuple(at) != packet.src_xy:
             raise NocError(
                 f"inject at {at} but packet originates at {packet.src_xy}"
             )
         route_xy(packet.src_xy, packet.dst_xy, self.grid)  # bounds check
         packet.vc = vc_for_packet(packet, self.n_vc)
-        r = self.routers[self._ridx(at)]
+        r = self.routers[at[1] * self.grid[0] + at[0]]
         r.ports[PORT_LOCAL][packet.vc].append(packet)
-        r.port_count[PORT_LOCAL] += 1
+        r.vc_mask[PORT_LOCAL] |= 1 << packet.vc
+        if packet.kind == SPIKE:
+            src = r.spike_src[PORT_LOCAL]
+            src[packet.src_xy] = src.get(packet.src_xy, 0) + 1
         r.occ_change(+1, cycle)
         self._queued += 1
         self.injected[packet.kind] += 1
@@ -237,7 +243,8 @@ class MeshNoc:
 
     def eject(self, at: tuple[int, int]) -> list[Packet]:
         """Packets delivered to ``at`` during the current cycle."""
-        return self._delivered_now.get(tuple(at), [])
+        at = tuple(at)
+        return [p for p in self._last_delivered if tuple(p.dst_xy) == at]
 
     def busy(self) -> bool:
         return self._queued > 0 or bool(self._pending)
@@ -253,35 +260,141 @@ class MeshNoc:
     def begin_cycle(self, cycle: int) -> list[Packet]:
         """Land in-flight packets: hops enter downstream FIFOs, ejections are
         handed to the caller in deterministic order."""
-        self._delivered_now = {}
+        delivered: list[Packet] = []
+        self._last_delivered = delivered
         events = self._pending.pop(cycle, None)
         if not events:
-            return []
-        delivered = []
+            return delivered
+        hops_landed = 0
         for ev in events:
-            if ev[0] == "hop":
-                _, ridx, port, vc, pkt = ev
-                r = self.routers[ridx]
+            if ev[0] == _HOP:
+                _, r, port, vc, pkt = ev
                 r.ports[port][vc].append(pkt)
-                r.port_count[port] += 1
+                r.vc_mask[port] |= 1 << vc
                 r.reserved[port][vc] -= 1
-                r.occ_change(+1, cycle)
-                self._queued += 1
+                if pkt.kind == SPIKE:
+                    src = r.spike_src[port]
+                    src[pkt.src_xy] = src.get(pkt.src_xy, 0) + 1
+                last = r._occ_last_cycle
+                if cycle > last:
+                    hist = r.occ_hist
+                    hist[r.resident] = hist.get(r.resident, 0) + cycle - last
+                    r._occ_last_cycle = cycle
+                r.resident += 1
+                hops_landed += 1
             else:
                 pkt = ev[1]
                 delivered.append(pkt)
                 self.delivered[pkt.kind] += 1
                 self.in_flight[pkt.kind] -= 1
-                self._delivered_now.setdefault(tuple(pkt.dst_xy), []).append(pkt)
+        self._queued += hops_landed
         return delivered
 
     def end_cycle(self, cycle: int) -> None:
-        """One arbitration round per input port of every busy router."""
+        """One pass per busy router, in router order; a router's grants (in
+        output-port order) are applied before the next router arbitrates.
+        Each input port nominates its round-robin-first eligible VC head, each
+        output keeps the nominee nearest its pointer, and a port that moves
+        nothing is charged one blocked cycle for its round-robin-first head."""
         if self._queued == 0:
             return
+        n_q = self.n_vc_total
+        depth = self.fifo_depth
+        cph = self.cycles_per_hop
+        blocked = self.blocked
+        pending = self._pending
+        rr_orders = self._rr_orders
         for r in self.routers:
-            if r.resident:
-                self._arbitrate(r, cycle)
+            if not r.resident:
+                continue
+            cx, cy = r.coord
+            ports = r.ports
+            out_rr = r.out_rr
+            wins = [None, None, None, None, None]
+            for port, mask in enumerate(r.vc_mask):
+                if not mask:
+                    continue
+                queues = ports[port]
+                start = r.vc_rr[port]
+                key = mask * n_q + start
+                order = rr_orders.get(key)
+                if order is None:
+                    order = rr_orders[key] = tuple(
+                        vc for vc in (*range(start, n_q), *range(start))
+                        if mask >> vc & 1)
+                for vc in order:
+                    pkt = queues[vc][0]
+                    dx, dy = pkt.dst_xy
+                    if dx > cx:
+                        out = PORT_E
+                    elif dx < cx:
+                        out = PORT_W
+                    elif dy > cy:
+                        out = PORT_N
+                    elif dy < cy:
+                        out = PORT_S
+                    else:
+                        out = PORT_LOCAL
+                    if out != PORT_LOCAL:
+                        nxt_queues, nxt_reserved, _nxt, _in_port, _hop = r.links[out]
+                        if (cycle < r.next_free[out]
+                                or len(nxt_queues[vc]) + nxt_reserved[vc] >= depth):
+                            continue
+                    if (pkt.kind == DEP and pkt.body.flag == FLAG_FINISH
+                            and r.spike_src[port].get(pkt.src_xy)
+                            and self._finish_masked(r, port, pkt)):
+                        continue
+                    held = wins[out]
+                    if held is None:
+                        wins[out] = (port, vc, pkt, order[0])
+                    else:
+                        ptr = out_rr[out]
+                        if (port - ptr) % 5 < (held[0] - ptr) % 5:
+                            blocked[ports[held[0]][held[3]][0].kind] += 1
+                            wins[out] = (port, vc, pkt, order[0])
+                        else:
+                            blocked[queues[order[0]][0].kind] += 1
+                    break
+                else:
+                    blocked[queues[order[0]][0].kind] += 1
+
+            granted = 0
+            for out, win in enumerate(wins):
+                if win is None:
+                    continue
+                port, vc, pkt, _first = win
+                q = ports[port][vc]
+                q.popleft()
+                if not q:
+                    r.vc_mask[port] &= ~(1 << vc)
+                if pkt.kind == SPIKE:
+                    r.spike_src[port][pkt.src_xy] -= 1
+                r.vc_rr[port] = vc + 1 if vc + 1 < n_q else 0
+                out_rr[out] = port + 1 if port < 4 else 0
+                granted += 1
+                if out == PORT_LOCAL:
+                    at, ev = cycle + cph, (_DELIVER, pkt)
+                else:
+                    _q, nxt_reserved, nxt, in_port, hop = r.links[out]
+                    nxt_reserved[vc] += 1
+                    if hop > cph:
+                        r.next_free[out] = cycle + self.slowdown
+                    at, ev = cycle + hop, (_HOP, nxt, in_port, vc, pkt)
+                bucket = pending.get(at)
+                if bucket is None:
+                    pending[at] = [ev]
+                    heapq.heappush(self._pending_heap, at)
+                else:
+                    bucket.append(ev)
+            if granted:
+                last = r._occ_last_cycle
+                if cycle > last:
+                    hist = r.occ_hist
+                    hist[r.resident] = hist.get(r.resident, 0) + cycle - last
+                    r._occ_last_cycle = cycle
+                r.resident -= granted
+                self._queued -= granted
+                self.hops += granted
 
     def step(self, cycle: int) -> list[Packet]:
         delivered = self.begin_cycle(cycle)
@@ -312,119 +425,6 @@ class MeshNoc:
                         and other.body.timestep <= t):
                     return True
         return False
-
-    def _eligible(self, r: _Router, port: int, pkt: Packet, out: int,
-                  cycle: int) -> bool:
-        if pkt.kind == DEP and pkt.body.flag == FLAG_FINISH:
-            if self._finish_masked(r, port, pkt):
-                return False
-        if out == PORT_LOCAL:
-            return True
-        if cycle < r.next_free[out]:
-            return False
-        dx, dy, in_port = _LINKS[out]
-        nxt = self.routers[self._ridx((r.coord[0] + dx, r.coord[1] + dy))]
-        q = nxt.ports[in_port][pkt.vc]
-        if len(q) + nxt.reserved[in_port][pkt.vc] >= self.fifo_depth:
-            return False
-        return True
-
-    def _arbitrate(self, r: _Router, cycle: int) -> None:
-        n_q = self.n_vc_total
-        cx, cy = r.coord
-        port_count = r.port_count
-        # Phase 1: each input port nominates one eligible VC head.
-        nominees: list[tuple[int, int, Packet, int]] = []  # (port, vc, pkt, out)
-        for port in range(5):
-            if not port_count[port]:
-                continue
-            queues = r.ports[port]
-            start = r.vc_rr[port]
-            for k in range(n_q):
-                vc = start + k
-                if vc >= n_q:
-                    vc -= n_q
-                q = queues[vc]
-                if not q:
-                    continue
-                pkt = q[0]
-                dx, dy = pkt.dst_xy
-                if dx > cx:
-                    out = PORT_E
-                elif dx < cx:
-                    out = PORT_W
-                elif dy > cy:
-                    out = PORT_N
-                elif dy < cy:
-                    out = PORT_S
-                else:
-                    out = PORT_LOCAL
-                if self._eligible(r, port, pkt, out, cycle):
-                    nominees.append((port, vc, pkt, out))
-                    break
-
-        # Phase 2: one winner per output port, round-robin over input ports.
-        granted: list[tuple[int, int, Packet, int]]
-        if len(nominees) <= 1:
-            granted = nominees
-            if nominees:
-                port, _vc, _pkt, out = nominees[0]
-                r.out_rr[out] = (port + 1) % 5
-        else:
-            by_out: dict[int, list[tuple[int, int, Packet]]] = {}
-            for port, vc, pkt, out in nominees:
-                by_out.setdefault(out, []).append((port, vc, pkt))
-            granted = []
-            for out in sorted(by_out):
-                contenders = by_out[out]
-                if len(contenders) > 1:
-                    ptr = r.out_rr[out]
-                    winner = min(contenders, key=lambda c: (c[0] - ptr) % 5)
-                else:
-                    winner = contenders[0]
-                granted.append((winner[0], winner[1], winner[2], out))
-                r.out_rr[out] = (winner[0] + 1) % 5
-
-        # A port with resident packets that moved nothing this cycle is
-        # stalled; attribute the stall to its round-robin-first head.
-        if granted:
-            granted_ports = {port for port, _vc, _p, _o in granted}
-        else:
-            granted_ports = ()
-        blocked = self.blocked
-        for port in range(5):
-            if not port_count[port] or port in granted_ports:
-                continue
-            queues = r.ports[port]
-            start = r.vc_rr[port]
-            for k in range(n_q):
-                vc = start + k
-                if vc >= n_q:
-                    vc -= n_q
-                if queues[vc]:
-                    blocked[queues[vc][0].kind] += 1
-                    break
-
-        for port, vc, pkt, out in granted:
-            r.ports[port][vc].popleft()
-            r.port_count[port] -= 1
-            r.occ_change(-1, cycle)
-            self._queued -= 1
-            r.vc_rr[port] = (vc + 1) % n_q
-            r.grants += 1
-            self.hops += 1
-            if out == PORT_LOCAL:
-                self._schedule(cycle + self.cycles_per_hop, ("deliver", pkt))
-            else:
-                dx, dy, in_port = _LINKS[out]
-                nxt_xy = (cx + dx, cy + dy)
-                nidx = self._ridx(nxt_xy)
-                nxt = self.routers[nidx]
-                nxt.reserved[in_port][pkt.vc] += 1
-                hop = self._hop_cycles(r.coord, nxt_xy)
-                if hop > self.cycles_per_hop:
-                    r.next_free[out] = cycle + self.slowdown
-                self._schedule(cycle + hop, ("hop", nidx, in_port, pkt.vc, pkt))
 
     # -- reporting ---------------------------------------------------------
 

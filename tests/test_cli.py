@@ -92,6 +92,15 @@ def test_bad_workload_exit_code(tmp_path):
     assert code == EXIT_BAD_INPUT
 
 
+def test_zero_fifo_depth_is_bad_input_not_a_hang(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"grid": "2x2", "fifo_depth": 0}))
+    code = main(["run", "--program", str(FIXTURES / "tiny_program.json"),
+                 "--config", str(config), "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_BAD_INPUT
+    assert "fifo_depth" in capsys.readouterr().err
+
+
 def test_compile_capacity_error_exit_code(tmp_path):
     code = main(["compile", "--workload", str(FIXTURES / "tiny_workload.json"),
                  "--grid", "2x2", "--max-neurons-per-core", "5",

@@ -54,6 +54,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_grid("4by4")
 
+    @pytest.mark.parametrize("field,value", [
+        ("fifo_depth", 0), ("inter_cluster_slowdown", 0), ("cluster_size", 0),
+        ("t_max", -3),
+    ])
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SimConfig.from_dict({field: value})
+        with pytest.raises(ConfigError, match=field):
+            SimConfig(**{field: value}).validate()
+
+    def test_zero_t_max_accepted(self):
+        assert SimConfig.from_dict({"t_max": 0}).t_max == 0
+
 
 class TestSingleCore:
     @pytest.mark.parametrize("mode", ["sync", "se", "depasync"])
