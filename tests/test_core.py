@@ -1,3 +1,6 @@
+import os
+import sys
+
 import pytest
 
 from snnmesh.core import (
@@ -8,6 +11,8 @@ from snnmesh.core import (
     on_dep_packet,
 )
 from snnmesh.noc import DEP, FLAG_FINISH, FLAG_START, DepBody, Packet
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def dep_packet(flag, t, dep_id):
@@ -220,3 +225,48 @@ class TestPacketEmission:
         spikes = [pk for pk in packets if pk.kind == "SPIKE"]
         assert len(spikes) == 3
         assert sorted(pk.dst_core for pk in spikes) == [1, 1, 2]
+
+
+class TestBenchAttribution:
+    """The benchmark's per-layer trace wraps six ``NeuromorphicCore`` methods
+    by name on the class. Each must be reached, through the class, in every
+    mode the harness reports it for; a subclass override or a renamed method
+    would silently zero those metrics."""
+
+    @pytest.fixture(scope="class")
+    def run_bench(self):
+        bench_dir = os.path.join(ROOT, "bench")
+        if bench_dir not in sys.path:
+            sys.path.insert(0, bench_dir)
+        import run_bench
+
+        return run_bench
+
+    def test_traced_core_methods_reached_in_their_modes(self, run_bench, monkeypatch):
+        from snnmesh.compiler import load_program
+        from snnmesh.core import NeuromorphicCore
+        from snnmesh.engine import SimConfig, run
+
+        traced = {attr: name for owner, attr, name in run_bench.TRACE_POINTS
+                  if owner is NeuromorphicCore}
+        assert sorted(traced) == ["begin", "epoch_reset", "finish", "on_dep",
+                                  "on_spike", "rollback"]
+        calls: dict[str, int] = {}
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for attr, name in traced.items():
+            monkeypatch.setattr(NeuromorphicCore, attr,
+                                counted(getattr(NeuromorphicCore, attr), name))
+        prog = load_program(os.path.join(ROOT, "tests", "fixtures",
+                                         "tiny_program.json"))
+        for mode in run_bench.MODES:
+            calls.clear()
+            run(prog, SimConfig(grid=(2, 2), mode=mode, m=run_bench.M_WINDOW))
+            for name in traced.values():
+                reached = calls.get(name, 0) > 0
+                assert reached == (mode in run_bench.TRACED_CALLS[name]), (mode, name)

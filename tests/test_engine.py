@@ -1,9 +1,10 @@
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snnmesh.compiler import compile_network
+from snnmesh.compiler import compile_network, load_program
 from snnmesh.engine import (
     ConfigError,
     DeadlockError,
@@ -25,6 +26,8 @@ from snnmesh.model import (
 from snnmesh.noc import FLAG_FINISH, FLAG_START, MeshNoc, Packet, SpikeBody, SPIKE
 
 from conftest import build_staircase_net
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
 def quiet_single_core_net(n_neurons=5, t_max=10):
@@ -270,17 +273,39 @@ class TestRandomizedModeEquivalence:
         max_delay=st.integers(1, 3),
         m=st.integers(2, 4),
         mode=st.sampled_from(["sync", "se", "depasync"]),
+        P=st.one_of(st.none(), st.integers(1, 6)),
     )
     @settings(max_examples=40, deadline=None)
-    def test_raster_matches_reference(self, seed, n, density, max_delay, m, mode):
+    def test_raster_matches_reference(self, seed, n, density, max_delay, m, mode, P):
         net = gen_synthetic(n, int(n * density), seed=seed, t_max=12,
                             max_delay=max_delay, input_rate=0.3,
                             rate_knobs=(1.0, 2.0, 4.0, 8.0))
         ref = reference_run(net).ordered()
         prog = compile_network(net, (2, 2))
-        rep = run(prog, SimConfig(grid=(2, 2), mode=mode, m=m, debug=True))
+        rep = run(prog, SimConfig(grid=(2, 2), mode=mode, m=m, P=P, debug=True))
         assert [tuple(p) for p in rep.raster] == ref
         assert rep.violations == 0
+
+
+class TestPinnedTinyFixture:
+    """Exact modelled outputs of the committed 2x2 fixture program: a change
+    to how a mode is coordinated must leave every one of them unchanged."""
+
+    @pytest.mark.parametrize("mode,m,P,cycles,rollbacks,hops,energy", [
+        ("sync", 4, None, 1665, 0, 684, 7308.8),
+        ("se", 4, None, 1594, 114, 684, 7841.8),
+        ("se", 4, 3, 1622, 84, 684, 7703.4),
+        ("se", 2, 5, 1599, 116, 684, 7852.4),
+        ("depasync", 4, None, 1716, 0, 2028, 11159.0),
+    ])
+    def test_modelled_outputs(self, mode, m, P, cycles, rollbacks, hops, energy):
+        prog = load_program(os.path.join(FIXTURES, "tiny_program.json"))
+        rep = run(prog, SimConfig(grid=(2, 2), mode=mode, m=m, P=P, debug=True))
+        assert rep.total_cycles == cycles
+        assert rep.rollbacks == rollbacks
+        assert rep.noc["hops"] == hops
+        assert rep.energy["total"] == pytest.approx(energy, abs=1e-6)
+        assert len(rep.raster) == 42
 
 
 class TestDrainDetect:
