@@ -20,12 +20,18 @@ from .compiler import (
     Capacity,
     CompileError,
     compile_network,
-    exchange_with_core0,
+    exchanged_assignment,
     load_program,
-    partition,
     save_program,
 )
-from .engine import ConfigError, DeadlockError, SimConfig, parse_grid, run
+from .engine import (
+    PROTOCOLS,
+    ConfigError,
+    DeadlockError,
+    SimConfig,
+    parse_grid,
+    run,
+)
 from .metrics import MetricsError
 from .model import (
     WorkloadError,
@@ -151,14 +157,9 @@ def _compile_from_args(net, args):
                         max_synapses=args.max_synapses_per_core)
     assignment = None
     if args.exchange_frac:
-        n_cores = args.cores or grid[0] * grid[1]
-        cores = partition(net, n_cores, capacity)
-        base = [0] * net.n_neurons
-        for c in cores:
-            for nid in c.neuron_ids:
-                base[nid] = c.id
-        assignment = exchange_with_core0(net, base, args.exchange_frac,
-                                         seed=args.exchange_seed)
+        assignment = exchanged_assignment(
+            net, args.cores or grid[0] * grid[1], args.exchange_frac,
+            seed=args.exchange_seed, capacity=capacity)
     return compile_network(net, grid, mapping=args.mapping, capacity=capacity,
                            n_cores=args.cores, assignment=assignment)
 
@@ -187,7 +188,7 @@ def cmd_run(args) -> int:
 
 def verify_workload(net, grid: tuple[int, int], base_cfg: SimConfig,
                     mapping: str = "plain", keep_reports: bool = False):
-    """Run the reference interpreter and all three modes; returns
+    """Run the reference interpreter and every mode; returns
     (ok, details dict). The workhorse behind ``snnmesh verify``."""
     ref = reference_run(net)
     if base_cfg.t_max is not None and base_cfg.t_max < net.t_max:
@@ -201,7 +202,7 @@ def verify_workload(net, grid: tuple[int, int], base_cfg: SimConfig,
     if keep_reports:
         details["reports"] = {}
     ok = True
-    for mode in ("sync", "se", "depasync"):
+    for mode in PROTOCOLS:
         cfg = SimConfig.from_dict({**base_cfg.to_dict(), "mode": mode,
                                    "grid": list(grid)})
         rep = run(prog, cfg)
@@ -320,12 +321,8 @@ def build_sweep_tasks(args, base_cfg: SimConfig):
             mapping = value if axis == "mapping" else args.mapping
             assignment = None
             if axis == "exchange" and value > 0:
-                cores = partition(net, point_grid[0] * point_grid[1])
-                base = [0] * net.n_neurons
-                for c in cores:
-                    for nid in c.neuron_ids:
-                        base[nid] = c.id
-                assignment = exchange_with_core0(net, base, value, seed=seed)
+                assignment = exchanged_assignment(
+                    net, point_grid[0] * point_grid[1], value, seed=seed)
             prog = compile_network(net, point_grid, mapping=mapping,
                                    assignment=assignment)
             for mode in modes:
@@ -454,7 +451,7 @@ def _coerce(text: str):
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with simulator config keys")
-    p.add_argument("--mode", choices=["sync", "se", "depasync"])
+    p.add_argument("--mode", choices=list(PROTOCOLS))
     p.add_argument("--m", type=int, help="spike buffer window (timesteps)")
     p.add_argument("--vc", type=int, help="number of data virtual channels")
     p.add_argument("--grid", help="mesh size, e.g. 4x4")
@@ -522,7 +519,7 @@ def make_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="run an experiment sweep")
     s.add_argument("--workload")
     s.add_argument("--axis", required=True, help="e.g. m=2,4,8,16")
-    s.add_argument("--modes", default="sync,se,depasync")
+    s.add_argument("--modes", default=",".join(PROTOCOLS))
     s.add_argument("--seeds", help="comma-separated distinct seeds")
     s.add_argument("--reps", type=int, default=1)
     s.add_argument("--jobs", type=int, default=1)

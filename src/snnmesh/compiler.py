@@ -8,7 +8,12 @@ import warnings
 from dataclasses import dataclass, field
 
 from .fixedpoint import from_str, to_str
-from .model import Network, NeuronParams, NeuronState, Synapse
+from .model import (
+    Network,
+    NeuronParams,
+    neurons_and_inputs_from_dict,
+    neurons_and_inputs_to_dict,
+)
 
 MAX_DEPS_PER_CORE = 512
 
@@ -345,6 +350,17 @@ def exchange_with_core0(net: Network, assignment: list[int], fraction: float,
     return new_assign
 
 
+def exchanged_assignment(net: Network, n_cores: int, fraction: float,
+                         seed: int = 0, capacity: Capacity = Capacity()) -> list[int]:
+    """Partition ``net`` onto ``n_cores`` cores, then apply
+    ``exchange_with_core0``; returns neuron id -> core id."""
+    base = [0] * net.n_neurons
+    for c in partition(net, n_cores, capacity):
+        for nid in c.neuron_ids:
+            base[nid] = c.id
+    return exchange_with_core0(net, base, fraction, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # Compiled-program file format
 # ---------------------------------------------------------------------------
@@ -375,16 +391,7 @@ def program_to_dict(prog: CompiledProgram) -> dict:
         ],
         "dep_graph": {"pre": prog.dep_graph.pre, "post": prog.dep_graph.post},
         "placement": [list(xy) for xy in prog.placement.coords],
-        "neurons": [
-            {"tau_m": to_str(p.tau_m), "v_rst": to_str(p.v_rst),
-             "g_l": to_str(p.g_l), "v_th": to_str(p.v_th), "v0": to_str(v0)}
-            for p, v0 in prog.neuron_params
-        ],
-        "inputs": [
-            {"neuron": nid, "timestep": t, "current": to_str(cur)}
-            for nid in sorted(prog.inputs)
-            for t, cur in prog.inputs[nid]
-        ],
+        **neurons_and_inputs_to_dict(prog.neuron_params, prog.inputs),
     }
 
 
@@ -411,15 +418,7 @@ def program_from_dict(doc: dict) -> CompiledProgram:
                          post=[list(p) for p in doc["dep_graph"]["post"]])
         grid = tuple(doc["grid"])
         placement = Placement(coords=[tuple(xy) for xy in doc["placement"]], grid=grid)
-        neuron_params = [
-            (NeuronParams(tau_m=from_str(nd["tau_m"]), v_rst=from_str(nd["v_rst"]),
-                          g_l=from_str(nd["g_l"]), v_th=from_str(nd["v_th"])),
-             from_str(nd["v0"]))
-            for nd in doc["neurons"]
-        ]
-        inputs: dict[int, list[tuple[int, int]]] = {}
-        for ev in doc["inputs"]:
-            inputs.setdefault(ev["neuron"], []).append((ev["timestep"], from_str(ev["current"])))
+        neuron_params, inputs = neurons_and_inputs_from_dict(doc)
         return CompiledProgram(
             cores=cores, dep_graph=graph, placement=placement, grid=grid,
             neuron_params=neuron_params, inputs=inputs,
@@ -442,20 +441,3 @@ def load_program(path) -> CompiledProgram:
         except json.JSONDecodeError as exc:
             raise CompileError(f"not valid JSON: {exc}") from exc
     return program_from_dict(doc)
-
-
-def network_for_program(prog: CompiledProgram) -> Network:
-    """Reconstruct a Network view (without synapse list) for validation."""
-    neurons = [(p, NeuronState(v=v0)) for p, v0 in prog.neuron_params]
-    synapses = []
-    for c in prog.cores:
-        for local, entries in c.fanout.items():
-            src = c.neuron_ids[local]
-            for e in entries:
-                dst_core = prog.cores[e.dst_core]
-                tgt_local, w = dst_core.in_synapses[e.synapse_id]
-                synapses.append(Synapse(src=src, dst=dst_core.neuron_ids[tgt_local],
-                                        weight=w, delay=e.delay))
-    return Network(neurons=neurons, synapses=synapses,
-                   inputs={k: list(v) for k, v in prog.inputs.items()},
-                   t_max=prog.t_max, max_delay=prog.max_delay)

@@ -1,6 +1,8 @@
-"""The neuromorphic core: compute engine over a neuron slice, circular spike
-buffer, dependency tables, and the per-mode forwarding machinery (barrier,
-speculative with rollback, dependency-driven)."""
+"""The neuromorphic core: compute engine over a neuron slice, its input store
+(a circular spike buffer, or the speculative store with checkpoints and
+rollback), and the dependency tables of dependency-driven forwarding. Which
+store and which notification routes a core gets is up to the coordination
+protocol that builds it (``engine.PROTOCOLS``)."""
 
 from __future__ import annotations
 
@@ -17,14 +19,8 @@ from .noc import (
     SpikeBody,
 )
 
-MODE_SYNC = "sync"
-MODE_SE = "se"
-MODE_DEPASYNC = "depasync"
-MODES = (MODE_SYNC, MODE_SE, MODE_DEPASYNC)
-
 PHASE_READY = "READY"
 PHASE_COMPUTING = "COMPUTING"
-PHASE_WAITING = "WAITING"
 PHASE_DONE = "DONE"
 
 
@@ -138,14 +134,94 @@ class CircularSpikeBuffer:
         self.head_t += 1
         self.consumed = False
 
+    # -- the input-store interface a core drives --------------------------
+
+    def receive(self, consuming_t: int, local_idx: int, weight: int,
+                sender_t: int = -1) -> None:
+        """Buffer one reception; a non-speculative core never rolls back."""
+        self.write(consuming_t, local_idx, weight)
+
+    def take(self, t: int, v: np.ndarray) -> np.ndarray:
+        return self.consume()
+
+    def seal(self, t: int, sent: list[Packet]) -> None:
+        self.rotate()
+
+
+class SpeculativeStore:
+    """Input store of a speculative (``se``) core: each reception once, keyed
+    by the timestep that consumes it, plus the checkpoint taken at the entry
+    of every timestep begun and the spikes sent at every timestep finished,
+    all since the last epoch seal.
+
+    A reception is ``(local target, weight, sending timestep)``, where the
+    sending timestep is -1 for a spike from another core and the core's own
+    timestep for a local synapse, so a rollback can drop exactly the local
+    sends it undoes and keep every other reception.
+    """
+
+    __slots__ = ("n_local", "recv", "checkpoints", "sent", "consumed",
+                 "violations")
+
+    def __init__(self, n_local: int, v0: np.ndarray):
+        self.n_local = n_local
+        self.recv: dict[int, list[tuple[int, int, int]]] = {}
+        self.checkpoints: dict[int, np.ndarray] = {0: v0.copy()}
+        self.sent: dict[int, list[Packet]] = {}
+        self.consumed = -1  # highest timestep whose input has been read
+        self.violations = 0  # speculation never refuses a write
+
+    def receive(self, consuming_t: int, local_idx: int, weight: int,
+                sender_t: int = -1) -> int | None:
+        """Record a reception; returns the timestep to roll back to when its
+        consuming timestep has already been read, else None."""
+        self.recv.setdefault(consuming_t, []).append((local_idx, weight, sender_t))
+        return consuming_t if consuming_t <= self.consumed else None
+
+    def take(self, t: int, v: np.ndarray) -> np.ndarray:
+        """Checkpoint ``v`` at the entry of ``t`` and sum t's receptions."""
+        self.checkpoints[t] = v.copy()
+        self.consumed = t
+        acc = np.zeros(max(self.n_local, 1), dtype=np.int64)
+        for tgt, w, _sender in self.recv.get(t, ()):
+            acc[tgt] += w
+        return acc
+
+    def seal(self, t: int, sent: list[Packet]) -> None:
+        self.sent[t] = sent
+
+    def rollback(self, tc: int) -> tuple[np.ndarray, list[Packet]]:
+        """Forget timesteps >= tc: returns the state at the entry of tc and
+        the spikes sent since, oldest first."""
+        for t in [t for t in self.checkpoints if t > tc]:
+            del self.checkpoints[t]
+        undone = [pkt for t in sorted(t for t in self.sent if t >= tc)
+                  for pkt in self.sent.pop(t)]
+        # own local sends from timesteps >= tc consume after tc (delay >= 1)
+        for c, rows in self.recv.items():
+            if c > tc:
+                self.recv[c] = [r for r in rows if r[2] < tc]
+        self.consumed = tc - 1
+        return self.checkpoints[tc].copy(), undone
+
+    def epoch_reset(self, new_start: int, v: np.ndarray) -> None:
+        """Seal an epoch: no rollback can reach before ``new_start`` again."""
+        self.checkpoints = {new_start: v.copy()}
+        self.sent = {}
+        self.recv = {c: rows for c, rows in self.recv.items() if c >= new_start}
+
 
 class NeuromorphicCore:
-    """One core's slice of the network plus its forwarding state."""
+    """One core's slice of the network plus its forwarding state.
+
+    ``inputs`` is the core's input store (``CircularSpikeBuffer`` or
+    ``SpeculativeStore``); ``start_routes``/``finish_routes`` are empty
+    unless the protocol exchanges dependency notifications."""
 
     def __init__(self, cid, coord, neuron_ids, tau, g, vr, vth, v0,
                  in_syn_target, in_syn_weight, fanout_remote, fanout_local,
-                 external, n_pre, n_post, start_routes, finish_routes,
-                 mode, m, max_delay, t_max, c_update, c_spike):
+                 external, inputs, start_routes, finish_routes, t_max,
+                 c_update, c_spike):
         self.cid = cid
         self.coord = coord
         self.neuron_ids = neuron_ids
@@ -159,20 +235,17 @@ class NeuromorphicCore:
         # per local neuron: [(target_local, weight, delay)]
         self.fanout_local = fanout_local
         self.external = external  # t -> (idx array, current array)
+        self.inputs = inputs
         self.start_routes = start_routes    # [(pre core, dst_xy, dep_id)]
         self.finish_routes = finish_routes  # [(post core, dst_xy, dep_id)]
-        self.mode = mode
-        self.m = m
         self.t_max = t_max
         self.c_update = c_update
         self.c_spike = c_spike
 
-        self.tables = DependencyTables(n_pre, n_post)
-        n_slot = max_delay + m - 1
-        self.buffer = CircularSpikeBuffer(n_slot, self.n_local)
-        self.vbuf: dict[int, np.ndarray] = {}  # speculative mode accumulators
+        self.tables = DependencyTables(len(start_routes), len(finish_routes))
 
         self.t_cur = -1
+        self.frontier = -1  # highest timestep ever completed
         self.phase = PHASE_READY if t_max > 0 else PHASE_DONE
         self.gen = 0  # invalidates in-flight completion events after rollback
         self.computing: tuple | None = None  # (t, start_cycle, v_new, fired, cost)
@@ -191,15 +264,6 @@ class NeuromorphicCore:
         self.rollback_cycles = 0
         self.rollbacks = 0
 
-        # speculative-mode bookkeeping
-        self.checkpoints: dict[int, np.ndarray] = {0: self.v.copy()}
-        self.rcv_log: list[tuple[int, int, int, int]] = []  # (consuming, tgt, w, self_gen)
-        self.sent_log: dict[int, list[Packet]] = {}
-        self.frontier = -1  # highest timestep ever completed
-        self.epoch_start = 0
-        self.epoch_base_vbuf: dict[int, np.ndarray] = {}
-        self.epoch_base_v = self.v.copy()
-
     # -- helpers -----------------------------------------------------------
 
     @property
@@ -207,18 +271,17 @@ class NeuromorphicCore:
         """Highest timestep this core has begun computing."""
         return self.t_cur + 1 if self.computing is not None else self.t_cur
 
-    def _consumed_frontier(self) -> int:
-        """Highest timestep whose accumulator has already been read."""
-        return self.computing[0] if self.computing is not None else self.t_cur
-
     def may_advance(self) -> bool:
-        """Mode-specific admission for timestep t_cur + 1 (engine applies the
-        global barrier/epoch gates for sync and speculative modes)."""
-        if self.phase != PHASE_READY or self.t_cur + 1 >= self.t_max:
-            return False
-        if self.mode == MODE_DEPASYNC:
-            return advance_condition(self.tables, self.t_cur, self.m)
-        return True
+        """Is the core idle with timestep t_cur + 1 still to run? The
+        protocol adds its own admission rule on top."""
+        return self.phase == PHASE_READY and self.t_cur + 1 < self.t_max
+
+    def _notifications(self, routes, flag: int, t: int) -> list[Packet]:
+        self.counters["scheduler_events"] += len(routes)
+        return [Packet(kind=DEP, src_core=self.cid, dst_core=core,
+                       src_xy=self.coord, dst_xy=dst_xy,
+                       body=DepBody(timestep=t, flag=flag, dep_id=dep_id))
+                for core, dst_xy, dep_id in routes]
 
     # -- packet handlers ----------------------------------------------------
 
@@ -227,31 +290,17 @@ class NeuromorphicCore:
         on_dep_packet(self.tables, pkt)
 
     def on_spike(self, pkt: Packet) -> int | None:
-        """Buffer an arriving spike. In speculative mode a late spike returns
-        the timestep to roll back to; otherwise returns None."""
+        """Buffer an arriving spike. Returns the timestep to roll back to
+        when a speculative core has already read that spike's timestep,
+        otherwise None."""
         body = pkt.body
         tgt = self.in_syn_target[body.synapse_id]
         w = self.in_syn_weight[body.synapse_id]
         if body.anti:
             w = -w
-        consuming = body.timestep + body.delay
         self.counters["synapse_acc"] += 1
         self.counters["buffer_writes"] += 1
-        if self.mode == MODE_SE:
-            self.rcv_log.append((consuming, tgt, w, -1))
-            if consuming <= self._consumed_frontier() and consuming < self.t_max:
-                return consuming
-            self._vbuf_add(consuming, tgt, w)
-            return None
-        self.buffer.write(consuming, tgt, w)
-        return None
-
-    def _vbuf_add(self, consuming: int, tgt: int, w: int) -> None:
-        row = self.vbuf.get(consuming)
-        if row is None:
-            row = np.zeros(max(self.n_local, 1), dtype=np.int64)
-            self.vbuf[consuming] = row
-        row[tgt] += w
+        return self.inputs.receive(body.timestep + body.delay, tgt, w)
 
     # -- timestep execution --------------------------------------------------
 
@@ -260,13 +309,7 @@ class NeuromorphicCore:
         packets to inject). The full result is computed eagerly; it becomes
         visible only at completion."""
         t = self.t_cur + 1
-        if self.mode == MODE_SE:
-            self.checkpoints[t] = self.v.copy()
-            acc = self.vbuf.pop(t, None)
-            if acc is None:
-                acc = np.zeros(max(self.n_local, 1), dtype=np.int64)
-        else:
-            acc = self.buffer.consume()
+        acc = self.inputs.take(t, self.v)
         self.counters["buffer_reads"] += self.n_local
 
         ext = self.external.get(t)
@@ -289,79 +332,49 @@ class NeuromorphicCore:
 
         self.computing = (t, cycle, v_new, fired, cost)
         self.phase = PHASE_COMPUTING
-
-        starts: list[Packet] = []
-        if self.mode == MODE_DEPASYNC:
-            for _core, dst_xy, dep_id in self.start_routes:
-                starts.append(Packet(
-                    kind=DEP, src_core=self.cid, dst_core=_core,
-                    src_xy=self.coord, dst_xy=dst_xy,
-                    body=DepBody(timestep=t, flag=FLAG_START, dep_id=dep_id),
-                ))
-                self.counters["scheduler_events"] += 1
-        return cost, starts
+        return cost, self._notifications(self.start_routes, FLAG_START, t)
 
     def finish(self, cycle: int) -> list[Packet]:
         """Commit the pending timestep: apply states, emit spike packets and
-        (dependency mode) FINISH notifications, rotate the buffer."""
+        FINISH notifications, seal the timestep in the input store."""
         t, start_cycle, v_new, fired, cost = self.computing
         self.computing = None
         self.v = v_new
 
-        rollback_work = self.mode == MODE_SE and t <= self.frontier
-        if rollback_work:
+        if t <= self.frontier:  # recomputing after a rollback
             self.rollback_cycles += cycle - start_cycle
             self.counters["rollback_updates"] += self.n_local
         else:
             self.busy_cycles += cycle - start_cycle
+            self.frontier = t
         self.counters["neuron_updates"] += self.n_local
 
         self.raster[t] = fired
-        packets: list[Packet] = []
+        spikes: list[Packet] = []
         for i in fired:
             for tgt, w, delay in self.fanout_local[i]:
-                consuming = t + delay
                 self.counters["synapse_acc"] += 1
                 self.counters["buffer_writes"] += 1
-                if self.mode == MODE_SE:
-                    self.rcv_log.append((consuming, tgt, w, t))
-                    self._vbuf_add(consuming, tgt, w)
-                else:
-                    self.buffer.write(consuming, tgt, w)
+                self.inputs.receive(t + delay, tgt, w, t)
             for dst_core, dst_xy, syn_id, delay in self.fanout_remote[i]:
-                packets.append(Packet(
+                spikes.append(Packet(
                     kind=SPIKE, src_core=self.cid, dst_core=dst_core,
                     src_xy=self.coord, dst_xy=dst_xy,
                     body=SpikeBody(synapse_id=syn_id, delay=delay, timestep=t),
                 ))
+        self.inputs.seal(t, spikes)
 
-        if self.mode == MODE_SE:
-            self.sent_log[t] = list(packets)
-            if t > self.frontier:
-                self.frontier = t
-
-        if self.mode == MODE_DEPASYNC:
-            for _core, dst_xy, dep_id in self.finish_routes:
-                packets.append(Packet(
-                    kind=DEP, src_core=self.cid, dst_core=_core,
-                    src_xy=self.coord, dst_xy=dst_xy,
-                    body=DepBody(timestep=t, flag=FLAG_FINISH, dep_id=dep_id),
-                ))
-                self.counters["scheduler_events"] += 1
-
-        if self.mode != MODE_SE:
-            self.buffer.rotate()
         self.t_cur = t
         self.phase = PHASE_DONE if t + 1 >= self.t_max else PHASE_READY
-        return packets
+        return spikes + self._notifications(self.finish_routes, FLAG_FINISH, t)
 
     # -- speculative rollback -------------------------------------------------
 
     def rollback(self, tc: int, cycle: int) -> list[Packet]:
-        """Restore the checkpoint at entry of ``tc``, cancel everything sent
-        for timesteps >= tc, and rebuild buffered input from the logs.
-        Returns the cancellation packets to inject."""
-        if tc < self.epoch_start or tc not in self.checkpoints:
+        """Restore the checkpoint at entry of ``tc`` and cancel everything
+        sent for timesteps >= tc. Returns the cancellation packets to
+        inject."""
+        if tc not in self.inputs.checkpoints:
             raise ProtocolFault(
                 f"core {self.cid}: rollback to {tc} outside the checkpoint window"
             )
@@ -372,42 +385,20 @@ class NeuromorphicCore:
             self.computing = None
             self.gen += 1
 
-        anti: list[Packet] = []
-        for gen_t in sorted(k for k in self.sent_log if k >= tc):
-            for pkt in self.sent_log.pop(gen_t):
-                body = pkt.body
-                anti.append(Packet(
-                    kind=SPIKE, src_core=self.cid, dst_core=pkt.dst_core,
-                    src_xy=self.coord, dst_xy=pkt.dst_xy,
-                    body=SpikeBody(synapse_id=body.synapse_id, delay=body.delay,
-                                   timestep=body.timestep, anti=True),
-                ))
+        self.v, undone = self.inputs.rollback(tc)
+        anti = [Packet(
+            kind=SPIKE, src_core=self.cid, dst_core=pkt.dst_core,
+            src_xy=self.coord, dst_xy=pkt.dst_xy,
+            body=SpikeBody(synapse_id=pkt.body.synapse_id, delay=pkt.body.delay,
+                           timestep=pkt.body.timestep, anti=True),
+        ) for pkt in undone]
         for t in [t for t in self.raster if t >= tc]:
             del self.raster[t]
-        for t in [t for t in self.checkpoints if t > tc]:
-            del self.checkpoints[t]
-
-        # Drop our own undone local accumulations; keep every reception.
-        self.rcv_log = [e for e in self.rcv_log if e[3] < tc]
-
-        self.v = self.checkpoints[tc].copy()
-        self.vbuf = {
-            c: row.copy() for c, row in self.epoch_base_vbuf.items() if c >= tc
-        }
-        for consuming, tgt, w, _sg in self.rcv_log:
-            if consuming >= tc:
-                self._vbuf_add(consuming, tgt, w)
-
         self.t_cur = tc - 1
         self.phase = PHASE_READY
         return anti
 
     def epoch_reset(self, new_start: int) -> None:
-        """Seal an epoch after the periodic barrier: logs are pruned and the
-        current buffered state becomes the rollback baseline."""
-        self.epoch_start = new_start
-        self.rcv_log = []
-        self.sent_log = {}
-        self.checkpoints = {new_start: self.v.copy()}
-        self.epoch_base_vbuf = {c: row.copy() for c, row in self.vbuf.items()}
-        self.epoch_base_v = self.v.copy()
+        """Seal an epoch after the periodic barrier: rollbacks can no longer
+        reach before ``new_start``."""
+        self.inputs.epoch_reset(new_start, self.v)

@@ -3,8 +3,13 @@
 Routers and cores share one clock. The loop is event-driven only as an
 optimization: between two events no component can change state, so skipping
 those cycles is exact. Within a cycle the phase order is fixed (land packets,
-commit completed timesteps, barrier checks, start new timesteps, arbitrate
-routers), which makes every run a pure function of (program, config).
+commit completed timesteps, the protocol's global gate, start new timesteps,
+arbitrate routers), which makes every run a pure function of (program,
+config).
+
+Each coordination mode is one protocol class, picked from ``PROTOCOLS`` by
+``SimConfig.mode``: it owns the mode's admission rule, its global gate, its
+debug edge invariant, and what its cores are built with.
 """
 
 from __future__ import annotations
@@ -17,14 +22,14 @@ import numpy as np
 from . import metrics
 from .compiler import CompiledProgram
 from .core import (
-    MODE_DEPASYNC,
-    MODE_SE,
-    MODE_SYNC,
-    MODES,
     PHASE_DONE,
+    CircularSpikeBuffer,
     NeuromorphicCore,
     ProtocolFault,
+    SpeculativeStore,
+    advance_condition,
 )
+from .model import neuron_arrays
 from .noc import DEP, SPIKE, MeshNoc
 
 
@@ -37,10 +42,118 @@ class DeadlockError(RuntimeError):
     unfinished. Must never fire for a well-formed dependency graph."""
 
 
+def drain_detect(noc: MeshNoc) -> bool:
+    """True iff no spike packet is anywhere in the network."""
+    return noc.in_flight[SPIKE] == 0
+
+
+class Protocol:
+    """A timestep-coordination mode. Built once per run; ``admits`` is asked
+    for every idle core before it begins timestep t_cur + 1, ``gate`` once
+    per simulated cycle, ``check_edge`` for every dependency edge of a
+    changed core under ``debug``."""
+
+    notifies = False  # do cores exchange START/FINISH notifications?
+
+    def __init__(self, cfg: SimConfig, t_max: int):
+        self.cfg, self.t_max = cfg, t_max
+
+    @staticmethod
+    def new_inputs(cfg: SimConfig, max_delay: int, n_local: int, v0):
+        return CircularSpikeBuffer(max_delay + cfg.m - 1, n_local)
+
+    def admits(self, core: NeuromorphicCore) -> bool:
+        raise NotImplementedError
+
+    def gate(self, cores: list[NeuromorphicCore], mesh: MeshNoc) -> bool:
+        """Advance the global gate if it can; True if that released cores."""
+        return False
+
+    def check_edge(self, a: NeuromorphicCore, b: NeuromorphicCore) -> None:
+        """Raise ProtocolFault if producer ``a`` and consumer ``b`` break an
+        invariant of the protocol."""
+
+
+class Barrier(Protocol):
+    """``sync``: timestep t starts everywhere once every core has finished
+    t - 1 and no spike is in flight (an idealised, free global barrier)."""
+
+    def __init__(self, cfg, t_max):
+        super().__init__(cfg, t_max)
+        self.t = 0  # the timestep currently authorized
+
+    def admits(self, core):
+        return core.t_cur + 1 == self.t
+
+    def gate(self, cores, mesh):
+        if (self.t < self.t_max and all(c.t_cur == self.t for c in cores)
+                and drain_detect(mesh)):
+            self.t += 1
+            return True
+        return False
+
+
+class Speculative(Protocol):
+    """``se``: cores run ahead freely inside an epoch of P timesteps and roll
+    back on late spikes; the epoch is sealed once every core has finished it
+    and the network is empty."""
+
+    def __init__(self, cfg, t_max):
+        super().__init__(cfg, t_max)
+        self.epoch_end = min(cfg.period, t_max)
+
+    @staticmethod
+    def new_inputs(cfg, max_delay, n_local, v0):
+        return SpeculativeStore(n_local, v0)
+
+    def admits(self, core):
+        return core.t_cur + 1 < self.epoch_end
+
+    def gate(self, cores, mesh):
+        if (self.epoch_end < self.t_max and sum(mesh.in_flight.values()) == 0
+                and all(c.t_cur == self.epoch_end - 1 and c.computing is None
+                        for c in cores)):
+            new_start = self.epoch_end
+            self.epoch_end = min(self.epoch_end + self.cfg.period, self.t_max)
+            for c in cores:
+                c.epoch_reset(new_start)
+            return True
+        return False
+
+
+class DependencyDriven(Protocol):
+    """``depasync``: a core begins t + 1 once its pre-dependencies have
+    finished t and its post-dependencies have started t - m + 2, as told by
+    START/FINISH packets over the NoC."""
+
+    notifies = True
+
+    def admits(self, core):
+        return advance_condition(core.tables, core.t_cur, self.cfg.m)
+
+    def check_edge(self, a, b):
+        sa, sb = a.started, b.started
+        if sb > a.t_cur + 1:
+            raise ProtocolFault(
+                f"safety violated on edge {a.cid}->{b.cid}: consumer started {sb} "
+                f"but producer only finished {a.t_cur}"
+            )
+        if sa > sb + self.cfg.m - 1:
+            raise ProtocolFault(
+                f"window violated on edge {a.cid}->{b.cid}: producer started {sa}, "
+                f"consumer started {sb}, m={self.cfg.m}"
+            )
+
+
+PROTOCOLS: dict[str, type[Protocol]] = {
+    "sync": Barrier, "se": Speculative, "depasync": DependencyDriven,
+}
+
+
 @dataclass
 class SimConfig:
     grid: tuple[int, int] = (4, 4)
-    mode: str = MODE_DEPASYNC
+    mode: str = "depasync"
     m: int = 4
     P: int | None = None  # speculative sync period; defaults to m
     n_vc: int = 4
@@ -57,8 +170,9 @@ class SimConfig:
     energy_costs: dict | None = None
 
     def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode not in PROTOCOLS:
+            raise ConfigError(
+                f"mode must be one of {tuple(PROTOCOLS)}, got {self.mode!r}")
         if self.m < 1:
             raise ConfigError("m must be >= 1")
         if self.P is not None and self.P < 1:
@@ -145,28 +259,9 @@ class SimReport:
         }
 
 
-def drain_detect(noc: MeshNoc) -> bool:
-    """True iff no spike packet is anywhere in the network."""
-    return noc.in_flight[SPIKE] == 0
-
-
 def _build_cores(program: CompiledProgram, cfg: SimConfig, t_max: int):
-    n = program.n_neurons
-    tau = np.empty(n, dtype=np.int64)
-    g = np.empty(n, dtype=np.int64)
-    vr = np.empty(n, dtype=np.int64)
-    vth = np.empty(n, dtype=np.int64)
-    v0 = np.empty(n, dtype=np.int64)
-    for i, (p, v_init) in enumerate(program.neuron_params):
-        tau[i], g[i], vr[i], vth[i], v0[i] = p.tau_m, p.g_l, p.v_rst, p.v_th, v_init
-
-    core_of = [0] * n
-    local_of = [0] * n
-    for lc in program.cores:
-        for li, nid in enumerate(lc.neuron_ids):
-            core_of[nid] = lc.id
-            local_of[nid] = li
-
+    protocol = PROTOCOLS[cfg.mode]
+    tau, g, vr, vth, v0 = neuron_arrays(program.neuron_params)
     placement = program.placement
     graph = program.dep_graph
     cores = []
@@ -189,22 +284,24 @@ def _build_cores(program: CompiledProgram, cfg: SimConfig, t_max: int):
                     )
 
         ext: dict[int, tuple[list, list]] = {}
-        for nid in lc.neuron_ids:
+        for li, nid in enumerate(lc.neuron_ids):
             for t, cur in program.inputs.get(nid, ()):
                 if t >= t_max:
                     continue
                 ext.setdefault(t, ([], []))
-                ext[t][0].append(local_of[nid])
+                ext[t][0].append(li)
                 ext[t][1].append(cur)
         ext_np = {
             t: (np.array(idx, dtype=np.int64), np.array(cur, dtype=np.int64))
             for t, (idx, cur) in ext.items()
         }
 
-        start_routes = [(a, placement[a], dep_id)
-                        for a, dep_id in graph.start_routes(lc.id)]
-        finish_routes = [(b, placement[b], dep_id)
-                         for b, dep_id in graph.finish_routes(lc.id)]
+        start_routes, finish_routes = [], []
+        if protocol.notifies:
+            start_routes = [(a, placement[a], dep_id)
+                            for a, dep_id in graph.start_routes(lc.id)]
+            finish_routes = [(b, placement[b], dep_id)
+                             for b, dep_id in graph.finish_routes(lc.id)]
 
         cores.append(NeuromorphicCore(
             cid=lc.id, coord=placement[lc.id], neuron_ids=list(lc.neuron_ids),
@@ -212,10 +309,9 @@ def _build_cores(program: CompiledProgram, cfg: SimConfig, t_max: int):
             in_syn_target=in_tgt, in_syn_weight=in_w,
             fanout_remote=fan_remote, fanout_local=fan_local,
             external=ext_np,
-            n_pre=len(graph.pre[lc.id]), n_post=len(graph.post[lc.id]),
+            inputs=protocol.new_inputs(cfg, program.max_delay, len(ids), v0[sel]),
             start_routes=start_routes, finish_routes=finish_routes,
-            mode=cfg.mode, m=cfg.m, max_delay=program.max_delay, t_max=t_max,
-            c_update=cfg.c_update, c_spike=cfg.c_spike,
+            t_max=t_max, c_update=cfg.c_update, c_spike=cfg.c_spike,
         ))
     return cores
 
@@ -231,7 +327,7 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
             raise ConfigError(f"placement ({x},{y}) outside the {w}x{h} grid")
 
     t_max = program.t_max if cfg.t_max is None else min(cfg.t_max, program.t_max)
-    mode = cfg.mode
+    protocol = PROTOCOLS[cfg.mode](cfg, t_max)
     cores = _build_cores(program, cfg, t_max)
     n_cores = len(cores)
     mesh = MeshNoc(cfg.grid, n_vc=cfg.n_vc, cycles_per_hop=cfg.cycles_per_hop,
@@ -241,9 +337,6 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
 
     completions: list[tuple[int, int, int, int]] = []  # (cycle, seq, cid, gen)
     seq = 0
-    sync_t = 0              # barrier mode: the timestep currently authorized
-    period = cfg.period
-    epoch_end = min(period, t_max)  # speculative mode: first epoch horizon
     dirty = set(range(n_cores))
     trace_rows: list[tuple[int, int, int, int, str]] = []
     dep_log: list[tuple[int, int, int, int, int]] = []
@@ -267,30 +360,10 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
 
     def _assert_edge(a: int, b: int) -> None:
         nonlocal max_edge_skew
-        sa, sb = cores[a].started, cores[b].started
-        skew = abs(sa - sb)
+        skew = abs(cores[a].started - cores[b].started)
         if skew > max_edge_skew:
             max_edge_skew = skew
-        if mode == MODE_DEPASYNC:
-            if sb > cores[a].t_cur + 1:
-                raise ProtocolFault(
-                    f"safety violated on edge {a}->{b}: consumer started {sb} "
-                    f"but producer only finished {cores[a].t_cur}"
-                )
-            if sa > sb + cfg.m - 1:
-                raise ProtocolFault(
-                    f"window violated on edge {a}->{b}: producer started {sa}, "
-                    f"consumer started {sb}, m={cfg.m}"
-                )
-
-    def admissible(core: NeuromorphicCore) -> bool:
-        if not core.may_advance():
-            return False
-        if mode == MODE_SYNC:
-            return core.t_cur + 1 == sync_t
-        if mode == MODE_SE:
-            return core.t_cur + 1 < epoch_end
-        return True
+        protocol.check_edge(cores[a], cores[b])
 
     cycle = 0
     while True:
@@ -320,7 +393,7 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
             if gen != core.gen or core.computing is None:
                 continue  # cancelled by a rollback
             t, start_cycle, *_rest = core.computing
-            kind = "rollback" if (mode == MODE_SE and t <= core.frontier) else "compute"
+            kind = "rollback" if t <= core.frontier else "compute"
             for pkt in core.finish(cycle):
                 mesh.inject(core.coord, pkt, cycle)
             if cfg.trace:
@@ -329,26 +402,15 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
             dirty.add(cid)
             changed.add(cid)
 
-        # 3. global gates for the barrier and speculative modes
-        if mode == MODE_SYNC and sync_t < t_max:
-            if all(c.t_cur == sync_t for c in cores) and drain_detect(mesh):
-                sync_t += 1
-                dirty.update(range(n_cores))
-        elif mode == MODE_SE and epoch_end < t_max:
-            if (sum(mesh.in_flight.values()) == 0
-                    and all(c.t_cur == epoch_end - 1 and c.computing is None
-                            for c in cores)):
-                new_start = epoch_end
-                epoch_end = min(epoch_end + period, t_max)
-                for c in cores:
-                    c.epoch_reset(new_start)
-                dirty.update(range(n_cores))
+        # 3. the protocol's global gate (barrier, epoch seal)
+        if protocol.gate(cores, mesh):
+            dirty.update(range(n_cores))
 
         # 4. start admissible timesteps
         if dirty:
             for cid in sorted(dirty):
                 core = cores[cid]
-                if admissible(core):
+                if core.may_advance() and protocol.admits(core):
                     cost, starts = core.begin(cycle)
                     for pkt in starts:
                         mesh.inject(core.coord, pkt, cycle)
@@ -402,7 +464,7 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
     for core in cores:
         for k in counts:
             counts[k] += core.counters[k]
-        violations += core.buffer.violations
+        violations += core.inputs.violations
         rollbacks += core.rollbacks
         wait = total_cycles - core.busy_cycles - core.rollback_cycles
         core_rows.append({
@@ -417,7 +479,7 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
 
     return SimReport(
         total_cycles=total_cycles,
-        mode=mode,
+        mode=cfg.mode,
         config=cfg.to_dict(),
         cores=core_rows,
         raster=raster_pairs,

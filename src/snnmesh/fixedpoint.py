@@ -52,22 +52,6 @@ def fx(value: float | int | str) -> int:
     return sat(int(round(value * SCALE)))
 
 
-def to_float(v: int) -> float:
-    return v / SCALE
-
-
-def fmul(a: int, b: int, diag: SaturationCounter | None = None) -> int:
-    """Fixed-point multiply: floor((a*b)/2**16), saturated."""
-    return sat((a * b) >> FRAC_BITS, diag)
-
-
-def fdiv(a: int, b: int, diag: SaturationCounter | None = None) -> int:
-    """Fixed-point divide: floor((a<<16)/b), saturated. b must be nonzero."""
-    if b == 0:
-        raise ZeroDivisionError("fixed-point divide by zero")
-    return sat((a << FRAC_BITS) // b, diag)
-
-
 def to_str(v: int) -> str:
     """Exact decimal string for a Q16.16 value (integer arithmetic only)."""
     sign = "-" if v < 0 else ""

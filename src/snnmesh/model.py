@@ -190,20 +190,17 @@ def lif_step_arrays(v, acc, tau_m, g_l, v_rst, v_th):
     return v_new, fired, clamps
 
 
-def network_arrays(net: Network):
-    """Struct-of-arrays view of neuron parameters and initial potentials."""
-    n = net.n_neurons
+def neuron_arrays(neurons):
+    """Struct-of-arrays view (tau_m, g_l, v_rst, v_th, v0) of a sequence of
+    (NeuronParams, initial potential) pairs."""
+    n = len(neurons)
     tau = np.empty(n, dtype=np.int64)
     g = np.empty(n, dtype=np.int64)
     vr = np.empty(n, dtype=np.int64)
     vth = np.empty(n, dtype=np.int64)
     v0 = np.empty(n, dtype=np.int64)
-    for i, (p, s) in enumerate(net.neurons):
-        tau[i] = p.tau_m
-        g[i] = p.g_l
-        vr[i] = p.v_rst
-        vth[i] = p.v_th
-        v0[i] = s.v
+    for i, (p, v) in enumerate(neurons):
+        tau[i], g[i], vr[i], vth[i], v0[i] = p.tau_m, p.g_l, p.v_rst, p.v_th, v
     return tau, g, vr, vth, v0
 
 
@@ -218,7 +215,7 @@ def reference_run(net: Network, diag: SaturationCounter | None = None) -> SpikeR
     if n == 0 or net.t_max == 0:
         return SpikeRaster([])
 
-    tau, g, vr, vth, v = network_arrays(net)
+    tau, g, vr, vth, v = neuron_arrays([(p, s.v) for p, s in net.neurons])
 
     # Adjacency: per-neuron fanout as (targets, weights, delays) arrays.
     fan_dst: list[list[int]] = [[] for _ in range(n)]
@@ -415,26 +412,44 @@ def gen_layered(
 # ---------------------------------------------------------------------------
 
 
-def network_to_dict(net: Network) -> dict:
-    doc = {
+def neurons_and_inputs_to_dict(neurons, inputs: dict[int, list[tuple[int, int]]]) -> dict:
+    """The ``neurons`` and ``inputs`` sections shared by the workload and the
+    compiled-program formats; ``neurons`` holds (NeuronParams, v0) pairs."""
+    return {
         "neurons": [
-            {
-                "tau_m": to_str(p.tau_m),
-                "v_rst": to_str(p.v_rst),
-                "g_l": to_str(p.g_l),
-                "v_th": to_str(p.v_th),
-                "v0": to_str(s.v),
-            }
-            for p, s in net.neurons
-        ],
-        "synapses": [
-            {"src": s.src, "dst": s.dst, "weight": to_str(s.weight), "delay": s.delay}
-            for s in net.synapses
+            {"tau_m": to_str(p.tau_m), "v_rst": to_str(p.v_rst),
+             "g_l": to_str(p.g_l), "v_th": to_str(p.v_th), "v0": to_str(v0)}
+            for p, v0 in neurons
         ],
         "inputs": [
             {"neuron": nid, "timestep": t, "current": to_str(cur)}
-            for nid in sorted(net.inputs)
-            for t, cur in net.inputs[nid]
+            for nid in sorted(inputs)
+            for t, cur in inputs[nid]
+        ],
+    }
+
+
+def neurons_and_inputs_from_dict(doc: dict):
+    """Inverse of ``neurons_and_inputs_to_dict``: ((NeuronParams, v0) pairs,
+    inputs). Malformed entries raise KeyError, TypeError or ValueError."""
+    neurons = [
+        (NeuronParams(tau_m=from_str(nd["tau_m"]), v_rst=from_str(nd["v_rst"]),
+                      g_l=from_str(nd["g_l"]), v_th=from_str(nd["v_th"])),
+         from_str(nd["v0"]))
+        for nd in doc["neurons"]
+    ]
+    inputs: dict[int, list[tuple[int, int]]] = {}
+    for ev in doc["inputs"]:
+        inputs.setdefault(ev["neuron"], []).append((ev["timestep"], from_str(ev["current"])))
+    return neurons, inputs
+
+
+def network_to_dict(net: Network) -> dict:
+    doc = {
+        **neurons_and_inputs_to_dict([(p, s.v) for p, s in net.neurons], net.inputs),
+        "synapses": [
+            {"src": s.src, "dst": s.dst, "weight": to_str(s.weight), "delay": s.delay}
+            for s in net.synapses
         ],
         "t_max": net.t_max,
         "max_delay": net.max_delay,
@@ -446,28 +461,14 @@ def network_to_dict(net: Network) -> dict:
 
 def network_from_dict(doc: dict) -> Network:
     try:
-        neurons = [
-            (
-                NeuronParams(
-                    tau_m=from_str(nd["tau_m"]),
-                    v_rst=from_str(nd["v_rst"]),
-                    g_l=from_str(nd["g_l"]),
-                    v_th=from_str(nd["v_th"]),
-                ),
-                NeuronState(v=from_str(nd["v0"])),
-            )
-            for nd in doc["neurons"]
-        ]
+        neurons, inputs = neurons_and_inputs_from_dict(doc)
         synapses = [
             Synapse(src=sd["src"], dst=sd["dst"], weight=from_str(sd["weight"]),
                     delay=sd["delay"])
             for sd in doc["synapses"]
         ]
-        inputs: dict[int, list[tuple[int, int]]] = {}
-        for ev in doc["inputs"]:
-            inputs.setdefault(ev["neuron"], []).append((ev["timestep"], from_str(ev["current"])))
         net = Network(
-            neurons=neurons,
+            neurons=[(p, NeuronState(v=v0)) for p, v0 in neurons],
             synapses=synapses,
             inputs=inputs,
             t_max=doc["t_max"],

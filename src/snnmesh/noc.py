@@ -51,6 +51,9 @@ class SyncBody:
     timestep: int
 
 
+_BODY_TYPES = {SPIKE: SpikeBody, DEP: DepBody, SYNC: SyncBody}
+
+
 @dataclass(slots=True)
 class Packet:
     kind: str
@@ -62,48 +65,11 @@ class Packet:
     vc: int = -1
 
     def validate(self) -> None:
-        expected = {SPIKE: SpikeBody, DEP: DepBody, SYNC: SyncBody}.get(self.kind)
+        expected = _BODY_TYPES.get(self.kind)
         if expected is None:
             raise NocError(f"unknown packet kind {self.kind!r}")
         if not isinstance(self.body, expected):
             raise NocError(f"{self.kind} packet carries a {type(self.body).__name__}")
-
-
-def packet_to_dict(p: Packet) -> dict:
-    d = {
-        "kind": p.kind,
-        "header": {"vc": p.vc, "src_xy": list(p.src_xy), "dst_xy": list(p.dst_xy),
-                   "src_core": p.src_core, "dst_core": p.dst_core},
-    }
-    if p.kind == SPIKE:
-        d["body"] = {"synapse_id": p.body.synapse_id, "delay": p.body.delay,
-                     "timestep": p.body.timestep, "anti": p.body.anti}
-    elif p.kind == DEP:
-        d["body"] = {"timestep": p.body.timestep, "flag": p.body.flag,
-                     "dep_id": p.body.dep_id}
-    else:
-        d["body"] = {"timestep": p.body.timestep}
-    return d
-
-
-def packet_from_dict(d: dict) -> Packet:
-    h = d["header"]
-    kind = d["kind"]
-    b = d["body"]
-    if kind == SPIKE:
-        body = SpikeBody(synapse_id=b["synapse_id"], delay=b["delay"],
-                         timestep=b["timestep"], anti=b.get("anti", False))
-    elif kind == DEP:
-        body = DepBody(timestep=b["timestep"], flag=b["flag"], dep_id=b["dep_id"])
-    elif kind == SYNC:
-        body = SyncBody(timestep=b["timestep"])
-    else:
-        raise NocError(f"unknown packet kind {kind!r}")
-    p = Packet(kind=kind, src_core=h["src_core"], dst_core=h["dst_core"],
-               src_xy=tuple(h["src_xy"]), dst_xy=tuple(h["dst_xy"]),
-               body=body, vc=h["vc"])
-    p.validate()
-    return p
 
 
 def route_xy(cur: tuple[int, int], dst: tuple[int, int], grid: tuple[int, int]) -> int:

@@ -6,12 +6,9 @@ from snnmesh.fixedpoint import (
     FX_MIN,
     SCALE,
     SaturationCounter,
-    fdiv,
-    fmul,
     from_str,
     fx,
     sat,
-    to_float,
     to_str,
 )
 
@@ -21,7 +18,6 @@ fixed_values = st.integers(min_value=FX_MIN, max_value=FX_MAX)
 def test_scale_round_trip_of_small_reals():
     assert fx(1.0) == SCALE
     assert fx(-2.5) == -(5 * SCALE) // 2
-    assert to_float(fx(3.25)) == 3.25
 
 
 def test_sat_clamps_and_counts():
@@ -30,19 +26,6 @@ def test_sat_clamps_and_counts():
     assert sat(FX_MIN - 1, diag) == FX_MIN
     assert sat(0, diag) == 0
     assert diag.count == 2
-
-
-def test_fmul_basic():
-    assert fmul(fx(2.0), fx(3.5)) == fx(7.0)
-    assert fmul(fx(-2.0), fx(0.5)) == fx(-1.0)
-
-
-def test_fdiv_basic_and_floor_semantics():
-    assert fdiv(fx(7.0), fx(2.0)) == fx(3.5)
-    # -11/2 = -5.5 exactly representable, so floor does not bite here
-    assert fdiv(fx(-11.0), fx(2.0)) == fx(-5.5)
-    with pytest.raises(ZeroDivisionError):
-        fdiv(fx(1.0), 0)
 
 
 @given(fixed_values)
