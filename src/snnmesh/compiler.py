@@ -366,33 +366,39 @@ def exchanged_assignment(net: Network, n_cores: int, fraction: float,
 # ---------------------------------------------------------------------------
 
 
-def program_to_dict(prog: CompiledProgram) -> dict:
+def _core_to_dict(c: LogicCore) -> dict:
+    return {
+        "id": c.id,
+        "neuron_ids": list(c.neuron_ids),
+        "fanout": {
+            str(local): [
+                {"dst_core": e.dst_core, "synapse_id": e.synapse_id,
+                 "weight": to_str(e.weight), "delay": e.delay}
+                for e in entries
+            ]
+            for local, entries in sorted(c.fanout.items())
+        },
+        "in_synapses": [
+            {"target": tgt, "weight": to_str(w)} for tgt, w in c.in_synapses
+        ],
+    }
+
+
+def _program_rest_to_dict(prog: CompiledProgram) -> dict:
+    """Every key of the program document except ``cores``."""
     return {
         "grid": list(prog.grid),
         "t_max": prog.t_max,
         "max_delay": prog.max_delay,
-        "cores": [
-            {
-                "id": c.id,
-                "neuron_ids": list(c.neuron_ids),
-                "fanout": {
-                    str(local): [
-                        {"dst_core": e.dst_core, "synapse_id": e.synapse_id,
-                         "weight": to_str(e.weight), "delay": e.delay}
-                        for e in entries
-                    ]
-                    for local, entries in sorted(c.fanout.items())
-                },
-                "in_synapses": [
-                    {"target": tgt, "weight": to_str(w)} for tgt, w in c.in_synapses
-                ],
-            }
-            for c in prog.cores
-        ],
         "dep_graph": {"pre": prog.dep_graph.pre, "post": prog.dep_graph.post},
         "placement": [list(xy) for xy in prog.placement.coords],
         **neurons_and_inputs_to_dict(prog.neuron_params, prog.inputs),
     }
+
+
+def program_to_dict(prog: CompiledProgram) -> dict:
+    return {"cores": [_core_to_dict(c) for c in prog.cores],
+            **_program_rest_to_dict(prog)}
 
 
 def program_from_dict(doc: dict) -> CompiledProgram:
@@ -429,8 +435,23 @@ def program_from_dict(doc: dict) -> CompiledProgram:
 
 
 def save_program(prog: CompiledProgram, path) -> None:
+    """Write ``json.dumps(program_to_dict(prog), sort_keys=True)`` and a
+    newline, encoding one core at a time.
+
+    Compact ``dumps`` runs the C encoder (indented output never does), and
+    encoding per core keeps the whole document from sitting in memory as
+    one string. ``cores`` sorts before every other key, so it opens the
+    frame and the rest of the document follows it.
+    """
+    rest = json.dumps(_program_rest_to_dict(prog), sort_keys=True)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(program_to_dict(prog), f, indent=1, sort_keys=True)
+        f.write('{"cores": [')
+        for i, c in enumerate(prog.cores):
+            if i:
+                f.write(", ")
+            f.write(json.dumps(_core_to_dict(c), sort_keys=True))
+        f.write("], ")
+        f.write(rest[1:])
         f.write("\n")
 
 

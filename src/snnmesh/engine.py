@@ -189,6 +189,7 @@ class SimConfig:
             raise ConfigError("cycle costs must be >= 0")
         if min(self.grid) < 1:
             raise ConfigError("grid must be at least 1x1")
+        metrics.EnergyCostTable.from_dict(self.energy_costs)
 
     @property
     def period(self) -> int:

@@ -18,6 +18,11 @@ FX_MIN = -(1 << 31)
 # 1/2**16 == 5**16/10**16, so every Q16.16 value has an exact decimal form
 # with at most 16 fractional digits.
 _POW5 = 5**FRAC_BITS
+# The exact form of a Q16.16 value has at most 23 characters. Longer strings
+# take the Fraction path: int() refuses digit strings past a length limit
+# that Fraction, which parses the two parts apart, does not reach.
+_FAST_LEN = 64
+_POW10 = [10**k for k in range(_FAST_LEN)]
 
 
 class SaturationCounter:
@@ -59,16 +64,31 @@ def to_str(v: int) -> str:
     ipart, frac = divmod(mag, SCALE)
     if frac == 0:
         return f"{sign}{ipart}"
-    digits = f"{frac * _POW5:0{FRAC_BITS}d}".rstrip("0")
+    digits = ("%0*d" % (FRAC_BITS, frac * _POW5)).rstrip("0")
     return f"{sign}{ipart}.{digits}"
 
 
 def from_str(s: str) -> int:
-    """Parse an exact decimal string back to Q16.16."""
+    """Parse an exact decimal string back to Q16.16.
+
+    ``-?digits[.digits]`` is parsed with integer arithmetic; any other input
+    (a sign other than a leading ``-``, a missing part, an exponent, a ratio,
+    whitespace, underscores, a non-string) takes the ``Fraction`` path, so
+    both accept and reject the same inputs.
+    """
+    if type(s) is str and len(s) <= _FAST_LEN:
+        ip, point, fp = s.partition(".")
+        if (ip[1:] if ip[:1] == "-" else ip).isdecimal() and (
+                fp.isdecimal() or not point):
+            v, rem = divmod(int(ip + fp) << FRAC_BITS, _POW10[len(fp)])
+            return _checked(s, v, rem)
     value = Fraction(s) * SCALE
-    if value.denominator != 1:
+    return _checked(s, value.numerator, value.denominator != 1)
+
+
+def _checked(s: str, v: int, inexact) -> int:
+    if inexact:
         raise ValueError(f"{s!r} is not representable in Q16.16")
-    v = int(value)
     if v > FX_MAX or v < FX_MIN:
         raise ValueError(f"{s!r} is outside the Q16.16 range")
     return v

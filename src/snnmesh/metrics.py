@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 
 
@@ -28,13 +29,17 @@ class EnergyCostTable:
 
     def __post_init__(self) -> None:
         for name, value in asdict(self).items():
-            if value < 0:
-                raise MetricsError(f"cost {name} must be >= 0")
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value) or value < 0):
+                raise MetricsError(
+                    f"cost {name} must be a finite number >= 0, got {value!r}")
 
     @classmethod
     def from_dict(cls, doc: dict | None) -> "EnergyCostTable":
         if doc is None:
             return cls()
+        if not isinstance(doc, dict):
+            raise MetricsError(f"energy costs must be an object, got {doc!r}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:

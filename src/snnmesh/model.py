@@ -175,6 +175,10 @@ def lif_step_arrays(v, acc, tau_m, g_l, v_rst, v_th):
 
     def _sat(x):
         nonlocal clamps
+        # an array already in range is returned as is: np.clip costs far
+        # more than min/max, and clamps only counts elements it changes
+        if not x.size or (FX_MIN <= int(x.min()) and int(x.max()) <= FX_MAX):
+            return x
         out = np.clip(x, FX_MIN, FX_MAX)
         clamps += int(np.count_nonzero(out != x))
         return out

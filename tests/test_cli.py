@@ -173,6 +173,17 @@ def test_energy_costs_override_via_config_file(tmp_path):
     assert doc["energy"]["total"] == 4 * doc["total_cycles"]
 
 
+def test_bad_energy_cost_in_config_file_is_bad_input(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": "2x2", "energy_costs": {"noc_hop": "x"}}))
+    code = main(["run", "--program", str(FIXTURES / "tiny_program.json"),
+                 "--config", str(cfg), "--mode", "sync",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_BAD_INPUT
+    assert "noc_hop" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_env_overrides_config(monkeypatch):
     monkeypatch.setenv("SNNMESH_M", "8")
     monkeypatch.setenv("SNNMESH_MODE", "sync")

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,8 @@ from snnmesh.compiler import (
 )
 from snnmesh.fixedpoint import fx
 from snnmesh.model import Network, NeuronParams, NeuronState, Synapse, gen_layered, gen_synthetic
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def simple_net(n, synapse_pairs, t_max=4):
@@ -259,6 +263,23 @@ class TestProgramFile:
         save_program(prog, path)
         back = load_program(path)
         assert program_to_dict(back) == program_to_dict(prog)
+
+    def test_saved_file_is_compact_sorted_json(self, tmp_path):
+        net = gen_synthetic(40, 300, seed=4, t_max=6, input_rate=0.2)
+        prog = compile_network(net, (2, 2))
+        path = tmp_path / "p.json"
+        save_program(prog, path)
+        expected = json.dumps(program_to_dict(prog), sort_keys=True) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_indented_fixture_equals_its_compact_resave(self, tmp_path):
+        fixture = FIXTURES / "tiny_program.json"
+        assert fixture.read_text(encoding="utf-8").startswith("{\n")
+        prog = load_program(fixture)
+        path = tmp_path / "p.json"
+        save_program(prog, path)
+        assert "\n" not in path.read_text(encoding="utf-8").rstrip("\n")
+        assert program_to_dict(load_program(path)) == program_to_dict(prog)
 
     def test_malformed_rejected(self):
         with pytest.raises(CompileError):

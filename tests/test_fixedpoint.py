@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -50,3 +52,56 @@ def test_to_str_is_plain_decimal():
     assert to_str(fx(-0.25)) == "-0.25"
     assert to_str(0) == "0"
     assert to_str(1) == "0.0000152587890625"  # the smallest step
+
+
+def _fraction_from_str(s):
+    """The Fraction-only parser ``from_str`` replaced, kept as an oracle."""
+    value = Fraction(s) * SCALE
+    if value.denominator != 1:
+        raise ValueError(f"{s!r} is not representable in Q16.16")
+    v = int(value)
+    if v > FX_MAX or v < FX_MIN:
+        raise ValueError(f"{s!r} is outside the Q16.16 range")
+    return v
+
+
+def _outcome(parse, s):
+    try:
+        return parse(s)
+    except Exception as exc:  # noqa: BLE001 -- the class is the outcome
+        return type(exc)
+
+
+_digits = st.text(alphabet="0123456789", max_size=20)
+_decimal_like = st.builds(
+    lambda sign, ip, point, fp, tail: f"{sign}{ip}{point}{fp}{tail}",
+    st.sampled_from(["", "-", "+", " ", "--", " -"]),
+    _digits,
+    st.sampled_from(["", ".", ".."]),
+    _digits,
+    st.sampled_from(["", " ", "e-1", "E2", "/4", "_0", "\n", "x"]),
+)
+
+
+@given(st.one_of(
+    fixed_values.map(to_str),
+    _decimal_like,
+    st.text(alphabet="0123456789-+._/eE \t", max_size=30),
+    st.text(max_size=12),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+))
+def test_from_str_agrees_with_fraction_parser(s):
+    assert _outcome(from_str, s) == _outcome(_fraction_from_str, s)
+
+
+@pytest.mark.parametrize("s", [
+    "-.5", ".5", "5.", "1e-1", "3/4", "+1", " 1", "1_0", "0.5000000000000000000",
+    "0.00000762939453125", "-32768", "32768", "-32768.0000152587890625",
+    "١.٥", "1" * 70, "0" * 3000 + "." + "0" * 3000, "", "-", ".", None,
+    True, 1.5,
+], ids=lambda s: repr(s)[:24])
+def test_from_str_agrees_with_fraction_parser_on_edges(s):
+    assert _outcome(from_str, s) == _outcome(_fraction_from_str, s)

@@ -43,6 +43,17 @@ class TestEnergyTotal:
         with pytest.raises(MetricsError):
             EnergyCostTable(neuron_update=-1.0)
 
+    @pytest.mark.parametrize("bad", [True, "x", None, float("nan"),
+                                     float("inf"), float("-inf")])
+    def test_non_finite_or_non_number_cost_rejected(self, bad):
+        with pytest.raises(MetricsError, match="noc_hop"):
+            EnergyCostTable.from_dict({"noc_hop": bad})
+
+    @pytest.mark.parametrize("doc", [5, ["noc_hop"], "noc_hop"])
+    def test_non_object_table_rejected(self, doc):
+        with pytest.raises(MetricsError):
+            EnergyCostTable.from_dict(doc)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(MetricsError):
             EnergyCostTable.from_dict({"warp_drive": 1.0})

@@ -82,6 +82,31 @@ class TestLifStep:
         assert int(v_new[0]) == state.v
         assert bool(fired_vec[0]) == fired
 
+    @given(st.lists(
+        st.tuples(
+            st.integers(min_value=-(1 << 31), max_value=(1 << 31) - 1),
+            st.integers(min_value=-(1 << 31), max_value=(1 << 31) - 1),
+            st.integers(min_value=1, max_value=(1 << 31) - 1),
+            st.integers(min_value=1, max_value=(1 << 31) - 1),
+            st.integers(min_value=-(1 << 31), max_value=(1 << 31) - 2),
+        ),
+        max_size=8,
+    ))
+    @settings(max_examples=200)
+    def test_vectorized_clamp_count_matches_scalar(self, rows):
+        diag = SaturationCounter()
+        scalar = []
+        for v, acc, tau, g, vr in rows:
+            p = NeuronParams(tau_m=tau, v_rst=vr, g_l=g, v_th=vr + 1)
+            state, fired = lif_step(NeuronState(v=v, acc=acc), p, diag)
+            scalar.append((state.v, fired))
+        cols = [np.array(c, dtype=np.int64) for c in zip(*rows)] or [
+            np.zeros(0, dtype=np.int64)] * 5
+        v, acc, tau, g, vr = cols
+        v_new, fired_vec, clamps = lif_step_arrays(v, acc, tau, g, vr, vr + 1)
+        assert clamps == diag.count
+        assert [(int(a), bool(b)) for a, b in zip(v_new, fired_vec)] == scalar
+
     @given(
         acc=st.integers(min_value=0, max_value=1 << 28),
         bump=st.integers(min_value=0, max_value=1 << 10),
