@@ -31,12 +31,11 @@ class Capacity:
 
 @dataclass(frozen=True)
 class FanoutEntry:
-    """One outgoing synapse: route to ``dst_core`` and activate the remote
-    synapse row ``synapse_id`` after ``delay`` timesteps."""
+    """One outgoing synapse: route to ``dst_core`` and activate its synapse
+    row ``synapse_id`` (local target and weight) after ``delay`` timesteps."""
 
     dst_core: int
     synapse_id: int
-    weight: int
     delay: int
 
 
@@ -77,7 +76,6 @@ class DepGraph:
 @dataclass
 class Placement:
     coords: list[tuple[int, int]]  # core id -> (x, y)
-    grid: tuple[int, int]
 
     def __getitem__(self, core: int) -> tuple[int, int]:
         return self.coords[core]
@@ -191,8 +189,7 @@ def partition(
         dst_core = assign[s.dst]
         syn_id = len(cores[dst_core].in_synapses)
         cores[dst_core].in_synapses.append((local_idx[s.dst], s.weight))
-        entry = FanoutEntry(dst_core=dst_core, synapse_id=syn_id,
-                            weight=s.weight, delay=s.delay)
+        entry = FanoutEntry(dst_core=dst_core, synapse_id=syn_id, delay=s.delay)
         cores[src_core].fanout.setdefault(local_idx[s.src], []).append(entry)
         syn_per_core[dst_core] += 1
         if syn_per_core[dst_core] > capacity.max_synapses:
@@ -235,7 +232,7 @@ def map_plain(cores: list[LogicCore], grid: tuple[int, int]) -> Placement:
     if len(cores) > w * h:
         raise CompileError(f"{len(cores)} cores exceed the {w}x{h} grid")
     coords = [(i % w, i // w) for i in range(len(cores))]
-    return Placement(coords=coords, grid=grid)
+    return Placement(coords=coords)
 
 
 def hilbert_index_to_xy(side: int, d: int) -> tuple[int, int]:
@@ -272,7 +269,7 @@ def map_hilbert(cores: list[LogicCore], grid: tuple[int, int]) -> Placement:
         )
         return map_plain(cores, grid)
     coords = [hilbert_index_to_xy(w, i) for i in range(len(cores))]
-    return Placement(coords=coords, grid=grid)
+    return Placement(coords=coords)
 
 
 def avg_dep_distance(placement: Placement, graph: DepGraph) -> float:
@@ -372,8 +369,7 @@ def _core_to_dict(c: LogicCore) -> dict:
         "neuron_ids": list(c.neuron_ids),
         "fanout": {
             str(local): [
-                {"dst_core": e.dst_core, "synapse_id": e.synapse_id,
-                 "weight": to_str(e.weight), "delay": e.delay}
+                {"dst_core": e.dst_core, "synapse_id": e.synapse_id, "delay": e.delay}
                 for e in entries
             ]
             for local, entries in sorted(c.fanout.items())
@@ -390,7 +386,6 @@ def _program_rest_to_dict(prog: CompiledProgram) -> dict:
         "grid": list(prog.grid),
         "t_max": prog.t_max,
         "max_delay": prog.max_delay,
-        "dep_graph": {"pre": prog.dep_graph.pre, "post": prog.dep_graph.post},
         "placement": [list(xy) for xy in prog.placement.coords],
         **neurons_and_inputs_to_dict(prog.neuron_params, prog.inputs),
     }
@@ -401,7 +396,60 @@ def program_to_dict(prog: CompiledProgram) -> dict:
             **_program_rest_to_dict(prog)}
 
 
+def _check_program(cores: list[LogicCore], coords: list[tuple[int, int]],
+                      grid: tuple[int, int], n_neurons: int, inputs: dict,
+                      t_max: int, max_delay: int) -> None:
+    """Raise CompileError unless a loaded program's horizon and delay bound
+    are valid, every index in it points at something that exists, and the
+    placement gives each core its own cell."""
+
+    def index(x, n: int) -> bool:
+        return type(x) is int and 0 <= x < n
+
+    if (type(t_max) is not int or t_max < 0
+            or type(max_delay) is not int or max_delay < 1):
+        raise CompileError(f"t_max {t_max!r} must be an int >= 0 and max_delay "
+                           f"{max_delay!r} an int >= 1")
+    n_cores = len(cores)
+    for i, c in enumerate(cores):
+        if c.id != i:
+            raise CompileError(f"core at position {i} has id {c.id!r}")
+    ids = sorted(nid for c in cores for nid in c.neuron_ids)
+    if ids != list(range(n_neurons)) or not all(type(nid) is int for nid in ids):
+        raise CompileError(
+            f"core neuron_ids do not list each of the {n_neurons} neurons once")
+    for nid, events in inputs.items():
+        if not index(nid, n_neurons) or not all(index(t, t_max) for t, _i in events):
+            raise CompileError(f"input for neuron {nid!r} names no neuron or a "
+                               f"timestep outside 0..{t_max - 1}")
+    for c in cores:
+        n_local = len(c.neuron_ids)
+        for local, entries in c.fanout.items():
+            if not index(local, n_local):
+                raise CompileError(
+                    f"core {c.id}: fanout key {local} outside its {n_local} neurons")
+            for e in entries:
+                if not (index(e.dst_core, n_cores) and
+                        index(e.synapse_id, len(cores[e.dst_core].in_synapses))):
+                    raise CompileError(f"core {c.id}: {e} names no synapse row")
+                if type(e.delay) is not int or not 1 <= e.delay <= max_delay:
+                    raise CompileError(
+                        f"core {c.id}: {e} has a delay outside 1..{max_delay}")
+        for target, _w in c.in_synapses:
+            if not index(target, n_local):
+                raise CompileError(f"core {c.id}: incoming synapse target "
+                                   f"{target!r} outside its {n_local} neurons")
+    w, h = grid
+    if (len(coords) != n_cores or len(set(coords)) != n_cores
+            or not all(index(x, w) and index(y, h) for x, y in coords)):
+        raise CompileError(f"placement must give each of the {n_cores} cores "
+                           f"its own cell of the {w}x{h} grid")
+
+
 def program_from_dict(doc: dict) -> CompiledProgram:
+    """Inverse of ``program_to_dict``. The document is checked, then the
+    dependency graph is derived from the fanout. Older files also carry
+    ``dep_graph`` and a fanout ``weight``; neither key is read."""
     try:
         cores = [
             LogicCore(
@@ -410,7 +458,7 @@ def program_from_dict(doc: dict) -> CompiledProgram:
                 fanout={
                     int(local): [
                         FanoutEntry(dst_core=e["dst_core"], synapse_id=e["synapse_id"],
-                                    weight=from_str(e["weight"]), delay=e["delay"])
+                                    delay=e["delay"])
                         for e in entries
                     ]
                     for local, entries in cd["fanout"].items()
@@ -420,14 +468,14 @@ def program_from_dict(doc: dict) -> CompiledProgram:
             )
             for cd in doc["cores"]
         ]
-        graph = DepGraph(pre=[list(p) for p in doc["dep_graph"]["pre"]],
-                         post=[list(p) for p in doc["dep_graph"]["post"]])
         grid = tuple(doc["grid"])
-        placement = Placement(coords=[tuple(xy) for xy in doc["placement"]], grid=grid)
+        placement = Placement(coords=[(x, y) for x, y in doc["placement"]])
         neuron_params, inputs = neurons_and_inputs_from_dict(doc)
+        _check_program(cores, placement.coords, grid, len(neuron_params),
+                          inputs, doc["t_max"], doc["max_delay"])
         return CompiledProgram(
-            cores=cores, dep_graph=graph, placement=placement, grid=grid,
-            neuron_params=neuron_params, inputs=inputs,
+            cores=cores, dep_graph=extract_deps(cores), placement=placement,
+            grid=grid, neuron_params=neuron_params, inputs=inputs,
             t_max=doc["t_max"], max_delay=doc["max_delay"],
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -23,6 +23,10 @@ PHASE_READY = "READY"
 PHASE_COMPUTING = "COMPUTING"
 PHASE_DONE = "DONE"
 
+# The work counters every core keeps, in report order.
+COUNTERS = ("neuron_updates", "rollback_updates", "synapse_acc", "buffer_reads",
+            "buffer_writes", "scheduler_events", "saturations")
+
 
 class ProtocolFault(RuntimeError):
     """A packet violated the protocol (bad dep id, impossible rollback)."""
@@ -251,15 +255,7 @@ class NeuromorphicCore:
         self.computing: tuple | None = None  # (t, start_cycle, v_new, fired, cost)
 
         self.raster: dict[int, list[int]] = {}
-        self.counters = {
-            "neuron_updates": 0,
-            "rollback_updates": 0,
-            "synapse_acc": 0,
-            "buffer_reads": 0,
-            "buffer_writes": 0,
-            "scheduler_events": 0,
-            "saturations": 0,
-        }
+        self.counters = dict.fromkeys(COUNTERS, 0)
         self.busy_cycles = 0
         self.rollback_cycles = 0
         self.rollbacks = 0

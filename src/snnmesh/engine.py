@@ -22,6 +22,7 @@ import numpy as np
 from . import metrics
 from .compiler import CompiledProgram
 from .core import (
+    COUNTERS,
     PHASE_DONE,
     CircularSpikeBuffer,
     NeuromorphicCore,
@@ -277,8 +278,8 @@ def _build_cores(program: CompiledProgram, cfg: SimConfig, t_max: int):
         for local, entries in lc.fanout.items():
             for e in entries:
                 if e.dst_core == lc.id:
-                    tgt_local = program.cores[e.dst_core].in_synapses[e.synapse_id][0]
-                    fan_local[local].append((tgt_local, e.weight, e.delay))
+                    tgt_local, weight = lc.in_synapses[e.synapse_id]
+                    fan_local[local].append((tgt_local, weight, e.delay))
                 else:
                     fan_remote[local].append(
                         (e.dst_core, placement[e.dst_core], e.synapse_id, e.delay)
@@ -344,19 +345,13 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
     last_completion = 0
     max_edge_skew = 0
 
-    edges_in: list[list[int]] = [[] for _ in range(n_cores)]
-    edges_out: list[list[int]] = [[] for _ in range(n_cores)]
-    for a in range(n_cores):
-        for b in program.dep_graph.post[a]:
-            edges_out[a].append(b)
-            edges_in[b].append(a)
+    graph = program.dep_graph
 
     def check_edges(changed: set[int]) -> None:
-        nonlocal max_edge_skew
         for c in changed:
-            for b in edges_out[c]:
+            for b in graph.post[c]:
                 _assert_edge(c, b)
-            for a in edges_in[c]:
+            for a in graph.pre[c]:
                 _assert_edge(a, c)
 
     def _assert_edge(a: int, b: int) -> None:
@@ -454,17 +449,11 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
                 raster_pairs.append((core.neuron_ids[li], t))
     raster_pairs.sort(key=lambda p: (p[1], p[0]))
 
-    counts = {
-        "neuron_updates": 0, "rollback_updates": 0, "synapse_acc": 0,
-        "buffer_reads": 0, "buffer_writes": 0, "scheduler_events": 0,
-        "saturations": 0,
-    }
+    counts = {k: sum(core.counters[k] for core in cores) for k in COUNTERS}
     core_rows = []
     violations = 0
     rollbacks = 0
     for core in cores:
-        for k in counts:
-            counts[k] += core.counters[k]
         violations += core.inputs.violations
         rollbacks += core.rollbacks
         wait = total_cycles - core.busy_cycles - core.rollback_cycles

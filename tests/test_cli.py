@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from snnmesh.cli import (
     EXIT_BAD_INPUT,
     EXIT_COMPILE,
@@ -99,6 +101,52 @@ def test_zero_fifo_depth_is_bad_input_not_a_hang(tmp_path, capsys):
                  "--config", str(config), "--out", str(tmp_path / "r.json")])
     assert code == EXIT_BAD_INPUT
     assert "fifo_depth" in capsys.readouterr().err
+
+
+_ENTRY = ("cores", 0, "fanout", "0", 0)
+
+
+@pytest.mark.parametrize("path, value", [
+    (_ENTRY + ("dst_core",), 99),
+    (_ENTRY + ("dst_core",), 1.0),
+    (_ENTRY + ("synapse_id",), 99999),
+    (_ENTRY + ("delay",), 0),
+    (_ENTRY + ("delay",), 50),
+    # older files also carry a fanout weight; it is ignored, not checked
+    (("cores", 0, "fanout", "999"),
+     [{"dst_core": 0, "synapse_id": 0, "delay": 1, "weight": "1.0"}]),
+    (("cores", 0, "neuron_ids", 0), 9999),
+    (("cores", 1, "neuron_ids", 0), 0),
+    (("cores", 0, "in_synapses", 0, "target"), 9999),
+    (("cores", 1, "id"), 0),
+    (("placement",), [[0, 0], [1, 0], [0, 1]]),
+    (("placement",), [[0, 0]] * 4),
+    (("placement", 3), [2, 1]),
+    (("inputs", 0, "neuron"), 9999),
+    (("inputs", 0, "timestep"), -3),
+    (("t_max",), -5),
+    (("max_delay",), 2.5),
+], ids=["dst_core-99", "dst_core-float", "synapse_id-99999", "delay-0",
+        "delay-50", "fanout-key-past-slice", "neuron_id-past-table",
+        "neuron_id-twice", "in_synapses-target-9999", "core-id-twice",
+        "placement-short", "placement-shared", "placement-off-grid",
+        "input-neuron-9999", "input-timestep-negative", "t_max-negative",
+        "max_delay-float"])
+def test_malformed_program_is_a_compile_error(tmp_path, capsys, path, value):
+    doc = json.loads((FIXTURES / "tiny_program.json").read_text(encoding="utf-8"))
+    *parents, key = path
+    node = doc
+    for k in parents:
+        node = node[k]
+    node[key] = value
+    prog = tmp_path / "p.json"
+    prog.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["run", "--program", str(prog), "--grid", "2x2",
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == EXIT_COMPILE
+    assert err.startswith("snnmesh: error[compile] ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_compile_capacity_error_exit_code(tmp_path):

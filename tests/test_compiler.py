@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 from pathlib import Path
@@ -7,9 +8,11 @@ import pytest
 from snnmesh.compiler import (
     Capacity,
     CompileError,
+    DepGraph,
     avg_dep_distance,
     compile_network,
     exchange_with_core0,
+    exchanged_assignment,
     extract_deps,
     hilbert_index_to_xy,
     load_program,
@@ -20,6 +23,7 @@ from snnmesh.compiler import (
     program_to_dict,
     save_program,
 )
+from snnmesh.engine import PROTOCOLS, SimConfig, run
 from snnmesh.fixedpoint import fx
 from snnmesh.model import Network, NeuronParams, NeuronState, Synapse, gen_layered, gen_synthetic
 
@@ -257,12 +261,19 @@ class TestExchange:
 
 class TestProgramFile:
     def test_round_trip(self, tmp_path):
-        net = gen_synthetic(40, 300, seed=4, t_max=6)
-        prog = compile_network(net, (2, 2))
-        path = tmp_path / "p.json"
-        save_program(prog, path)
-        back = load_program(path)
-        assert program_to_dict(back) == program_to_dict(prog)
+        layered = gen_layered([8, 8, 8], fanin=4, seed=2, t_max=5)
+        cyclic = compile_network(
+            layered, (2, 2), assignment=exchanged_assignment(layered, 4, 0.5, seed=1))
+        assert cyclic.dep_graph.pre[0], "the exchange must feed a cycle into core 0"
+        for prog in (compile_network(gen_synthetic(40, 300, seed=4, t_max=6), (2, 2)),
+                     compile_network(layered, (2, 2), mapping="hilbert"),
+                     cyclic):
+            path = tmp_path / "p.json"
+            save_program(prog, path)
+            back = load_program(path)
+            assert program_to_dict(back) == program_to_dict(prog)
+            assert back.dep_graph == prog.dep_graph
+            assert back.placement == prog.placement
 
     def test_saved_file_is_compact_sorted_json(self, tmp_path):
         net = gen_synthetic(40, 300, seed=4, t_max=6, input_rate=0.2)
@@ -279,7 +290,29 @@ class TestProgramFile:
         path = tmp_path / "p.json"
         save_program(prog, path)
         assert "\n" not in path.read_text(encoding="utf-8").rstrip("\n")
-        assert program_to_dict(load_program(path)) == program_to_dict(prog)
+        back = load_program(path)
+        assert program_to_dict(back) == program_to_dict(prog)
+        assert back.dep_graph == prog.dep_graph
+
+    def test_legacy_fixture_loads_and_runs_like_the_new_one(self):
+        """Older files also store the dependency graph and each fanout
+        weight; those keys are ignored, even when the stored graph is wrong."""
+        legacy_doc = json.loads(
+            (FIXTURES / "tiny_program_legacy.json").read_text(encoding="utf-8"))
+        new = load_program(FIXTURES / "tiny_program.json")
+        legacy = program_from_dict(legacy_doc)
+        assert program_to_dict(legacy) == program_to_dict(new)
+        assert legacy.dep_graph == new.dep_graph == DepGraph(**legacy_doc["dep_graph"])
+
+        damaged_doc = copy.deepcopy(legacy_doc)
+        next(row for row in damaged_doc["dep_graph"]["pre"] if row).pop()
+        damaged = program_from_dict(damaged_doc)
+        assert damaged.dep_graph == new.dep_graph
+        for mode in PROTOCOLS:
+            cfg = SimConfig(grid=(2, 2), mode=mode, debug=True)
+            expected = run(new, cfg).to_dict()
+            assert run(legacy, cfg).to_dict() == expected
+            assert run(damaged, cfg).to_dict() == expected
 
     def test_malformed_rejected(self):
         with pytest.raises(CompileError):
