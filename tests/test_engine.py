@@ -8,6 +8,7 @@ from snnmesh.compiler import compile_network, load_program
 from snnmesh.engine import (
     ConfigError,
     DeadlockError,
+    DependencyDriven,
     SimConfig,
     drain_detect,
     parse_grid,
@@ -346,6 +347,29 @@ class TestWindowEdgeDelivery:
         assert [tuple(pr) for pr in rep.raster] == ref
         assert rep.violations == 0
         assert len(rep.raster) == 30  # producer fires every timestep
+
+
+class TestSafetyCounter:
+    """Under an admission rule that ignores the consumer window, producers
+    outrun their consumers' input window: the report's ``violations`` must
+    count every reception the store refused."""
+
+    @pytest.fixture(scope="class")
+    def layered(self):
+        net = gen_layered([64, 64, 64], fanin=8, seed=3, t_max=40)
+        return reference_run(net).ordered(), compile_network(net, (2, 2))
+
+    @pytest.mark.parametrize("m,violations", [(1, 1877), (2, 1762), (4, 1595)])
+    def test_window_blind_admission_counts_violations(self, layered, monkeypatch,
+                                                      m, violations):
+        def pre_only(self, core):
+            return all(t >= core.t_cur for t in core.tables.pre_finish)
+
+        monkeypatch.setattr(DependencyDriven, "admits", pre_only)
+        ref, prog = layered
+        rep = run(prog, SimConfig(grid=(2, 2), mode="depasync", m=m))
+        assert [tuple(p) for p in rep.raster] != ref
+        assert rep.violations == violations
 
 
 class TestBarrierLockstep:
