@@ -25,6 +25,8 @@ from .compiler import (
     save_program,
 )
 from .engine import (
+    BOOL_FIELDS,
+    INT_FIELDS,
     PROTOCOLS,
     ConfigError,
     DeadlockError,
@@ -55,11 +57,6 @@ EXIT_IO = 8
 
 ENV_PREFIX = "SNNMESH_"
 
-_BOOL_FIELDS = {"trace", "debug"}
-_INT_FIELDS = {"m", "P", "n_vc", "cycles_per_hop", "c_update", "c_spike",
-               "inter_cluster_slowdown", "cluster_size", "seed", "t_max",
-               "fifo_depth"}
-
 
 def _fail(name: str, message: str, code: int) -> int:
     print(f"snnmesh: error[{name}] {message}", file=sys.stderr)
@@ -84,10 +81,14 @@ def env_overrides(environ=None) -> dict:
             continue
         if field == "grid":
             out[field] = parse_grid(raw)
-        elif field in _BOOL_FIELDS:
+        elif field in BOOL_FIELDS:
             out[field] = raw.lower() in ("1", "true", "yes")
-        elif field in _INT_FIELDS:
-            out[field] = int(raw)
+        elif field in INT_FIELDS:
+            try:
+                out[field] = int(raw)
+            except ValueError:
+                raise ConfigError(f"{ENV_PREFIX}{field.upper()} must be an "
+                                  f"integer, got {raw!r}") from None
         elif field == "energy_costs":
             out[field] = json.loads(raw)
         else:
@@ -95,12 +96,16 @@ def env_overrides(environ=None) -> dict:
     return out
 
 
-def build_config(args, extra: dict | None = None) -> SimConfig:
+def build_config(args, defaults: dict | None = None) -> SimConfig:
     """Defaults, then config file, then environment, then CLI flags."""
-    doc: dict = {}
+    doc: dict = dict(defaults or {})
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as f:
-            doc.update(json.load(f))
+            loaded = json.load(f)
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{args.config} must hold a JSON object of "
+                              f"config keys, got {type(loaded).__name__}")
+        doc.update(loaded)
     doc.update(env_overrides())
     flag_map = {
         "mode": getattr(args, "mode", None),
@@ -123,8 +128,6 @@ def build_config(args, extra: dict | None = None) -> SimConfig:
     for k, v in flag_map.items():
         if v is not None:
             doc[k] = v
-    if extra:
-        doc.update(extra)
     return SimConfig.from_dict(doc)
 
 
@@ -175,7 +178,7 @@ def cmd_compile(args) -> int:
 
 def cmd_run(args) -> int:
     prog = load_program(args.program)
-    cfg = build_config(args)
+    cfg = build_config(args, defaults={"grid": list(prog.grid)})
     report = run(prog, cfg)
     metrics.check_report(report)
     _atomic_json(args.out, report.to_dict())

@@ -1,8 +1,9 @@
 """The neuromorphic core: compute engine over a neuron slice, its input store
-(a circular spike buffer, or the speculative store with checkpoints and
-rollback), and the dependency tables of dependency-driven forwarding. Which
-store and which notification routes a core gets is up to the coordination
-protocol that builds it (``engine.PROTOCOLS``)."""
+(receptions keyed by the timestep that consumes them, inside the buffer
+window; the speculative store adds checkpoints and rollback on top), and the
+dependency tables of dependency-driven forwarding. Which store and which
+notification routes a core gets is up to the coordination protocol that
+builds it (``engine.PROTOCOLS``)."""
 
 from __future__ import annotations
 
@@ -72,108 +73,67 @@ def advance_condition(tables: DependencyTables, t_cur: int, m: int) -> bool:
     return True
 
 
-def on_dep_packet(tables: DependencyTables, pkt: Packet) -> DependencyTables:
-    """Apply a START/FINISH notification; monotone max per entry."""
-    body = pkt.body
-    tables.update(body.flag, body.dep_id, body.timestep)
-    return tables
+class InputStore:
+    """Input store of a non-speculative core: each reception once, as
+    ``(local target, weight, sending timestep)`` under the timestep that
+    consumes it.
 
-
-class CircularSpikeBuffer:
-    """Ring of per-neuron accumulator rows, one slot per buffered timestep.
-
-    The head row holds the timestep currently feeding the compute engine.
-    ``consume`` reads and clears it; after that, a write addressed exactly
-    one ring revolution ahead may recycle the head row (the rotation will
-    re-label it), while a write for the consumed timestep itself is late and
-    trips the safety counter.
+    A reception is accepted iff its consuming timestep lies in the window
+    ``consumed < consuming_t <= consumed + window``, where ``consumed`` is
+    the last timestep read and ``window`` is the ``max_delay + m - 1``
+    timesteps a core buffers. Any other reception would be lost or overwrite
+    live input on the chip, so it is counted in ``violations`` and dropped.
     """
 
-    __slots__ = ("n_slot", "n_local", "slots", "head", "head_t", "consumed",
-                 "violations")
+    __slots__ = ("n_local", "window", "recv", "consumed", "violations")
 
-    def __init__(self, n_slot: int, n_local: int):
-        if n_slot < 1:
-            raise ValueError("need at least one slot")
-        self.n_slot = n_slot
+    def __init__(self, n_local: int, window: int | None):
         self.n_local = n_local
-        self.slots = np.zeros((n_slot, max(n_local, 1)), dtype=np.int64)
-        self.head = 0
-        self.head_t = 0
-        self.consumed = False
+        self.window = window
+        self.recv: dict[int, list[tuple[int, int, int]]] = {}
+        self.consumed = -1  # highest timestep whose input has been read
         self.violations = 0
 
-    def write(self, consuming_t: int, local_idx: int, weight: int) -> bool:
-        """Accumulate ``weight`` into the slot for ``consuming_t``.
-        Returns False (and counts a violation) if the slot is unsafe."""
-        off = consuming_t - self.head_t
-        if off < 0 or (off == 0 and self.consumed):
-            self.violations += 1
-            return False
-        if off >= self.n_slot:
-            if off == self.n_slot and self.consumed:
-                # One revolution ahead: the head row was already read out and
-                # will represent exactly this timestep after rotation.
-                off = 0
-            else:
-                self.violations += 1
-                return False
-        self.slots[(self.head + off) % self.n_slot][local_idx] += weight
-        return True
-
-    def consume(self) -> np.ndarray:
-        """Read out the head row for the current timestep and clear it."""
-        row = self.slots[self.head].copy()
-        self.slots[self.head][:] = 0
-        self.consumed = True
-        return row
-
-    def rotate(self) -> None:
-        """Advance one slot at timestep end. An unconsumed head is discarded
-        (zeroed); a consumed head keeps any early writes it has accepted for
-        the timestep it now represents."""
-        if not self.consumed:
-            self.slots[self.head][:] = 0
-        self.head = (self.head + 1) % self.n_slot
-        self.head_t += 1
-        self.consumed = False
-
-    # -- the input-store interface a core drives --------------------------
-
     def receive(self, consuming_t: int, local_idx: int, weight: int,
-                sender_t: int = -1) -> None:
+                sender_t: int = -1) -> int | None:
         """Buffer one reception; a non-speculative core never rolls back."""
-        self.write(consuming_t, local_idx, weight)
+        if self.consumed < consuming_t <= self.consumed + self.window:
+            self.recv.setdefault(consuming_t, []).append((local_idx, weight, sender_t))
+        else:
+            self.violations += 1
+        return None
 
     def take(self, t: int, v: np.ndarray) -> np.ndarray:
-        return self.consume()
+        """Read timestep t's input: the sum of its receptions per neuron."""
+        self.consumed = t
+        acc = np.zeros(max(self.n_local, 1), dtype=np.int64)
+        for tgt, w, _sender in self.recv.get(t, ()):
+            acc[tgt] += w
+        return acc
 
     def seal(self, t: int, sent: list[Packet]) -> None:
-        self.rotate()
+        """Timestep t is committed; its receptions are no longer needed."""
+        self.recv.pop(t, None)
 
 
-class SpeculativeStore:
-    """Input store of a speculative (``se``) core: each reception once, keyed
-    by the timestep that consumes it, plus the checkpoint taken at the entry
-    of every timestep begun and the spikes sent at every timestep finished,
-    all since the last epoch seal.
+class SpeculativeStore(InputStore):
+    """Input store of a speculative (``se``) core. It has no window: every
+    reception is kept, and one for a timestep already read names the
+    timestep to roll back to. It adds the checkpoint taken at the entry of
+    every timestep begun and the spikes sent at every timestep finished, all
+    since the last epoch seal.
 
-    A reception is ``(local target, weight, sending timestep)``, where the
-    sending timestep is -1 for a spike from another core and the core's own
-    timestep for a local synapse, so a rollback can drop exactly the local
-    sends it undoes and keep every other reception.
+    The sending timestep of a reception is -1 for a spike from another core
+    and the core's own timestep for a local synapse, so a rollback can drop
+    exactly the local sends it undoes and keep every other reception.
     """
 
-    __slots__ = ("n_local", "recv", "checkpoints", "sent", "consumed",
-                 "violations")
+    __slots__ = ("checkpoints", "sent")
 
     def __init__(self, n_local: int, v0: np.ndarray):
-        self.n_local = n_local
-        self.recv: dict[int, list[tuple[int, int, int]]] = {}
+        super().__init__(n_local, None)
         self.checkpoints: dict[int, np.ndarray] = {0: v0.copy()}
         self.sent: dict[int, list[Packet]] = {}
-        self.consumed = -1  # highest timestep whose input has been read
-        self.violations = 0  # speculation never refuses a write
 
     def receive(self, consuming_t: int, local_idx: int, weight: int,
                 sender_t: int = -1) -> int | None:
@@ -185,11 +145,7 @@ class SpeculativeStore:
     def take(self, t: int, v: np.ndarray) -> np.ndarray:
         """Checkpoint ``v`` at the entry of ``t`` and sum t's receptions."""
         self.checkpoints[t] = v.copy()
-        self.consumed = t
-        acc = np.zeros(max(self.n_local, 1), dtype=np.int64)
-        for tgt, w, _sender in self.recv.get(t, ()):
-            acc[tgt] += w
-        return acc
+        return super().take(t, v)
 
     def seal(self, t: int, sent: list[Packet]) -> None:
         self.sent[t] = sent
@@ -218,7 +174,7 @@ class SpeculativeStore:
 class NeuromorphicCore:
     """One core's slice of the network plus its forwarding state.
 
-    ``inputs`` is the core's input store (``CircularSpikeBuffer`` or
+    ``inputs`` is the core's input store (``InputStore`` or
     ``SpeculativeStore``); ``start_routes``/``finish_routes`` are empty
     unless the protocol exchanges dependency notifications."""
 
@@ -283,7 +239,8 @@ class NeuromorphicCore:
 
     def on_dep(self, pkt: Packet) -> None:
         self.counters["scheduler_events"] += 1
-        on_dep_packet(self.tables, pkt)
+        body = pkt.body
+        self.tables.update(body.flag, body.dep_id, body.timestep)
 
     def on_spike(self, pkt: Packet) -> int | None:
         """Buffer an arriving spike. Returns the timestep to roll back to

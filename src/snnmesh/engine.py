@@ -15,6 +15,7 @@ debug edge invariant, and what its cores are built with.
 from __future__ import annotations
 
 import heapq
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -24,7 +25,7 @@ from .compiler import CompiledProgram
 from .core import (
     COUNTERS,
     PHASE_DONE,
-    CircularSpikeBuffer,
+    InputStore,
     NeuromorphicCore,
     ProtocolFault,
     SpeculativeStore,
@@ -43,11 +44,6 @@ class DeadlockError(RuntimeError):
     unfinished. Must never fire for a well-formed dependency graph."""
 
 
-def drain_detect(noc: MeshNoc) -> bool:
-    """True iff no spike packet is anywhere in the network."""
-    return noc.in_flight[SPIKE] == 0
-
-
 class Protocol:
     """A timestep-coordination mode. Built once per run; ``admits`` is asked
     for every idle core before it begins timestep t_cur + 1, ``gate`` once
@@ -61,7 +57,7 @@ class Protocol:
 
     @staticmethod
     def new_inputs(cfg: SimConfig, max_delay: int, n_local: int, v0):
-        return CircularSpikeBuffer(max_delay + cfg.m - 1, n_local)
+        return InputStore(n_local, max_delay + cfg.m - 1)
 
     def admits(self, core: NeuromorphicCore) -> bool:
         raise NotImplementedError
@@ -88,7 +84,7 @@ class Barrier(Protocol):
 
     def gate(self, cores, mesh):
         if (self.t < self.t_max and all(c.t_cur == self.t for c in cores)
-                and drain_detect(mesh)):
+                and mesh.injected[SPIKE] == mesh.delivered[SPIKE]):
             self.t += 1
             return True
         return False
@@ -111,7 +107,7 @@ class Speculative(Protocol):
         return core.t_cur + 1 < self.epoch_end
 
     def gate(self, cores, mesh):
-        if (self.epoch_end < self.t_max and sum(mesh.in_flight.values()) == 0
+        if (self.epoch_end < self.t_max and mesh.injected == mesh.delivered
                 and all(c.t_cur == self.epoch_end - 1 and c.computing is None
                         for c in cores)):
             new_start = self.epoch_end
@@ -151,6 +147,17 @@ PROTOCOLS: dict[str, type[Protocol]] = {
 }
 
 
+# Integer SimConfig fields and their least value (P and t_max may be None)
+INT_FIELDS = {"m": 1, "P": 1, "n_vc": 1, "cycles_per_hop": 1, "c_update": 0,
+              "c_spike": 0, "inter_cluster_slowdown": 1, "cluster_size": 1,
+              "seed": None, "t_max": 0, "fifo_depth": 1}
+BOOL_FIELDS = ("trace", "debug")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class SimConfig:
     grid: tuple[int, int] = (4, 4)
@@ -171,25 +178,26 @@ class SimConfig:
     energy_costs: dict | None = None
 
     def validate(self) -> None:
-        if self.mode not in PROTOCOLS:
-            raise ConfigError(
-                f"mode must be one of {tuple(PROTOCOLS)}, got {self.mode!r}")
-        if self.m < 1:
-            raise ConfigError("m must be >= 1")
-        if self.P is not None and self.P < 1:
-            raise ConfigError("P must be >= 1")
-        if self.n_vc < 1:
-            raise ConfigError("n_vc must be >= 1")
-        for name in ("cycles_per_hop", "fifo_depth", "inter_cluster_slowdown",
-                     "cluster_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.t_max is not None and self.t_max < 0:
-            raise ConfigError("t_max must be >= 0")
-        if self.c_update < 0 or self.c_spike < 0:
-            raise ConfigError("cycle costs must be >= 0")
+        for name, low in INT_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and name in ("P", "t_max"):
+                continue
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if low is not None and value < low:
+                raise ConfigError(f"{name} must be >= {low}")
+        for name in BOOL_FIELDS:
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(
+                    f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not (isinstance(self.grid, (tuple, list)) and len(self.grid) == 2
+                and all(map(_is_int, self.grid))):
+            raise ConfigError(f"grid must be two integers, got {self.grid!r}")
         if min(self.grid) < 1:
             raise ConfigError("grid must be at least 1x1")
+        if not isinstance(self.mode, str) or self.mode not in PROTOCOLS:
+            raise ConfigError(
+                f"mode must be one of {tuple(PROTOCOLS)}, got {self.mode!r}")
         metrics.EnergyCostTable.from_dict(self.energy_costs)
 
     @property
@@ -212,7 +220,7 @@ class SimConfig:
             g = doc["grid"]
             if isinstance(g, str):
                 doc["grid"] = parse_grid(g)
-            else:
+            elif isinstance(g, list):
                 doc["grid"] = tuple(g)
         cfg = cls(**doc)
         cfg.validate()
@@ -427,7 +435,7 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
             nxt_candidates.append(p)
         if completions:
             nxt_candidates.append(completions[0][0])
-        if mesh._queued:
+        if mesh.queued:
             nxt_candidates.append(cycle + 1)
         if not nxt_candidates:
             if all(c.phase == PHASE_DONE for c in cores):

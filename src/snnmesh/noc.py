@@ -175,13 +175,11 @@ class MeshNoc:
                                     nxt, in_port, hop)
         self._pending: dict[int, list] = {}  # cycle -> events in order
         self._pending_heap: list[int] = []
-        self.in_flight = {SPIKE: 0, DEP: 0, SYNC: 0}
         self.injected = {SPIKE: 0, DEP: 0, SYNC: 0}
         self.delivered = {SPIKE: 0, DEP: 0, SYNC: 0}
         self.hops = 0
         self.blocked = {SPIKE: 0, DEP: 0, SYNC: 0}
-        self._last_delivered: list[Packet] = []  # deliveries of the latest cycle
-        self._queued = 0  # packets sitting in router FIFOs
+        self.queued = 0  # packets sitting in router FIFOs
         # (vc_mask * n_vc_total + vc_rr) -> non-empty VCs in round-robin order
         self._rr_orders: dict[int, tuple[int, ...]] = {}
 
@@ -203,17 +201,8 @@ class MeshNoc:
             src = r.spike_src[PORT_LOCAL]
             src[packet.src_xy] = src.get(packet.src_xy, 0) + 1
         r.occ_change(+1, cycle)
-        self._queued += 1
+        self.queued += 1
         self.injected[packet.kind] += 1
-        self.in_flight[packet.kind] += 1
-
-    def eject(self, at: tuple[int, int]) -> list[Packet]:
-        """Packets delivered to ``at`` during the current cycle."""
-        at = tuple(at)
-        return [p for p in self._last_delivered if tuple(p.dst_xy) == at]
-
-    def busy(self) -> bool:
-        return self._queued > 0 or bool(self._pending)
 
     def next_pending_cycle(self) -> int | None:
         while self._pending_heap:
@@ -227,7 +216,6 @@ class MeshNoc:
         """Land in-flight packets: hops enter downstream FIFOs, ejections are
         handed to the caller in deterministic order."""
         delivered: list[Packet] = []
-        self._last_delivered = delivered
         events = self._pending.pop(cycle, None)
         if not events:
             return delivered
@@ -252,8 +240,7 @@ class MeshNoc:
                 pkt = ev[1]
                 delivered.append(pkt)
                 self.delivered[pkt.kind] += 1
-                self.in_flight[pkt.kind] -= 1
-        self._queued += hops_landed
+        self.queued += hops_landed
         return delivered
 
     def end_cycle(self, cycle: int) -> None:
@@ -262,7 +249,7 @@ class MeshNoc:
         Each input port nominates its round-robin-first eligible VC head, each
         output keeps the nominee nearest its pointer, and a port that moves
         nothing is charged one blocked cycle for its round-robin-first head."""
-        if self._queued == 0:
+        if self.queued == 0:
             return
         n_q = self.n_vc_total
         depth = self.fifo_depth
@@ -359,24 +346,8 @@ class MeshNoc:
                     hist[r.resident] = hist.get(r.resident, 0) + cycle - last
                     r._occ_last_cycle = cycle
                 r.resident -= granted
-                self._queued -= granted
+                self.queued -= granted
                 self.hops += granted
-
-    def step(self, cycle: int) -> list[Packet]:
-        delivered = self.begin_cycle(cycle)
-        self.end_cycle(cycle)
-        return delivered
-
-    def drain(self, start_cycle: int, limit: int = 10_000_000) -> tuple[int, list[Packet]]:
-        """Run to quiescence; returns (final cycle, all deliveries)."""
-        cycle = start_cycle
-        out = []
-        while self.busy():
-            out.extend(self.step(cycle))
-            cycle += 1
-            if cycle - start_cycle > limit:
-                raise NocError("network failed to quiesce")
-        return cycle, out
 
     # -- arbitration -------------------------------------------------------
 

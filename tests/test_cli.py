@@ -103,6 +103,43 @@ def test_zero_fifo_depth_is_bad_input_not_a_hang(tmp_path, capsys):
     assert "fifo_depth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("env, config", [
+    ({"SNNMESH_M": "abc"}, None),
+    ({}, {"m": "4"}),
+    ({}, {"grid": [2]}),
+    ({}, ["m", 4]),
+    ({}, {"mode": "se", "P": 2.5}),
+    ({}, {"debug": "no"}),
+], ids=["env-m-text", "m-string", "grid-one-int", "config-list", "P-float",
+        "debug-string"])
+def test_malformed_config_is_bad_input(tmp_path, capsys, monkeypatch, env, config):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    out = tmp_path / "r.json"
+    argv = ["run", "--program", str(FIXTURES / "tiny_program.json"),
+            "--out", str(out)]
+    if config is not None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("snnmesh: error[bad-input] ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_defaults_to_the_program_grid(tmp_path):
+    out = tmp_path / "r.json"
+    code = main(["run", "--program", str(FIXTURES / "tiny_program.json"),
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["config"]["grid"] == [2, 2]
+    assert doc["total_cycles"] == 1716
+
+
 _ENTRY = ("cores", 0, "fanout", "0", 0)
 
 

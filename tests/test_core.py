@@ -1,24 +1,19 @@
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from snnmesh.core import (
-    CircularSpikeBuffer,
     DependencyTables,
+    InputStore,
     ProtocolFault,
+    SpeculativeStore,
     advance_condition,
-    on_dep_packet,
 )
-from snnmesh.noc import DEP, FLAG_FINISH, FLAG_START, DepBody, Packet
+from snnmesh.noc import DEP, FLAG_FINISH, FLAG_START
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def dep_packet(flag, t, dep_id):
-    return Packet(kind=DEP, src_core=0, dst_core=1, src_xy=(0, 0),
-                  dst_xy=(1, 0), body=DepBody(timestep=t, flag=flag,
-                                              dep_id=dep_id))
 
 
 class TestAdvanceCondition:
@@ -62,19 +57,19 @@ class TestDependencyTables:
     def test_finish_updates_pre_table(self):
         tables = DependencyTables(2, 0)
         tables.pre_finish = [-1, 2]
-        on_dep_packet(tables, dep_packet(FLAG_FINISH, 1, 0))
+        tables.update(FLAG_FINISH, 0, 1)
         assert tables.pre_finish == [1, 2]
 
     def test_stale_update_is_ignored(self):
         tables = DependencyTables(1, 0)
         tables.pre_finish = [1]
-        on_dep_packet(tables, dep_packet(FLAG_FINISH, 0, 0))
+        tables.update(FLAG_FINISH, 0, 0)
         assert tables.pre_finish == [1]
 
     def test_start_updates_post_table(self):
         tables = DependencyTables(0, 2)
         tables.post_start = [1, 1]
-        on_dep_packet(tables, dep_packet(FLAG_START, 2, 1))
+        tables.update(FLAG_START, 1, 2)
         assert tables.post_start == [1, 2]
 
     def test_tables_never_decrease(self):
@@ -82,82 +77,79 @@ class TestDependencyTables:
         seq = [3, 1, 4, 2, 7, 5]
         hi = -1
         for t in seq:
-            on_dep_packet(tables, dep_packet(FLAG_FINISH, t, 0))
+            tables.update(FLAG_FINISH, 0, t)
             hi = max(hi, t)
             assert tables.pre_finish[0] == hi
 
     def test_out_of_range_dep_id_is_a_protocol_fault(self):
         tables = DependencyTables(1, 1)
         with pytest.raises(ProtocolFault):
-            on_dep_packet(tables, dep_packet(FLAG_FINISH, 0, 5))
+            tables.update(FLAG_FINISH, 5, 0)
 
 
-class TestCircularSpikeBuffer:
-    def test_slot_count_matches_window_formula(self):
-        # max_delay=1, m=4 -> 4 slots
-        buf = CircularSpikeBuffer(n_slot=1 + 4 - 1, n_local=3)
-        assert buf.n_slot == 4
+def read(store, t):
+    """What a core does with its input store over one timestep."""
+    row = list(store.take(t, None))
+    store.seal(t, [])
+    return row
 
-    def test_write_then_consume(self):
-        buf = CircularSpikeBuffer(4, 2)
-        buf.write(0, 1, 10)
-        buf.write(2, 0, 7)
-        row = buf.consume()
-        assert list(row) == [0, 10]
-        buf.rotate()
-        buf.consume()
-        buf.rotate()
-        assert list(buf.consume()) == [7, 0]
 
-    def test_head_boundary_write_before_read_is_safe(self):
-        buf = CircularSpikeBuffer(4, 1)
-        buf.head_t = 1
-        assert buf.write(1, 0, 5) is True  # head not consumed yet
-        assert buf.violations == 0
-        assert list(buf.consume()) == [5]
+class TestInputStore:
+    """The window ``consumed < consuming_t <= consumed + window``, where
+    ``window`` is max_delay + m - 1 and ``consumed`` the last timestep read."""
+
+    def test_receive_then_take(self):
+        store = InputStore(2, window=4)
+        store.receive(0, 1, 10)
+        store.receive(2, 0, 7)
+        assert read(store, 0) == [0, 10]
+        assert read(store, 1) == [0, 0]
+        assert read(store, 2) == [7, 0]
+        assert store.violations == 0
+
+    def test_write_before_read_is_safe(self):
+        store = InputStore(1, window=4)
+        read(store, 0)
+        store.receive(1, 0, 5)  # t=1 not read yet
+        assert store.violations == 0
+        assert read(store, 1) == [5]
 
     def test_late_write_after_read_is_a_violation(self):
-        buf = CircularSpikeBuffer(4, 1)
-        buf.consume()
-        assert buf.write(0, 0, 5) is False
-        assert buf.violations == 1
+        store = InputStore(1, window=4)
+        store.take(0, None)
+        store.receive(0, 0, 5)
+        assert store.violations == 1
+        assert not store.recv  # dropped, not kept for later
 
-    def test_write_one_revolution_ahead_lands_after_rotation(self):
-        buf = CircularSpikeBuffer(2, 1)
-        buf.consume()                      # reading t=0
-        assert buf.write(2, 0, 9) is True  # t=2 aliases the recycled head row
-        assert buf.violations == 0
-        buf.rotate()                       # head now t=1
-        buf.consume()
-        buf.rotate()                       # head now t=2
-        assert list(buf.consume()) == [9]
+    def test_write_at_window_edge_after_read_is_kept(self):
+        store = InputStore(1, window=2)
+        store.take(0, None)       # reading t=0
+        store.receive(2, 0, 9)    # 0 + window: the furthest safe timestep
+        assert store.violations == 0
+        store.seal(0, [])
+        read(store, 1)
+        assert read(store, 2) == [9]
 
     def test_write_beyond_window_is_a_violation(self):
-        buf = CircularSpikeBuffer(2, 1)
-        assert buf.write(2, 0, 1) is False  # head unread, t=2 would corrupt t=0
-        assert buf.write(5, 0, 1) is False
-        assert buf.violations == 2
+        store = InputStore(1, window=2)
+        store.receive(2, 0, 1)  # t=0 unread: only t=0 and t=1 fit
+        store.receive(5, 0, 1)
+        assert store.violations == 2
 
-    def test_rotate_zeroes_unconsumed_and_advances(self):
-        buf = CircularSpikeBuffer(4, 1)
-        assert buf.head == 0
-        buf.write(0, 0, 3)
-        buf.rotate()  # t=0 never consumed: discarded
-        assert buf.head == 1
-        assert buf.head_t == 1
-        for _ in range(3):
-            buf.rotate()
-        assert buf.head == 0
-        assert not buf.slots.any()
+    def test_future_write_survives_a_seal(self):
+        store = InputStore(1, window=4)
+        store.receive(2, 0, 4)
+        read(store, 0)
+        read(store, 1)
+        assert read(store, 2) == [4]
 
-    def test_future_write_survives_one_rotation(self):
-        buf = CircularSpikeBuffer(4, 1)
-        buf.write(2, 0, 4)
-        buf.consume()
-        buf.rotate()
-        buf.consume()
-        buf.rotate()
-        assert list(buf.consume()) == [4]
+    def test_speculative_store_has_no_window(self):
+        store = SpeculativeStore(1, np.zeros(1, dtype=np.int64))
+        assert store.receive(9, 0, 1) is None  # far ahead: kept
+        store.take(0, np.zeros(1, dtype=np.int64))
+        assert store.receive(0, 0, 3) == 0     # already read: roll back to 0
+        assert store.violations == 0
+        assert list(store.take(0, np.zeros(1, dtype=np.int64))) == [3]
 
 
 class TestPacketEmission:

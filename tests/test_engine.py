@@ -1,16 +1,17 @@
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from snnmesh.compiler import compile_network, load_program
 from snnmesh.engine import (
+    Barrier,
     ConfigError,
     DeadlockError,
     DependencyDriven,
     SimConfig,
-    drain_detect,
     parse_grid,
     run,
 )
@@ -24,9 +25,10 @@ from snnmesh.model import (
     gen_synthetic,
     reference_run,
 )
-from snnmesh.noc import FLAG_FINISH, FLAG_START, MeshNoc, Packet, SpikeBody, SPIKE
+from snnmesh.noc import FLAG_FINISH, FLAG_START, Packet, SpikeBody, SPIKE
 
 from conftest import build_staircase_net
+from stepped_noc import SteppedNoc
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
@@ -311,24 +313,25 @@ class TestPinnedTinyFixture:
 
 class TestDrainDetect:
     def test_counter_tracks_spikes_in_flight(self):
-        mesh = MeshNoc((2, 1))
-        assert drain_detect(mesh)
+        # the barrier holds timestep 1 back while a spike of timestep 0 is
+        # still in the network, and releases it once the spike has landed
+        barrier = Barrier(SimConfig(grid=(2, 1), mode="sync"), t_max=2)
+        cores = [SimpleNamespace(t_cur=0)]
+        mesh = SteppedNoc((2, 1))
         pkt = Packet(kind=SPIKE, src_core=0, dst_core=1, src_xy=(0, 0),
                      dst_xy=(1, 0),
                      body=SpikeBody(synapse_id=0, delay=1, timestep=0))
         mesh.inject((0, 0), pkt, 0)
-        assert not drain_detect(mesh)
-        c = 0
-        while mesh.busy():
-            mesh.step(c)
-            c += 1
-        assert drain_detect(mesh)
+        assert not barrier.gate(cores, mesh)
+        mesh.drain(0)
+        assert barrier.gate(cores, mesh)
+        assert barrier.t == 1
 
 
 class TestWindowEdgeDelivery:
     """A fast producer firing every timestep at the edge of its forward
-    window: its spikes land exactly one buffer revolution ahead at the slow
-    consumer, the case the recycled-head write path exists for."""
+    window: its spikes reach the slow consumer for the furthest timestep its
+    input window still accepts."""
 
     @pytest.mark.parametrize("mode", ["sync", "se", "depasync"])
     @pytest.mark.parametrize("m", [1, 2, 4])
