@@ -25,13 +25,11 @@ from .compiler import (
     save_program,
 )
 from .engine import (
-    BOOL_FIELDS,
-    INT_FIELDS,
     PROTOCOLS,
     ConfigError,
     DeadlockError,
     SimConfig,
-    parse_grid,
+    parse_value,
     run,
 )
 from .metrics import MetricsError
@@ -74,30 +72,14 @@ def _atomic_json(path: str, doc) -> None:
 def env_overrides(environ=None) -> dict:
     """SimConfig keys taken from SNNMESH_<KEY> environment variables."""
     environ = os.environ if environ is None else environ
-    out = {}
-    for field in SimConfig.__dataclass_fields__:
-        raw = environ.get(ENV_PREFIX + field.upper())
-        if raw is None:
-            continue
-        if field == "grid":
-            out[field] = parse_grid(raw)
-        elif field in BOOL_FIELDS:
-            out[field] = raw.lower() in ("1", "true", "yes")
-        elif field in INT_FIELDS:
-            try:
-                out[field] = int(raw)
-            except ValueError:
-                raise ConfigError(f"{ENV_PREFIX}{field.upper()} must be an "
-                                  f"integer, got {raw!r}") from None
-        elif field == "energy_costs":
-            out[field] = json.loads(raw)
-        else:
-            out[field] = raw
-    return out
+    return {key: parse_value(key, environ[ENV_PREFIX + key.upper()])
+            for key in SimConfig.__dataclass_fields__
+            if ENV_PREFIX + key.upper() in environ}
 
 
 def build_config(args, defaults: dict | None = None) -> SimConfig:
-    """Defaults, then config file, then environment, then CLI flags."""
+    """Defaults, then config file, then environment, then CLI flags. Each
+    config flag's dest is its config key; an unset flag is None."""
     doc: dict = dict(defaults or {})
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as f:
@@ -107,27 +89,9 @@ def build_config(args, defaults: dict | None = None) -> SimConfig:
                               f"config keys, got {type(loaded).__name__}")
         doc.update(loaded)
     doc.update(env_overrides())
-    flag_map = {
-        "mode": getattr(args, "mode", None),
-        "m": getattr(args, "m", None),
-        "n_vc": getattr(args, "vc", None),
-        "seed": getattr(args, "seed", None),
-        "t_max": getattr(args, "t_max", None),
-        "P": getattr(args, "period", None),
-        "c_update": getattr(args, "c_update", None),
-        "c_spike": getattr(args, "c_spike", None),
-        "inter_cluster_slowdown": getattr(args, "inter_cluster_slowdown", None),
-        "cycles_per_hop": getattr(args, "cycles_per_hop", None),
-    }
-    if getattr(args, "grid", None):
-        flag_map["grid"] = parse_grid(args.grid)
-    if getattr(args, "trace_file", None):
-        flag_map["trace"] = True
-    if getattr(args, "debug", False):
-        flag_map["debug"] = True
-    for k, v in flag_map.items():
-        if v is not None:
-            doc[k] = v
+    for key in SimConfig.__dataclass_fields__:
+        if getattr(args, key, None) is not None:
+            doc[key] = getattr(args, key)
     return SimConfig.from_dict(doc)
 
 
@@ -155,7 +119,7 @@ def cmd_gen(args) -> int:
 
 
 def _compile_from_args(net, args):
-    grid = parse_grid(args.grid)
+    grid = parse_value("grid", args.grid)
     capacity = Capacity(max_neurons=args.max_neurons_per_core,
                         max_synapses=args.max_synapses_per_core)
     assignment = None
@@ -179,6 +143,8 @@ def cmd_compile(args) -> int:
 def cmd_run(args) -> int:
     prog = load_program(args.program)
     cfg = build_config(args, defaults={"grid": list(prog.grid)})
+    if args.trace_file:
+        cfg.trace = True  # the trace CSV is built from the report's rows
     report = run(prog, cfg)
     metrics.check_report(report)
     _atomic_json(args.out, report.to_dict())
@@ -190,9 +156,10 @@ def cmd_run(args) -> int:
 
 
 def verify_workload(net, grid: tuple[int, int], base_cfg: SimConfig,
-                    mapping: str = "plain", keep_reports: bool = False):
+                    mapping: str = "plain"):
     """Run the reference interpreter and every mode; returns
-    (ok, details dict). The workhorse behind ``snnmesh verify``."""
+    (ok, details dict), whose ``reports`` holds each mode's report. The
+    workhorse behind ``snnmesh verify``."""
     ref = reference_run(net)
     if base_cfg.t_max is not None and base_cfg.t_max < net.t_max:
         # an overridden horizon truncates the comparison on both sides
@@ -201,9 +168,8 @@ def verify_workload(net, grid: tuple[int, int], base_cfg: SimConfig,
             [(n, t) for n, t in ref if t < horizon], t_max=net.t_max
         )
     prog = compile_network(net, grid, mapping=mapping)
-    details = {"reference_spikes": len(ref), "modes": {}, "reference": ref}
-    if keep_reports:
-        details["reports"] = {}
+    details = {"reference_spikes": len(ref), "modes": {}, "reference": ref,
+               "reports": {}}
     ok = True
     for mode in PROTOCOLS:
         cfg = SimConfig.from_dict({**base_cfg.to_dict(), "mode": mode,
@@ -218,8 +184,7 @@ def verify_workload(net, grid: tuple[int, int], base_cfg: SimConfig,
             "match": divergence is None,
             "first_divergence": divergence,
         }
-        if keep_reports:
-            details["reports"][mode] = rep
+        details["reports"][mode] = rep
         if divergence is not None or rep.violations:
             ok = False
     return ok, details
@@ -247,6 +212,7 @@ def cmd_verify(args) -> int:
 # -- sweep -------------------------------------------------------------------
 
 _AXES = ("m", "vc", "mode", "mapping", "grid", "exchange", "rate")
+_CONFIG_AXES = {"m": "m", "vc": "n_vc", "mode": "mode"}  # axis -> config key
 
 _RESULT_FIELDS = [
     "axis", "value", "mode", "seed", "rep", "total_cycles", "busy", "wait",
@@ -261,8 +227,8 @@ def _raster_hash(raster) -> str:
 
 
 def _run_task(task):
-    prog, cfg_doc, meta = task
-    report = run(prog, SimConfig.from_dict(cfg_doc))
+    prog, cfg, meta = task
+    report = run(prog, cfg)
     row = dict(meta)
     row.update({
         "total_cycles": report.total_cycles,
@@ -280,25 +246,31 @@ def _run_task(task):
     return row
 
 
+def _numbers(cast, raw: str, what: str) -> list:
+    try:
+        return [cast(v) for v in raw.split(",")]
+    except ValueError:
+        raise ConfigError(f"{what} must be comma-separated numbers, "
+                          f"got {raw!r}") from None
+
+
 def _axis_values(axis: str, raw: str):
-    vals = raw.split(",")
-    if axis in ("m", "vc"):
-        return [int(v) for v in vals]
+    if axis in _CONFIG_AXES:
+        return [parse_value(_CONFIG_AXES[axis], v) for v in raw.split(",")]
     if axis in ("exchange", "rate"):
-        return [float(v) for v in vals]
-    return vals
+        return _numbers(float, raw, f"sweep axis {axis}")
+    return raw.split(",")
 
 
 def build_sweep_tasks(args, base_cfg: SimConfig):
     """One task per (axis value, mode, seed, rep); regenerates or recompiles
     the workload when the axis demands it."""
-    axis, raw = args.axis.split("=", 1)
-    if axis not in _AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r} (choose from {_AXES})")
+    axis, eq, raw = args.axis.partition("=")
+    if axis not in _AXES or not eq:
+        raise ConfigError(f"sweep axis must look like <axis>=v1,v2 with <axis> "
+                          f"one of {_AXES}, got {args.axis!r}")
     values = _axis_values(axis, raw)
-    if not values:
-        raise ConfigError("sweep axis needs at least one value")
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [base_cfg.seed]
+    seeds = _numbers(int, args.seeds, "sweep seeds")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("sweep seeds must be distinct")
     modes = args.modes.split(",") if axis != "mode" else ["-"]
@@ -320,7 +292,7 @@ def build_sweep_tasks(args, base_cfg: SimConfig):
                                     seed=seed, t_max=args.t_max)
             if net is None:
                 raise ConfigError("sweep needs --workload (or a rate axis)")
-            point_grid = parse_grid(value) if axis == "grid" else grid
+            point_grid = parse_value("grid", value) if axis == "grid" else grid
             mapping = value if axis == "mapping" else args.mapping
             assignment = None
             if axis == "exchange" and value > 0:
@@ -328,21 +300,17 @@ def build_sweep_tasks(args, base_cfg: SimConfig):
                     net, point_grid[0] * point_grid[1], value, seed=seed)
             prog = compile_network(net, point_grid, mapping=mapping,
                                    assignment=assignment)
+            cfg_doc = {**base_cfg.to_dict(), "grid": list(point_grid)}
+            if axis in _CONFIG_AXES:
+                cfg_doc[_CONFIG_AXES[axis]] = value
             for mode in modes:
+                if mode != "-":
+                    cfg_doc["mode"] = mode
+                cfg = SimConfig.from_dict(cfg_doc)
                 for rep_i in range(args.reps):
-                    cfg_doc = {**base_cfg.to_dict(), "seed": seed,
-                               "grid": list(point_grid)}
-                    if axis == "m":
-                        cfg_doc["m"] = value
-                    elif axis == "vc":
-                        cfg_doc["n_vc"] = value
-                    elif axis == "mode":
-                        cfg_doc["mode"] = value
-                    if mode != "-":
-                        cfg_doc["mode"] = mode
                     meta = {"axis": axis, "value": value,
-                            "mode": cfg_doc["mode"], "seed": seed, "rep": rep_i}
-                    tasks.append((prog, cfg_doc, meta))
+                            "mode": cfg.mode, "seed": seed, "rep": rep_i}
+                    tasks.append((prog, cfg, meta))
     return tasks
 
 
@@ -456,17 +424,18 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with simulator config keys")
     p.add_argument("--mode", choices=list(PROTOCOLS))
     p.add_argument("--m", type=int, help="spike buffer window (timesteps)")
-    p.add_argument("--vc", type=int, help="number of data virtual channels")
+    p.add_argument("--vc", dest="n_vc", type=int,
+                   help="number of data virtual channels")
     p.add_argument("--grid", help="mesh size, e.g. 4x4")
-    p.add_argument("--seed", type=int)
     p.add_argument("--t-max", dest="t_max", type=int)
-    p.add_argument("--period", type=int, help="speculative sync period P")
+    p.add_argument("--period", dest="P", type=int,
+                   help="speculative sync period P")
     p.add_argument("--c-update", dest="c_update", type=int)
     p.add_argument("--c-spike", dest="c_spike", type=int)
     p.add_argument("--cycles-per-hop", dest="cycles_per_hop", type=int)
     p.add_argument("--inter-cluster-slowdown", dest="inter_cluster_slowdown",
                    type=int)
-    p.add_argument("--debug", action="store_true")
+    p.add_argument("--debug", action="store_true", default=None)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -523,7 +492,8 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("--workload")
     s.add_argument("--axis", required=True, help="e.g. m=2,4,8,16")
     s.add_argument("--modes", default=",".join(PROTOCOLS))
-    s.add_argument("--seeds", help="comma-separated distinct seeds")
+    s.add_argument("--seeds", default="0",
+                   help="comma-separated distinct seeds")
     s.add_argument("--reps", type=int, default=1)
     s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--mapping", choices=["plain", "hilbert"], default="plain")

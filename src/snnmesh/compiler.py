@@ -74,21 +74,13 @@ class DepGraph:
 
 
 @dataclass
-class Placement:
-    coords: list[tuple[int, int]]  # core id -> (x, y)
-
-    def __getitem__(self, core: int) -> tuple[int, int]:
-        return self.coords[core]
-
-
-@dataclass
 class CompiledProgram:
     """Everything a simulation needs: per-core slices, routing tables,
     dependency graph, placement, and the workload's input schedule."""
 
     cores: list[LogicCore]
     dep_graph: DepGraph
-    placement: Placement
+    placement: list[tuple[int, int]]  # core id -> (x, y)
     grid: tuple[int, int]
     neuron_params: list[tuple[NeuronParams, int]]  # global id -> (params, v0)
     inputs: dict[int, list[tuple[int, int]]]
@@ -226,13 +218,12 @@ def extract_deps(cores: list[LogicCore], capacity: Capacity = Capacity()) -> Dep
     return DepGraph(pre=pre, post=post)
 
 
-def map_plain(cores: list[LogicCore], grid: tuple[int, int]) -> Placement:
+def map_plain(cores: list[LogicCore], grid: tuple[int, int]) -> list[tuple[int, int]]:
     """Row-major: logic core i at (i mod W, i div W)."""
     w, h = grid
     if len(cores) > w * h:
         raise CompileError(f"{len(cores)} cores exceed the {w}x{h} grid")
-    coords = [(i % w, i // w) for i in range(len(cores))]
-    return Placement(coords=coords)
+    return [(i % w, i // w) for i in range(len(cores))]
 
 
 def hilbert_index_to_xy(side: int, d: int) -> tuple[int, int]:
@@ -255,7 +246,7 @@ def hilbert_index_to_xy(side: int, d: int) -> tuple[int, int]:
     return x, y
 
 
-def map_hilbert(cores: list[LogicCore], grid: tuple[int, int]) -> Placement:
+def map_hilbert(cores: list[LogicCore], grid: tuple[int, int]) -> list[tuple[int, int]]:
     """Logic core i at the i-th cell of the Hilbert curve. Requires a square
     power-of-two grid; anything else falls back to plain with a warning."""
     w, h = grid
@@ -268,11 +259,10 @@ def map_hilbert(cores: list[LogicCore], grid: tuple[int, int]) -> Placement:
             stacklevel=2,
         )
         return map_plain(cores, grid)
-    coords = [hilbert_index_to_xy(w, i) for i in range(len(cores))]
-    return Placement(coords=coords)
+    return [hilbert_index_to_xy(w, i) for i in range(len(cores))]
 
 
-def avg_dep_distance(placement: Placement, graph: DepGraph) -> float:
+def avg_dep_distance(placement: list[tuple[int, int]], graph: DepGraph) -> float:
     """Mean Manhattan hop distance over all dependency edges (0.0 if none)."""
     edges = graph.edges()
     if not edges:
@@ -386,7 +376,7 @@ def _program_rest_to_dict(prog: CompiledProgram) -> dict:
         "grid": list(prog.grid),
         "t_max": prog.t_max,
         "max_delay": prog.max_delay,
-        "placement": [list(xy) for xy in prog.placement.coords],
+        "placement": [list(xy) for xy in prog.placement],
         **neurons_and_inputs_to_dict(prog.neuron_params, prog.inputs),
     }
 
@@ -469,9 +459,9 @@ def program_from_dict(doc: dict) -> CompiledProgram:
             for cd in doc["cores"]
         ]
         grid = tuple(doc["grid"])
-        placement = Placement(coords=[(x, y) for x, y in doc["placement"]])
+        placement = [(x, y) for x, y in doc["placement"]]
         neuron_params, inputs = neurons_and_inputs_from_dict(doc)
-        _check_program(cores, placement.coords, grid, len(neuron_params),
+        _check_program(cores, placement, grid, len(neuron_params),
                           inputs, doc["t_max"], doc["max_delay"])
         return CompiledProgram(
             cores=cores, dep_graph=extract_deps(cores), placement=placement,

@@ -20,10 +20,6 @@ from .noc import (
     SpikeBody,
 )
 
-PHASE_READY = "READY"
-PHASE_COMPUTING = "COMPUTING"
-PHASE_DONE = "DONE"
-
 # The work counters every core keeps, in report order.
 COUNTERS = ("neuron_updates", "rollback_updates", "synapse_acc", "buffer_reads",
             "buffer_writes", "scheduler_events", "saturations")
@@ -206,7 +202,6 @@ class NeuromorphicCore:
 
         self.t_cur = -1
         self.frontier = -1  # highest timestep ever completed
-        self.phase = PHASE_READY if t_max > 0 else PHASE_DONE
         self.gen = 0  # invalidates in-flight completion events after rollback
         self.computing: tuple | None = None  # (t, start_cycle, v_new, fired, cost)
 
@@ -226,7 +221,12 @@ class NeuromorphicCore:
     def may_advance(self) -> bool:
         """Is the core idle with timestep t_cur + 1 still to run? The
         protocol adds its own admission rule on top."""
-        return self.phase == PHASE_READY and self.t_cur + 1 < self.t_max
+        return self.computing is None and self.t_cur + 1 < self.t_max
+
+    @property
+    def done(self) -> bool:
+        """Idle with every timestep committed."""
+        return self.computing is None and self.t_cur + 1 >= self.t_max
 
     def _notifications(self, routes, flag: int, t: int) -> list[Packet]:
         self.counters["scheduler_events"] += len(routes)
@@ -284,7 +284,6 @@ class NeuromorphicCore:
         cost = max(1, self.c_update * self.n_local + self.c_spike * emissions)
 
         self.computing = (t, cycle, v_new, fired, cost)
-        self.phase = PHASE_COMPUTING
         return cost, self._notifications(self.start_routes, FLAG_START, t)
 
     def finish(self, cycle: int) -> list[Packet]:
@@ -318,7 +317,6 @@ class NeuromorphicCore:
         self.inputs.seal(t, spikes)
 
         self.t_cur = t
-        self.phase = PHASE_DONE if t + 1 >= self.t_max else PHASE_READY
         return spikes + self._notifications(self.finish_routes, FLAG_FINISH, t)
 
     # -- speculative rollback -------------------------------------------------
@@ -348,7 +346,6 @@ class NeuromorphicCore:
         for t in [t for t in self.raster if t >= tc]:
             del self.raster[t]
         self.t_cur = tc - 1
-        self.phase = PHASE_READY
         return anti
 
     def epoch_reset(self, new_start: int) -> None:

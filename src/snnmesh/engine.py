@@ -15,6 +15,7 @@ debug edge invariant, and what its cores are built with.
 from __future__ import annotations
 
 import heapq
+import json
 import numbers
 from dataclasses import dataclass, field, asdict
 
@@ -24,7 +25,6 @@ from . import metrics
 from .compiler import CompiledProgram
 from .core import (
     COUNTERS,
-    PHASE_DONE,
     InputStore,
     NeuromorphicCore,
     ProtocolFault,
@@ -150,8 +150,10 @@ PROTOCOLS: dict[str, type[Protocol]] = {
 # Integer SimConfig fields and their least value (P and t_max may be None)
 INT_FIELDS = {"m": 1, "P": 1, "n_vc": 1, "cycles_per_hop": 1, "c_update": 0,
               "c_spike": 0, "inter_cluster_slowdown": 1, "cluster_size": 1,
-              "seed": None, "t_max": 0, "fifo_depth": 1}
+              "t_max": 0, "fifo_depth": 1}
 BOOL_FIELDS = ("trace", "debug")
+_BOOL_WORDS = {"1": True, "true": True, "yes": True,
+               "0": False, "false": False, "no": False}
 
 
 def _is_int(value) -> bool:
@@ -170,7 +172,6 @@ class SimConfig:
     c_spike: int = 1
     inter_cluster_slowdown: int = 1
     cluster_size: int = 2
-    seed: int = 0
     t_max: int | None = None  # None: take the program's horizon
     fifo_depth: int = 4
     trace: bool = False
@@ -184,7 +185,7 @@ class SimConfig:
                 continue
             if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if low is not None and value < low:
+            if value < low:
                 raise ConfigError(f"{name} must be >= {low}")
         for name in BOOL_FIELDS:
             if not isinstance(getattr(self, name), bool):
@@ -219,7 +220,7 @@ class SimConfig:
         if "grid" in doc:
             g = doc["grid"]
             if isinstance(g, str):
-                doc["grid"] = parse_grid(g)
+                doc["grid"] = parse_value("grid", g)
             elif isinstance(g, list):
                 doc["grid"] = tuple(g)
         cfg = cls(**doc)
@@ -227,12 +228,23 @@ class SimConfig:
         return cfg
 
 
-def parse_grid(text: str) -> tuple[int, int]:
+def parse_value(key: str, text: str):
+    """The value of config key ``key`` written as text: an environment
+    variable, the ``--grid`` flag, a sweep axis value or a config file's
+    grid. ``SimConfig.validate`` then checks its range."""
     try:
-        w, h = text.lower().split("x")
-        return (int(w), int(h))
-    except ValueError as exc:
-        raise ConfigError(f"grid must look like '4x4', got {text!r}") from exc
+        if key == "grid":
+            w, h = text.lower().split("x")
+            return (int(w), int(h))
+        if key in BOOL_FIELDS:
+            return _BOOL_WORDS[text.lower()]
+        if key in INT_FIELDS:
+            return int(text)
+        if key == "energy_costs":
+            return json.loads(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key} cannot be {text!r}") from None
+    return text
 
 
 @dataclass
@@ -247,7 +259,7 @@ class SimReport:
     energy: dict
     violations: int
     rollbacks: int
-    max_edge_skew: int
+    max_edge_skew: int | None  # measured only under debug
     trace: list[tuple[int, int, int, int, str]] = field(default_factory=list)
     # debug only: (cycle, dst core, src core, flag, timestep) per DEP delivery
     dep_log: list[tuple[int, int, int, int, int]] = field(default_factory=list)
@@ -332,7 +344,7 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
     w, h = cfg.grid
     if program.n_cores > w * h:
         raise ConfigError(f"{program.n_cores} cores exceed the {w}x{h} grid")
-    for x, y in program.placement.coords:
+    for x, y in program.placement:
         if not (0 <= x < w and 0 <= y < h):
             raise ConfigError(f"placement ({x},{y}) outside the {w}x{h} grid")
 
@@ -438,9 +450,9 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
         if mesh.queued:
             nxt_candidates.append(cycle + 1)
         if not nxt_candidates:
-            if all(c.phase == PHASE_DONE for c in cores):
+            if all(c.done for c in cores):
                 break
-            waiting = [c.cid for c in cores if c.phase != PHASE_DONE]
+            waiting = [c.cid for c in cores if not c.done]
             raise DeadlockError(
                 f"protocol deadlock at cycle {cycle}: cores {waiting} can "
                 "never progress (no packets in flight, no work scheduled)"
@@ -486,7 +498,7 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
         energy=energy,
         violations=violations,
         rollbacks=rollbacks,
-        max_edge_skew=max_edge_skew,
+        max_edge_skew=max_edge_skew if cfg.debug else None,
         trace=trace_rows,
         dep_log=dep_log,
     )

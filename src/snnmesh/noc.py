@@ -10,13 +10,11 @@ from dataclasses import dataclass
 
 SPIKE = "SPIKE"
 DEP = "DEP"
-SYNC = "SYNC"
 
 FLAG_FINISH = 0
 FLAG_START = 1
 
 PORT_E, PORT_W, PORT_N, PORT_S, PORT_LOCAL = range(5)
-PORT_NAMES = ("E", "W", "N", "S", "LOCAL")
 
 # output port -> (dx, dy, input port seen by the neighbour)
 _LINKS = {
@@ -46,12 +44,7 @@ class DepBody:
     dep_id: int
 
 
-@dataclass(slots=True)
-class SyncBody:
-    timestep: int
-
-
-_BODY_TYPES = {SPIKE: SpikeBody, DEP: DepBody, SYNC: SyncBody}
+_BODY_TYPES = {SPIKE: SpikeBody, DEP: DepBody}
 
 
 @dataclass(slots=True)
@@ -175,10 +168,10 @@ class MeshNoc:
                                     nxt, in_port, hop)
         self._pending: dict[int, list] = {}  # cycle -> events in order
         self._pending_heap: list[int] = []
-        self.injected = {SPIKE: 0, DEP: 0, SYNC: 0}
-        self.delivered = {SPIKE: 0, DEP: 0, SYNC: 0}
+        self.injected = {SPIKE: 0, DEP: 0}
+        self.delivered = {SPIKE: 0, DEP: 0}
         self.hops = 0
-        self.blocked = {SPIKE: 0, DEP: 0, SYNC: 0}
+        self.blocked = {SPIKE: 0, DEP: 0}
         self.queued = 0  # packets sitting in router FIFOs
         # (vc_mask * n_vc_total + vc_rr) -> non-empty VCs in round-robin order
         self._rr_orders: dict[int, tuple[int, ...]] = {}

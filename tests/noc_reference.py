@@ -18,7 +18,6 @@ from snnmesh.noc import (
     PORT_S,
     PORT_W,
     SPIKE,
-    SYNC,
     NocError,
     Packet,
     route_xy,
@@ -86,11 +85,11 @@ class ReferenceNoc:
         # or ("deliver", pkt)
         self._pending: dict[int, list] = {}
         self._pending_heap: list[int] = []
-        self.in_flight = {SPIKE: 0, DEP: 0, SYNC: 0}
-        self.injected = {SPIKE: 0, DEP: 0, SYNC: 0}
-        self.delivered = {SPIKE: 0, DEP: 0, SYNC: 0}
+        self.in_flight = {SPIKE: 0, DEP: 0}
+        self.injected = {SPIKE: 0, DEP: 0}
+        self.delivered = {SPIKE: 0, DEP: 0}
         self.hops = 0
-        self.blocked = {SPIKE: 0, DEP: 0, SYNC: 0}
+        self.blocked = {SPIKE: 0, DEP: 0}
         self._delivered_now: dict[tuple[int, int], list[Packet]] = {}
         self._queued = 0  # packets sitting in router FIFOs
 

@@ -27,11 +27,9 @@ from snnmesh.noc import (
     FLAG_FINISH,
     FLAG_START,
     SPIKE,
-    SYNC,
     DepBody,
     Packet,
     SpikeBody,
-    SyncBody,
 )
 from stepped_noc import SteppedNoc
 
@@ -50,7 +48,7 @@ def exactness_suite():
     for i in range(N_SYNTHETIC):
         net = gen_synthetic(1000, 50000, seed=1000 + i, t_max=100,
                             input_rate=0.05)
-        ok, details = verify_workload(net, (4, 4), base_cfg, keep_reports=True)
+        ok, details = verify_workload(net, (4, 4), base_cfg)
         entries.append({
             "kind": "synthetic", "seed": 1000 + i, "ok": ok,
             "details": details, "n_neurons": net.n_neurons, "t_max": net.t_max,
@@ -58,7 +56,7 @@ def exactness_suite():
     for i in range(N_LAYERED):
         net = gen_layered([256, 256, 256, 232], fanin=12, seed=2000 + i,
                           t_max=100, input_rate=0.06, max_delay=2)
-        ok, details = verify_workload(net, (4, 4), base_cfg, keep_reports=True)
+        ok, details = verify_workload(net, (4, 4), base_cfg)
         entries.append({
             "kind": "layered", "seed": 2000 + i, "ok": ok,
             "details": details, "n_neurons": net.n_neurons, "t_max": net.t_max,
@@ -326,12 +324,6 @@ class TestCriterion10NocProperties:
                                body=DepBody(timestep=t, flag=FLAG_FINISH,
                                             dep_id=0))
                     mesh.inject(s, f, at)
-                    injected += 1
-                if t % 10 == 0:
-                    d = dsts[s][0]
-                    mesh.inject(s, Packet(kind=SYNC, src_core=0, dst_core=0,
-                                          src_xy=s, dst_xy=d,
-                                          body=SyncBody(timestep=t)), at)
                     injected += 1
             for _ in range(3):
                 for q in mesh.step(cycle):

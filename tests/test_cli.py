@@ -74,7 +74,7 @@ def test_run_with_config_file_and_fixture_program(tmp_path, capsys):
 def test_run_determinism_same_seed(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     base = ["run", "--program", str(FIXTURES / "tiny_program.json"),
-            "--grid", "2x2", "--mode", "depasync", "--seed", "9"]
+            "--grid", "2x2", "--mode", "depasync"]
     assert main(base + ["--out", str(out1)]) == EXIT_OK
     assert main(base + ["--out", str(out2)]) == EXIT_OK
     assert out1.read_text() == out2.read_text()
@@ -110,8 +110,11 @@ def test_zero_fifo_depth_is_bad_input_not_a_hang(tmp_path, capsys):
     ({}, ["m", 4]),
     ({}, {"mode": "se", "P": 2.5}),
     ({}, {"debug": "no"}),
+    ({"SNNMESH_DEBUG": "on"}, None),
+    ({"SNNMESH_TRACE": "enabled"}, None),
+    ({}, {"seed": 0}),
 ], ids=["env-m-text", "m-string", "grid-one-int", "config-list", "P-float",
-        "debug-string"])
+        "debug-string", "env-debug-on", "env-trace-enabled", "seed-key"])
 def test_malformed_config_is_bad_input(tmp_path, capsys, monkeypatch, env, config):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -128,6 +131,41 @@ def test_malformed_config_is_bad_input(tmp_path, capsys, monkeypatch, env, confi
     assert err.startswith("snnmesh: error[bad-input] ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--axis", "m=two"],
+    ["--axis", "exchange=lots"],
+    ["--axis", "m"],
+    ["--axis", "m="],
+    ["--axis", "m=2", "--seeds", "a,b"],
+], ids=["m-text", "exchange-text", "no-equals", "no-value", "seeds-text"])
+def test_malformed_sweep_is_bad_input(tmp_path, capsys, flags):
+    out = tmp_path / "r.csv"
+    code = main(["sweep", "--workload", str(FIXTURES / "tiny_workload.json"),
+                 "--grid", "2x2", "--out", str(out)] + flags)
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("snnmesh: error[bad-input] ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_config_flags_land_on_their_keys(tmp_path):
+    out = tmp_path / "r.json"
+    code = main(["run", "--program", str(FIXTURES / "tiny_program.json"),
+                 "--mode", "se", "--vc", "2", "--period", "3", "--debug",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    config = json.loads(out.read_text())["config"]
+    assert (config["n_vc"], config["P"], config["debug"]) == (2, 3, True)
+
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"debug": True}))
+    code = main(["run", "--program", str(FIXTURES / "tiny_program.json"),
+                 "--config", str(path), "--out", str(out)])
+    assert code == EXIT_OK
+    assert json.loads(out.read_text())["config"]["debug"] is True
 
 
 def test_run_defaults_to_the_program_grid(tmp_path):
@@ -276,6 +314,8 @@ def test_env_overrides_config(monkeypatch):
     monkeypatch.setenv("SNNMESH_TRACE", "true")
     over = env_overrides()
     assert over == {"m": 8, "mode": "sync", "grid": (2, 2), "trace": True}
+    for word in ("0", "false", "No", "FALSE"):
+        assert env_overrides({"SNNMESH_DEBUG": word}) == {"debug": False}
 
 
 def test_sweep_and_report(tmp_path, capsys):

@@ -153,11 +153,11 @@ class TestMapping:
     def test_plain_bijective_on_full_grid(self):
         net = simple_net(16, [])
         p = map_plain(partition(net, 16), (4, 4))
-        assert set(p.coords) == {(x, y) for y in range(4) for x in range(4)}
-        assert len(set(p.coords)) == 16
+        assert set(p) == {(x, y) for y in range(4) for x in range(4)}
+        assert len(set(p)) == 16
         # same for hilbert
         ph = map_hilbert(partition(net, 16), (4, 4))
-        assert sorted(ph.coords) == sorted(p.coords)
+        assert sorted(ph) == sorted(p)
 
     def test_too_many_cores_rejected(self):
         net = simple_net(5, [])
@@ -195,7 +195,7 @@ class TestMapping:
         cores = partition(net, 6)
         with pytest.warns(UserWarning, match="falling back"):
             p = map_hilbert(cores, (3, 3))
-        assert p.coords == map_plain(cores, (3, 3)).coords
+        assert p == map_plain(cores, (3, 3))
         with pytest.warns(UserWarning):
             map_hilbert(cores, (4, 2))
 

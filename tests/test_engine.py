@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -12,7 +13,7 @@ from snnmesh.engine import (
     DeadlockError,
     DependencyDriven,
     SimConfig,
-    parse_grid,
+    parse_value,
     run,
 )
 from snnmesh.fixedpoint import fx
@@ -58,7 +59,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SimConfig.from_dict({"bogus_key": 1})
         with pytest.raises(ConfigError):
-            parse_grid("4by4")
+            parse_value("grid", "4by4")
 
     @pytest.mark.parametrize("field,value", [
         ("fifo_depth", 0), ("inter_cluster_slowdown", 0), ("cluster_size", 0),
@@ -72,6 +73,15 @@ class TestConfig:
 
     def test_zero_t_max_accepted(self):
         assert SimConfig.from_dict({"t_max": 0}).t_max == 0
+
+    def test_readme_config_table_lists_exactly_the_fields(self):
+        with open(os.path.join(FIXTURES, "..", "..", "README.md"),
+                  encoding="utf-8") as f:
+            section = f.read().split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        first_cells = [row.split("|")[1] for row in section.splitlines()
+                       if row.startswith("| `")]
+        keys = [k for cell in first_cells for k in re.findall(r"`(\w+)`", cell)]
+        assert sorted(keys) == sorted(SimConfig.__dataclass_fields__)
 
 
 class TestSingleCore:

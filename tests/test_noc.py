@@ -18,7 +18,6 @@ from snnmesh.noc import (
     NocError,
     Packet,
     SpikeBody,
-    SyncBody,
     route_xy,
     vc_for_packet,
 )
@@ -67,10 +66,12 @@ class TestPacketFormat:
     def test_exactly_one_body_variant(self):
         with pytest.raises(NocError):
             Packet(kind=SPIKE, src_core=0, dst_core=0, src_xy=(0, 0),
-                   dst_xy=(0, 0), body=SyncBody(timestep=1)).validate()
+                   dst_xy=(0, 0), body=DepBody(timestep=1, flag=FLAG_FINISH,
+                                                dep_id=0)).validate()
         with pytest.raises(NocError):
             Packet(kind="BOGUS", src_core=0, dst_core=0, src_xy=(0, 0),
-                   dst_xy=(0, 0), body=SyncBody(timestep=1)).validate()
+                   dst_xy=(0, 0), body=DepBody(timestep=1, flag=FLAG_FINISH,
+                                                dep_id=0)).validate()
 
     def test_control_packets_use_reserved_vc(self):
         assert vc_for_packet(finish((0, 0), (1, 1)), 4) == 4
