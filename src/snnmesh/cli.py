@@ -227,10 +227,10 @@ def _raster_hash(raster) -> str:
 
 
 def _run_task(task):
-    prog, cfg, meta = task
+    """The measured columns of one sweep row."""
+    prog, cfg = task
     report = run(prog, cfg)
-    row = dict(meta)
-    row.update({
+    return {
         "total_cycles": report.total_cycles,
         "busy": sum(c["busy"] for c in report.cores),
         "wait": sum(c["wait"] for c in report.cores),
@@ -242,8 +242,7 @@ def _run_task(task):
         "blocked_spike": report.noc["blocked_cycles"]["SPIKE"],
         "spikes": len(report.raster),
         "raster_sha256": _raster_hash(report.raster),
-    })
-    return row
+    }
 
 
 def _numbers(cast, raw: str, what: str) -> list:
@@ -263,8 +262,14 @@ def _axis_values(axis: str, raw: str):
 
 
 def build_sweep_tasks(args, base_cfg: SimConfig):
-    """One task per (axis value, mode, seed, rep); regenerates or recompiles
-    the workload when the axis demands it."""
+    """The distinct simulations of a sweep and its rows: returns (tasks,
+    rows), a task being a (program, config) pair and a row a (task index,
+    meta) pair per (axis value, mode, seed, rep).
+
+    A run is a pure function of (program, config), so each distinct pair runs
+    once and the rows of other seeds and reps copy it; the seed is an input
+    only of the ``rate`` and ``exchange`` axes, which regenerate the workload
+    or exchange neurons. Each distinct program is compiled once."""
     axis, eq, raw = args.axis.partition("=")
     if axis not in _AXES or not eq:
         raise ConfigError(f"sweep axis must look like <axis>=v1,v2 with <axis> "
@@ -274,32 +279,38 @@ def build_sweep_tasks(args, base_cfg: SimConfig):
     if len(set(seeds)) != len(seeds):
         raise ConfigError("sweep seeds must be distinct")
     modes = args.modes.split(",") if axis != "mode" else ["-"]
+    seeded = axis in ("exchange", "rate")
 
     base_net = load_workload(args.workload) if args.workload else None
     grid = base_cfg.grid
 
-    tasks = []
+    programs: dict = {}  # (grid, mapping, seeded value, seed) -> program
+    task_of: dict = {}   # (program key, config) -> index into tasks
+    tasks, rows = [], []
     for value in values:
         for seed in seeds:
-            net = base_net
-            if axis == "rate":
-                if args.neurons is None or args.synapses is None:
-                    raise ConfigError(
-                        "rate sweeps need --neurons and --synapses to regenerate"
-                    )
-                net = gen_synthetic(args.neurons, args.synapses,
-                                    rate_knobs=rate_knobs_for_level(value),
-                                    seed=seed, t_max=args.t_max)
-            if net is None:
-                raise ConfigError("sweep needs --workload (or a rate axis)")
             point_grid = parse_value("grid", value) if axis == "grid" else grid
             mapping = value if axis == "mapping" else args.mapping
-            assignment = None
-            if axis == "exchange" and value > 0:
-                assignment = exchanged_assignment(
-                    net, point_grid[0] * point_grid[1], value, seed=seed)
-            prog = compile_network(net, point_grid, mapping=mapping,
-                                   assignment=assignment)
+            prog_key = (point_grid, mapping, *((value, seed) if seeded else ()))
+            prog = programs.get(prog_key)
+            if prog is None:
+                net = base_net
+                if axis == "rate":
+                    if args.neurons is None or args.synapses is None:
+                        raise ConfigError(
+                            "rate sweeps need --neurons and --synapses to regenerate"
+                        )
+                    net = gen_synthetic(args.neurons, args.synapses,
+                                        rate_knobs=rate_knobs_for_level(value),
+                                        seed=seed, t_max=args.t_max)
+                if net is None:
+                    raise ConfigError("sweep needs --workload (or a rate axis)")
+                assignment = None
+                if axis == "exchange" and value > 0:
+                    assignment = exchanged_assignment(
+                        net, point_grid[0] * point_grid[1], value, seed=seed)
+                prog = programs[prog_key] = compile_network(
+                    net, point_grid, mapping=mapping, assignment=assignment)
             cfg_doc = {**base_cfg.to_dict(), "grid": list(point_grid)}
             if axis in _CONFIG_AXES:
                 cfg_doc[_CONFIG_AXES[axis]] = value
@@ -307,21 +318,26 @@ def build_sweep_tasks(args, base_cfg: SimConfig):
                 if mode != "-":
                     cfg_doc["mode"] = mode
                 cfg = SimConfig.from_dict(cfg_doc)
+                run_key = (prog_key, json.dumps(cfg.to_dict(), sort_keys=True))
+                if run_key not in task_of:
+                    task_of[run_key] = len(tasks)
+                    tasks.append((prog, cfg))
                 for rep_i in range(args.reps):
-                    meta = {"axis": axis, "value": value,
-                            "mode": cfg.mode, "seed": seed, "rep": rep_i}
-                    tasks.append((prog, cfg, meta))
-    return tasks
+                    rows.append((task_of[run_key], {
+                        "axis": axis, "value": value, "mode": cfg.mode,
+                        "seed": seed, "rep": rep_i}))
+    return tasks, rows
 
 
 def cmd_sweep(args) -> int:
     base_cfg = build_config(args)
-    tasks = build_sweep_tasks(args, base_cfg)
+    tasks, plan = build_sweep_tasks(args, base_cfg)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_run_task, tasks))
+            results = list(pool.map(_run_task, tasks))
     else:
-        rows = [_run_task(t) for t in tasks]
+        results = [_run_task(t) for t in tasks]
+    rows = [{**meta, **results[i]} for i, meta in plan]
     tmp = f"{args.out}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=_RESULT_FIELDS)

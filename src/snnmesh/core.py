@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import lif_step_arrays
+from .model import lif_bounds, lif_step_arrays
 from .noc import (
     DEP,
     FLAG_FINISH,
@@ -102,10 +102,18 @@ class InputStore:
     def take(self, t: int, v: np.ndarray) -> np.ndarray:
         """Read timestep t's input: the sum of its receptions per neuron."""
         self.consumed = t
-        acc = np.zeros(max(self.n_local, 1), dtype=np.int64)
-        for tgt, w, _sender in self.recv.get(t, ()):
+        rows = self.recv.get(t, ())
+        if len(rows) * 8 < self.n_local:
+            # few receptions: converting a list of n_local ints would cost
+            # more than indexing the array once per reception
+            acc = np.zeros(self.n_local, dtype=np.int64)
+            for tgt, w, _sender in rows:
+                acc[tgt] += w
+            return acc
+        acc = [0] * max(self.n_local, 1)
+        for tgt, w, _sender in rows:
             acc[tgt] += w
-        return acc
+        return np.array(acc, dtype=np.int64)
 
     def seal(self, t: int, sent: list[Packet]) -> None:
         """Timestep t is committed; its receptions are no longer needed."""
@@ -183,9 +191,10 @@ class NeuromorphicCore:
         self.neuron_ids = neuron_ids
         self.n_local = len(neuron_ids)
         self.tau, self.g, self.vr, self.vth = tau, g, vr, vth
+        self.lif_bounds = lif_bounds(tau, g, vr) if self.n_local else None
         self.v = v0.copy()
-        self.in_syn_target = in_syn_target
-        self.in_syn_weight = in_syn_weight
+        self.in_syn_target = in_syn_target  # synapse id -> local target
+        self.in_syn_weight = in_syn_weight  # synapse id -> weight
         # per local neuron: [(dst_core, dst_xy, synapse_id, delay)]
         self.fanout_remote = fanout_remote
         # per local neuron: [(target_local, weight, delay)]
@@ -230,9 +239,8 @@ class NeuromorphicCore:
 
     def _notifications(self, routes, flag: int, t: int) -> list[Packet]:
         self.counters["scheduler_events"] += len(routes)
-        return [Packet(kind=DEP, src_core=self.cid, dst_core=core,
-                       src_xy=self.coord, dst_xy=dst_xy,
-                       body=DepBody(timestep=t, flag=flag, dep_id=dep_id))
+        cid, coord = self.cid, self.coord
+        return [Packet(DEP, cid, core, coord, dst_xy, DepBody(t, flag, dep_id))
                 for core, dst_xy, dep_id in routes]
 
     # -- packet handlers ----------------------------------------------------
@@ -271,8 +279,8 @@ class NeuromorphicCore:
 
         if self.n_local:
             v_new, fired_mask, clamps = lif_step_arrays(
-                self.v, acc[: self.n_local], self.tau, self.g, self.vr, self.vth
-            )
+                self.v, acc[: self.n_local], self.tau, self.g, self.vr, self.vth,
+                self.lif_bounds)
             self.counters["saturations"] += clamps
             fired = np.nonzero(fired_mask)[0].tolist()
         else:
@@ -303,17 +311,15 @@ class NeuromorphicCore:
 
         self.raster[t] = fired
         spikes: list[Packet] = []
+        cid, coord = self.cid, self.coord
         for i in fired:
             for tgt, w, delay in self.fanout_local[i]:
                 self.counters["synapse_acc"] += 1
                 self.counters["buffer_writes"] += 1
                 self.inputs.receive(t + delay, tgt, w, t)
             for dst_core, dst_xy, syn_id, delay in self.fanout_remote[i]:
-                spikes.append(Packet(
-                    kind=SPIKE, src_core=self.cid, dst_core=dst_core,
-                    src_xy=self.coord, dst_xy=dst_xy,
-                    body=SpikeBody(synapse_id=syn_id, delay=delay, timestep=t),
-                ))
+                spikes.append(Packet(SPIKE, cid, dst_core, coord, dst_xy,
+                                     SpikeBody(syn_id, delay, t)))
         self.inputs.seal(t, spikes)
 
         self.t_cur = t

@@ -290,8 +290,8 @@ def _build_cores(program: CompiledProgram, cfg: SimConfig, t_max: int):
     for lc in program.cores:
         ids = np.array(lc.neuron_ids, dtype=np.int64)
         sel = ids if len(ids) else np.array([], dtype=np.int64)
-        in_tgt = np.array([t for t, _w in lc.in_synapses], dtype=np.int64)
-        in_w = np.array([w for _t, w in lc.in_synapses], dtype=np.int64)
+        in_tgt = [t for t, _w in lc.in_synapses]
+        in_w = [w for _t, w in lc.in_synapses]
 
         fan_remote = [[] for _ in range(len(ids))]
         fan_local = [[] for _ in range(len(ids))]

@@ -166,11 +166,49 @@ def lif_step(
     return NeuronState(v=v_new, acc=0), fired
 
 
-def lif_step_arrays(v, acc, tau_m, g_l, v_rst, v_th):
+def lif_bounds(tau_m, g_l, v_rst):
+    """(tau_m, g_l, v_rst) slice ranges as six ints, the parameter half of
+    the proof ``lif_step_arrays`` runs before it skips clamping."""
+    return (int(tau_m.min()), int(tau_m.max()), int(g_l.min()), int(g_l.max()),
+            int(v_rst.min()), int(v_rst.max()))
+
+
+def lif_step_arrays(v, acc, tau_m, g_l, v_rst, v_th, bounds=None):
     """Vectorized LIF update, bit-identical to ``lif_step`` element-wise.
 
     All arrays int64 holding Q16.16 values. Returns (v_new, fired, clamps).
+    ``bounds`` is ``lif_bounds(tau_m, g_l, v_rst)``, computed here if None.
+
+    From the ranges of ``acc`` and ``v`` and the parameter bounds it first
+    bounds every intermediate: floor division by a positive divisor is
+    monotone in each operand, so the corners of the two ranges bound each
+    quotient. When no bound leaves Q16.16, no clamp can happen and the step
+    runs unclamped; otherwise it clamps step by step.
     """
+    if v.size:
+        t_lo, t_hi, g_lo, g_hi, r_lo, r_hi = (
+            lif_bounds(tau_m, g_l, v_rst) if bounds is None else bounds)
+        a_lo, a_hi = int(acc.min()), int(acc.max())
+        v_lo, v_hi = int(v.min()), int(v.max())
+        if FX_MIN <= a_lo and a_hi <= FX_MAX:
+            a_lo <<= FRAC_BITS
+            a_hi <<= FRAC_BITS
+            d_lo = min(a_lo // g_lo, a_lo // g_hi)
+            d_hi = max(a_hi // g_lo, a_hi // g_hi)
+            l_lo, l_hi = r_lo - v_hi, r_hi - v_lo
+            i_lo, i_hi = (l_lo + d_lo) << FRAC_BITS, (l_hi + d_hi) << FRAC_BITS
+            dv_lo = min(i_lo // t_lo, i_lo // t_hi)
+            dv_hi = max(i_hi // t_lo, i_hi // t_hi)
+            if (FX_MIN <= d_lo and d_hi <= FX_MAX
+                    and FX_MIN <= l_lo and l_hi <= FX_MAX
+                    and FX_MIN <= l_lo + d_lo and l_hi + d_hi <= FX_MAX
+                    and FX_MIN <= dv_lo and dv_hi <= FX_MAX
+                    and FX_MIN <= v_lo + dv_lo and v_hi + dv_hi <= FX_MAX):
+                inner = v_rst - v + (acc << FRAC_BITS) // g_l
+                v_new = v + (inner << FRAC_BITS) // tau_m
+                fired = v_new >= v_th
+                return np.where(fired, v_rst, v_new), fired, 0
+
     clamps = 0
 
     def _sat(x):
@@ -220,6 +258,7 @@ def reference_run(net: Network, diag: SaturationCounter | None = None) -> SpikeR
         return SpikeRaster([])
 
     tau, g, vr, vth, v = neuron_arrays([(p, s.v) for p, s in net.neurons])
+    bounds = lif_bounds(tau, g, vr)
 
     # Adjacency: per-neuron fanout as (targets, weights, delays) arrays.
     fan_dst: list[list[int]] = [[] for _ in range(n)]
@@ -250,7 +289,7 @@ def reference_run(net: Network, diag: SaturationCounter | None = None) -> SpikeR
         acc = ring[slot]
         for nid, cur in ext.get(t, ()):
             acc[nid] += cur
-        v, fired, clamps = lif_step_arrays(v, acc, tau, g, vr, vth)
+        v, fired, clamps = lif_step_arrays(v, acc, tau, g, vr, vth, bounds)
         if diag is not None:
             diag.count += clamps
         ring[slot] = 0

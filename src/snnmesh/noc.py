@@ -97,8 +97,9 @@ def vc_for_packet(p: Packet, n_vc: int) -> int:
 
 class _Router:
     __slots__ = ("coord", "ports", "vc_rr", "out_rr", "reserved", "next_free",
-                 "resident", "vc_mask", "spike_src", "links", "occ_hist",
-                 "_occ_last_cycle")
+                 "resident", "vc_mask", "spike_src", "link_queues",
+                 "link_reserved", "link_router", "link_port", "link_hop",
+                 "occ_hist", "_occ_last_cycle")
 
     def __init__(self, coord: tuple[int, int], n_vc_total: int):
         self.coord = coord
@@ -111,9 +112,14 @@ class _Router:
         self.vc_mask = [0] * 5  # per input port: bit v set iff VC v is non-empty
         # per input port: src_xy -> resident spikes from it (FINISH mask filter)
         self.spike_src: list[dict] = [{} for _ in range(5)]
-        # per output port: (next router's VC queues and credits on the input
-        # port it sees, next router, that port, hop cycles); None off the mesh
-        self.links: list[tuple | None] = [None] * 5
+        # per output port: the next router's VC queues and credits on the
+        # input port it sees, the next router, that port, and the hop cycles;
+        # None off the mesh
+        self.link_queues: list = [None] * 5
+        self.link_reserved: list = [None] * 5
+        self.link_router: list = [None] * 5
+        self.link_port: list = [None] * 5
+        self.link_hop: list = [None] * 5
         self.occ_hist: dict[int, int] = {}
         self._occ_last_cycle = 0
 
@@ -126,8 +132,8 @@ class _Router:
         self.resident += delta
 
 
-# events in MeshNoc._pending: (_HOP, router, port, vc, pkt) or (_DELIVER, pkt)
-_HOP, _DELIVER = 0, 1
+# events in MeshNoc._pending: (router, input port, vc, packet) for a hop,
+# (None, 0, 0, packet) for a delivery
 
 
 class MeshNoc:
@@ -164,8 +170,11 @@ class MeshNoc:
                                or y // cluster_size != ny // cluster_size)
                     hop = cycles_per_hop * (inter_cluster_slowdown if crosses else 1)
                     nxt = self.routers[ny * w + nx]
-                    r.links[out] = (nxt.ports[in_port], nxt.reserved[in_port],
-                                    nxt, in_port, hop)
+                    r.link_queues[out] = nxt.ports[in_port]
+                    r.link_reserved[out] = nxt.reserved[in_port]
+                    r.link_router[out] = nxt
+                    r.link_port[out] = in_port
+                    r.link_hop[out] = hop
         self._pending: dict[int, list] = {}  # cycle -> events in order
         self._pending_heap: list[int] = []
         self.injected = {SPIKE: 0, DEP: 0}
@@ -179,23 +188,30 @@ class MeshNoc:
     # -- public surface ----------------------------------------------------
 
     def inject(self, at: tuple[int, int], packet: Packet, cycle: int) -> None:
-        packet.validate()
-        packet.src_xy = tuple(packet.src_xy)  # keys the FINISH mask's spike counts
-        if tuple(at) != packet.src_xy:
-            raise NocError(
-                f"inject at {at} but packet originates at {packet.src_xy}"
-            )
-        route_xy(packet.src_xy, packet.dst_xy, self.grid)  # bounds check
-        packet.vc = vc_for_packet(packet, self.n_vc)
-        r = self.routers[at[1] * self.grid[0] + at[0]]
-        r.ports[PORT_LOCAL][packet.vc].append(packet)
-        r.vc_mask[PORT_LOCAL] |= 1 << packet.vc
-        if packet.kind == SPIKE:
+        kind = packet.kind
+        if type(packet.body) is not _BODY_TYPES.get(kind):
+            packet.validate()  # raises unless the body is a subclass
+        src_xy = packet.src_xy
+        if type(src_xy) is not tuple:
+            # keys the FINISH mask's spike counts
+            src_xy = packet.src_xy = tuple(src_xy)
+        if at != src_xy and tuple(at) != src_xy:
+            raise NocError(f"inject at {at} but packet originates at {src_xy}")
+        w, h = self.grid
+        sx, sy = src_xy
+        dx, dy = packet.dst_xy
+        if not (0 <= sx < w and 0 <= sy < h and 0 <= dx < w and 0 <= dy < h):
+            route_xy(src_xy, packet.dst_xy, self.grid)  # raises
+        vc = packet.vc = vc_for_packet(packet, self.n_vc)
+        r = self.routers[sy * w + sx]
+        r.ports[PORT_LOCAL][vc].append(packet)
+        r.vc_mask[PORT_LOCAL] |= 1 << vc
+        if kind == SPIKE:
             src = r.spike_src[PORT_LOCAL]
-            src[packet.src_xy] = src.get(packet.src_xy, 0) + 1
+            src[src_xy] = src.get(src_xy, 0) + 1
         r.occ_change(+1, cycle)
         self.queued += 1
-        self.injected[packet.kind] += 1
+        self.injected[kind] += 1
 
     def next_pending_cycle(self) -> int | None:
         while self._pending_heap:
@@ -212,27 +228,27 @@ class MeshNoc:
         events = self._pending.pop(cycle, None)
         if not events:
             return delivered
+        counts = self.delivered
         hops_landed = 0
-        for ev in events:
-            if ev[0] == _HOP:
-                _, r, port, vc, pkt = ev
-                r.ports[port][vc].append(pkt)
-                r.vc_mask[port] |= 1 << vc
-                r.reserved[port][vc] -= 1
-                if pkt.kind == SPIKE:
-                    src = r.spike_src[port]
-                    src[pkt.src_xy] = src.get(pkt.src_xy, 0) + 1
-                last = r._occ_last_cycle
-                if cycle > last:
-                    hist = r.occ_hist
-                    hist[r.resident] = hist.get(r.resident, 0) + cycle - last
-                    r._occ_last_cycle = cycle
-                r.resident += 1
-                hops_landed += 1
-            else:
-                pkt = ev[1]
+        for r, port, vc, pkt in events:
+            if r is None:
                 delivered.append(pkt)
-                self.delivered[pkt.kind] += 1
+                counts[pkt.kind] += 1
+                continue
+            r.ports[port][vc].append(pkt)
+            r.vc_mask[port] |= 1 << vc
+            r.reserved[port][vc] -= 1
+            if pkt.kind == SPIKE:
+                src = r.spike_src[port]
+                key = pkt.src_xy
+                src[key] = src.get(key, 0) + 1
+            last = r._occ_last_cycle
+            if cycle > last:
+                hist = r.occ_hist
+                hist[r.resident] = hist.get(r.resident, 0) + cycle - last
+                r._occ_last_cycle = cycle
+            r.resident += 1
+            hops_landed += 1
         self.queued += hops_landed
         return delivered
 
@@ -247,16 +263,19 @@ class MeshNoc:
         n_q = self.n_vc_total
         depth = self.fifo_depth
         cph = self.cycles_per_hop
-        blocked = self.blocked
         pending = self._pending
         rr_orders = self._rr_orders
+        blocked_spike = blocked_dep = moved = 0
         for r in self.routers:
             if not r.resident:
                 continue
             cx, cy = r.coord
             ports = r.ports
             out_rr = r.out_rr
-            wins = [None, None, None, None, None]
+            next_free = r.next_free
+            link_queues = r.link_queues
+            link_reserved = r.link_reserved
+            wins = None  # output port -> (port, vc, packet, round-robin-first vc)
             for port, mask in enumerate(r.vc_mask):
                 if not mask:
                     continue
@@ -281,28 +300,38 @@ class MeshNoc:
                         out = PORT_S
                     else:
                         out = PORT_LOCAL
-                    if out != PORT_LOCAL:
-                        nxt_queues, nxt_reserved, _nxt, _in_port, _hop = r.links[out]
-                        if (cycle < r.next_free[out]
-                                or len(nxt_queues[vc]) + nxt_reserved[vc] >= depth):
-                            continue
+                    if out != PORT_LOCAL and (
+                            cycle < next_free[out]
+                            or len(link_queues[out][vc]) + link_reserved[out][vc] >= depth):
+                        continue
                     if (pkt.kind == DEP and pkt.body.flag == FLAG_FINISH
                             and r.spike_src[port].get(pkt.src_xy)
                             and self._finish_masked(r, port, pkt)):
                         continue
+                    if wins is None:
+                        wins = [None, None, None, None, None]
                     held = wins[out]
                     if held is None:
                         wins[out] = (port, vc, pkt, order[0])
+                        break
+                    ptr = out_rr[out]
+                    if (port - ptr) % 5 < (held[0] - ptr) % 5:
+                        loser = ports[held[0]][held[3]][0]
+                        wins[out] = (port, vc, pkt, order[0])
                     else:
-                        ptr = out_rr[out]
-                        if (port - ptr) % 5 < (held[0] - ptr) % 5:
-                            blocked[ports[held[0]][held[3]][0].kind] += 1
-                            wins[out] = (port, vc, pkt, order[0])
-                        else:
-                            blocked[queues[order[0]][0].kind] += 1
+                        loser = queues[order[0]][0]
+                    if loser.kind == SPIKE:
+                        blocked_spike += 1
+                    else:
+                        blocked_dep += 1
                     break
                 else:
-                    blocked[queues[order[0]][0].kind] += 1
+                    if queues[order[0]][0].kind == SPIKE:
+                        blocked_spike += 1
+                    else:
+                        blocked_dep += 1
+            if wins is None:
+                continue
 
             granted = 0
             for out, win in enumerate(wins):
@@ -319,28 +348,30 @@ class MeshNoc:
                 out_rr[out] = port + 1 if port < 4 else 0
                 granted += 1
                 if out == PORT_LOCAL:
-                    at, ev = cycle + cph, (_DELIVER, pkt)
+                    at, ev = cycle + cph, (None, 0, 0, pkt)
                 else:
-                    _q, nxt_reserved, nxt, in_port, hop = r.links[out]
-                    nxt_reserved[vc] += 1
+                    link_reserved[out][vc] += 1
+                    hop = r.link_hop[out]
                     if hop > cph:
-                        r.next_free[out] = cycle + self.slowdown
-                    at, ev = cycle + hop, (_HOP, nxt, in_port, vc, pkt)
+                        next_free[out] = cycle + self.slowdown
+                    at, ev = cycle + hop, (r.link_router[out], r.link_port[out], vc, pkt)
                 bucket = pending.get(at)
                 if bucket is None:
                     pending[at] = [ev]
                     heapq.heappush(self._pending_heap, at)
                 else:
                     bucket.append(ev)
-            if granted:
-                last = r._occ_last_cycle
-                if cycle > last:
-                    hist = r.occ_hist
-                    hist[r.resident] = hist.get(r.resident, 0) + cycle - last
-                    r._occ_last_cycle = cycle
-                r.resident -= granted
-                self.queued -= granted
-                self.hops += granted
+            last = r._occ_last_cycle
+            if cycle > last:
+                hist = r.occ_hist
+                hist[r.resident] = hist.get(r.resident, 0) + cycle - last
+                r._occ_last_cycle = cycle
+            r.resident -= granted
+            moved += granted
+        self.queued -= moved
+        self.hops += moved
+        self.blocked[SPIKE] += blocked_spike
+        self.blocked[DEP] += blocked_dep
 
     # -- arbitration -------------------------------------------------------
 

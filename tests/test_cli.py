@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from snnmesh import cli
 from snnmesh.cli import (
     EXIT_BAD_INPUT,
     EXIT_COMPILE,
@@ -364,6 +365,45 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
     assert main(base + ["--out", str(serial)]) == EXIT_OK
     assert main(base + ["--jobs", "2", "--out", str(parallel)]) == EXIT_OK
     assert serial.read_text() == parallel.read_text()
+
+
+def test_sweep_simulates_each_distinct_point_once(tmp_path, monkeypatch):
+    # m is a config axis: one program, and a run per (m, mode) whatever
+    # the seed; the seed-1 rows copy the seed-0 rows
+    calls = {"compile_network": 0, "run": 0}
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    results = tmp_path / "results.csv"
+    assert main(["sweep", "--workload", str(FIXTURES / "tiny_workload.json"),
+                 "--axis", "m=2,4,8", "--seeds", "0,1", "--grid", "2x2",
+                 "--out", str(results)]) == EXIT_OK
+    assert calls == {"compile_network": 1, "run": 9}
+    rows = list(csv.DictReader(results.open()))
+    assert len(rows) == 18
+    by_seed = {seed: [{k: v for k, v in r.items() if k != "seed"}
+                      for r in rows if r["seed"] == seed] for seed in ("0", "1")}
+    assert by_seed["0"] == by_seed["1"]
+
+
+def test_sweep_copied_rows_match_in_parallel(tmp_path):
+    serial = tmp_path / "serial.csv"
+    parallel = tmp_path / "parallel.csv"
+    base = ["sweep", "--workload", str(FIXTURES / "tiny_workload.json"),
+            "--axis", "m=2,4", "--modes", "sync,se", "--grid", "2x2",
+            "--seeds", "0,1", "--reps", "2"]
+    assert main(base + ["--out", str(serial)]) == EXIT_OK
+    assert main(base + ["--jobs", "2", "--out", str(parallel)]) == EXIT_OK
+    assert serial.read_text() == parallel.read_text()
+    assert len(serial.read_text().splitlines()) == 1 + 2 * 2 * 2 * 2
 
 
 def test_console_entry_point_smoke():

@@ -143,6 +143,21 @@ class TestInputStore:
         read(store, 1)
         assert read(store, 2) == [4]
 
+    @pytest.mark.parametrize("n_receptions", [1, 2, 40, 200])
+    def test_take_sums_receptions_per_neuron(self, n_receptions):
+        # few receptions for many neurons and many for few take different
+        # summing paths; both give the exact int64 sums
+        rng = np.random.default_rng(n_receptions)
+        store = InputStore(16, window=1)
+        want = [0] * 16
+        for tgt, w in zip(rng.integers(0, 16, n_receptions).tolist(),
+                          rng.integers(-(1 << 31), 1 << 31, n_receptions).tolist()):
+            store.receive(0, tgt, w)
+            want[tgt] += w
+        acc = store.take(0, None)
+        assert acc.dtype == np.int64
+        assert acc.tolist() == want
+
     def test_speculative_store_has_no_window(self):
         store = SpeculativeStore(1, np.zeros(1, dtype=np.int64))
         assert store.receive(9, 0, 1) is None  # far ahead: kept

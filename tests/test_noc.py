@@ -125,6 +125,34 @@ class TestLatency:
             mesh.inject((1, 0), spike((0, 0), (2, 2)), cycle=0)
 
 
+class TestInjectChecks:
+    @pytest.mark.parametrize("packet", [
+        Packet(kind=SPIKE, src_core=0, dst_core=0, src_xy=(0, 0), dst_xy=(1, 1),
+               body=DepBody(timestep=0, flag=FLAG_FINISH, dep_id=0)),
+        Packet(kind="BOGUS", src_core=0, dst_core=0, src_xy=(0, 0), dst_xy=(1, 1),
+               body=SpikeBody(synapse_id=0, delay=1, timestep=0)),
+        spike((4, 0), (0, 0)),
+        spike((0, 0), (0, 4)),
+        spike((0, 0), (-1, 2)),
+    ], ids=["wrong-body", "unknown-kind", "source-off-grid", "destination-off-grid",
+            "negative-destination"])
+    def test_rejected_packet_leaves_no_trace(self, packet):
+        mesh = MeshNoc((4, 4))
+        with pytest.raises(NocError):
+            mesh.inject(packet.src_xy, packet, cycle=0)
+        assert mesh.queued == 0
+        assert mesh.injected == {SPIKE: 0, DEP: 0}
+
+    def test_list_coordinates_are_accepted_as_tuples(self):
+        mesh = SteppedNoc((4, 4))
+        p = spike([1, 2], [2, 2])
+        mesh.inject([1, 2], p, cycle=0)
+        assert p.src_xy == (1, 2) and type(p.src_xy) is tuple
+        _cycle, delivered = mesh.drain(0)
+        assert delivered == [p]
+        assert mesh.eject((2, 2)) == [p]
+
+
 class TestFinishMask:
     def test_spike_always_beats_cohabiting_finish(self):
         # Same source, same input port: the FINISH may not leave before the
