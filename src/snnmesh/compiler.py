@@ -1,16 +1,23 @@
 """Compile a Network onto logic cores: partitioning, dependency extraction
-with reverse-index routing for control packets, and mesh placement."""
+with reverse-index routing for control packets, and mesh placement. A
+compiled program builds its runtime image, the read-only tables every run
+of it shares, once."""
 
 from __future__ import annotations
 
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .fixedpoint import from_str, to_str
 from .model import (
     Network,
     NeuronParams,
+    lif_bounds,
+    neuron_arrays,
     neurons_and_inputs_from_dict,
     neurons_and_inputs_to_dict,
 )
@@ -29,22 +36,13 @@ class Capacity:
     max_deps: int = MAX_DEPS_PER_CORE
 
 
-@dataclass(frozen=True)
-class FanoutEntry:
-    """One outgoing synapse: route to ``dst_core`` and activate its synapse
-    row ``synapse_id`` (local target and weight) after ``delay`` timesteps."""
-
-    dst_core: int
-    synapse_id: int
-    delay: int
-
-
 @dataclass
 class LogicCore:
     id: int
     neuron_ids: list[int]
-    # local source index -> outgoing synapses
-    fanout: dict[int, list[FanoutEntry]] = field(default_factory=dict)
+    # local source index -> outgoing synapses as (dst_core, synapse_id,
+    # delay): activate row synapse_id of dst_core after delay timesteps
+    fanout: dict[int, list[tuple[int, int, int]]] = field(default_factory=dict)
     # incoming synapse table: row id -> (local target index, weight)
     in_synapses: list[tuple[int, int]] = field(default_factory=list)
 
@@ -56,13 +54,6 @@ class DepGraph:
 
     pre: list[list[int]]
     post: list[list[int]]
-
-    @property
-    def n_cores(self) -> int:
-        return len(self.pre)
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(a, b) for a in range(self.n_cores) for b in self.post[a]]
 
     def finish_routes(self, core: int) -> list[tuple[int, int]]:
         """(post-dep core, row in its pre table) for FINISH packets."""
@@ -91,9 +82,88 @@ class CompiledProgram:
     def n_cores(self) -> int:
         return len(self.cores)
 
-    @property
-    def n_neurons(self) -> int:
-        return len(self.neuron_params)
+    @cached_property
+    def image(self) -> tuple[CoreImage, ...]:
+        """The runtime image, built on first use and shared by every run of
+        this program: no field of a program may change once it has run."""
+        return build_image(self)
+
+
+@dataclass(frozen=True)
+class CoreImage:
+    """One core's tables as the simulator reads them. Fixed by the program,
+    shared by all its runs; the arrays are read-only."""
+
+    cid: int
+    coord: tuple[int, int]
+    neuron_ids: tuple[int, ...]
+    # per local neuron: tau_m, g_l, v_rst, v_th, initial potential
+    tau: np.ndarray
+    g: np.ndarray
+    vr: np.ndarray
+    vth: np.ndarray
+    v0: np.ndarray
+    lif_bounds: tuple[int, ...] | None  # model.lif_bounds; None if no neurons
+    in_syn_target: tuple[int, ...]  # synapse id -> local target
+    in_syn_weight: tuple[int, ...]  # synapse id -> weight
+    # per local neuron: ((target_local, weight, delay), ...)
+    fanout_local: tuple[tuple[tuple[int, int, int], ...], ...]
+    # per local neuron: ((dst_core, dst_xy, synapse_id, delay), ...)
+    fanout_remote: tuple[tuple[tuple, ...], ...]
+    # per timestep: (local index array, current array), or None without input
+    external: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
+    start_routes: tuple[tuple, ...]   # ((pre core, dst_xy, dep_id), ...)
+    finish_routes: tuple[tuple, ...]  # ((post core, dst_xy, dep_id), ...)
+
+
+def build_image(prog: CompiledProgram) -> tuple[CoreImage, ...]:
+    """Every core's runtime tables: parameter slices, the in-synapse table,
+    local and remote fanout per neuron, external input per timestep and
+    the START/FINISH routes with their coordinates."""
+    params = neuron_arrays(prog.neuron_params)
+    placement, graph = prog.placement, prog.dep_graph
+    images = []
+    for lc in prog.cores:
+        n_local = len(lc.neuron_ids)
+        sliced = params[:, lc.neuron_ids]
+        sliced.flags.writeable = False  # and with it each row
+        tau, g, vr, vth, v0 = sliced
+
+        fan_local = [[] for _ in range(n_local)]
+        fan_remote = [[] for _ in range(n_local)]
+        for local, entries in lc.fanout.items():
+            for dst, syn, delay in entries:
+                if dst == lc.id:
+                    tgt, weight = lc.in_synapses[syn]
+                    fan_local[local].append((tgt, weight, delay))
+                else:
+                    fan_remote[local].append((dst, placement[dst], syn, delay))
+
+        ext: dict[int, list[tuple[int, int]]] = {}
+        for li, nid in enumerate(lc.neuron_ids):
+            for t, cur in prog.inputs.get(nid, ()):
+                ext.setdefault(t, []).append((li, cur))
+        external = [None] * prog.t_max
+        for t, rows in ext.items():
+            idx_cur = np.array(rows, dtype=np.int64).T.copy()
+            idx_cur.flags.writeable = False
+            external[t] = tuple(idx_cur)
+
+        images.append(CoreImage(
+            cid=lc.id, coord=placement[lc.id], neuron_ids=tuple(lc.neuron_ids),
+            tau=tau, g=g, vr=vr, vth=vth, v0=v0,
+            lif_bounds=lif_bounds(tau, g, vr) if n_local else None,
+            in_syn_target=tuple(t for t, _w in lc.in_synapses),
+            in_syn_weight=tuple(w for _t, w in lc.in_synapses),
+            fanout_local=tuple(map(tuple, fan_local)),
+            fanout_remote=tuple(map(tuple, fan_remote)),
+            external=tuple(external),
+            start_routes=tuple((a, placement[a], dep_id)
+                               for a, dep_id in graph.start_routes(lc.id)),
+            finish_routes=tuple((b, placement[b], dep_id)
+                                for b, dep_id in graph.finish_routes(lc.id)),
+        ))
+    return tuple(images)
 
 
 def _assign_round_robin(n_neurons: int, n_cores: int) -> list[int]:
@@ -181,8 +251,8 @@ def partition(
         dst_core = assign[s.dst]
         syn_id = len(cores[dst_core].in_synapses)
         cores[dst_core].in_synapses.append((local_idx[s.dst], s.weight))
-        entry = FanoutEntry(dst_core=dst_core, synapse_id=syn_id, delay=s.delay)
-        cores[src_core].fanout.setdefault(local_idx[s.src], []).append(entry)
+        cores[src_core].fanout.setdefault(local_idx[s.src], []).append(
+            (dst_core, syn_id, s.delay))
         syn_per_core[dst_core] += 1
         if syn_per_core[dst_core] > capacity.max_synapses:
             raise CompileError(
@@ -199,9 +269,9 @@ def extract_deps(cores: list[LogicCore], capacity: Capacity = Capacity()) -> Dep
     out_sets: list[set[int]] = [set() for _ in range(n)]
     for c in cores:
         for entries in c.fanout.values():
-            for e in entries:
-                if e.dst_core != c.id:
-                    out_sets[c.id].add(e.dst_core)
+            for dst_core, _syn, _delay in entries:
+                if dst_core != c.id:
+                    out_sets[c.id].add(dst_core)
     pre: list[list[int]] = [[] for _ in range(n)]
     post: list[list[int]] = [sorted(s) for s in out_sets]
     for a in range(n):
@@ -260,19 +330,6 @@ def map_hilbert(cores: list[LogicCore], grid: tuple[int, int]) -> list[tuple[int
         )
         return map_plain(cores, grid)
     return [hilbert_index_to_xy(w, i) for i in range(len(cores))]
-
-
-def avg_dep_distance(placement: list[tuple[int, int]], graph: DepGraph) -> float:
-    """Mean Manhattan hop distance over all dependency edges (0.0 if none)."""
-    edges = graph.edges()
-    if not edges:
-        return 0.0
-    total = 0
-    for a, b in edges:
-        xa, ya = placement[a]
-        xb, yb = placement[b]
-        total += abs(xa - xb) + abs(ya - yb)
-    return total / len(edges)
 
 
 def compile_network(
@@ -359,8 +416,8 @@ def _core_to_dict(c: LogicCore) -> dict:
         "neuron_ids": list(c.neuron_ids),
         "fanout": {
             str(local): [
-                {"dst_core": e.dst_core, "synapse_id": e.synapse_id, "delay": e.delay}
-                for e in entries
+                {"dst_core": dst, "synapse_id": syn, "delay": delay}
+                for dst, syn, delay in entries
             ]
             for local, entries in sorted(c.fanout.items())
         },
@@ -418,13 +475,12 @@ def _check_program(cores: list[LogicCore], coords: list[tuple[int, int]],
             if not index(local, n_local):
                 raise CompileError(
                     f"core {c.id}: fanout key {local} outside its {n_local} neurons")
-            for e in entries:
-                if not (index(e.dst_core, n_cores) and
-                        index(e.synapse_id, len(cores[e.dst_core].in_synapses))):
-                    raise CompileError(f"core {c.id}: {e} names no synapse row")
-                if type(e.delay) is not int or not 1 <= e.delay <= max_delay:
+            for dst, syn, delay in entries:
+                if not (index(dst, n_cores) and index(syn, len(cores[dst].in_synapses))):
+                    raise CompileError(f"core {c.id}: fanout {dst, syn} names no synapse row")
+                if type(delay) is not int or not 1 <= delay <= max_delay:
                     raise CompileError(
-                        f"core {c.id}: {e} has a delay outside 1..{max_delay}")
+                        f"core {c.id}: fanout delay {delay!r} outside 1..{max_delay}")
         for target, _w in c.in_synapses:
             if not index(target, n_local):
                 raise CompileError(f"core {c.id}: incoming synapse target "
@@ -446,11 +502,8 @@ def program_from_dict(doc: dict) -> CompiledProgram:
                 id=cd["id"],
                 neuron_ids=list(cd["neuron_ids"]),
                 fanout={
-                    int(local): [
-                        FanoutEntry(dst_core=e["dst_core"], synapse_id=e["synapse_id"],
-                                    delay=e["delay"])
-                        for e in entries
-                    ]
+                    int(local): [(e["dst_core"], e["synapse_id"], e["delay"])
+                                 for e in entries]
                     for local, entries in cd["fanout"].items()
                 },
                 in_synapses=[(e["target"], from_str(e["weight"]))

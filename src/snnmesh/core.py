@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import lif_bounds, lif_step_arrays
+from .model import lif_step_arrays
 from .noc import (
     DEP,
     FLAG_FINISH,
@@ -176,38 +176,29 @@ class SpeculativeStore(InputStore):
 
 
 class NeuromorphicCore:
-    """One core's slice of the network plus its forwarding state.
+    """One core's run state over its shared, read-only ``image``
+    (``compiler.CoreImage``).
 
     ``inputs`` is the core's input store (``InputStore`` or
-    ``SpeculativeStore``); ``start_routes``/``finish_routes`` are empty
-    unless the protocol exchanges dependency notifications."""
+    ``SpeculativeStore``); the core sends START/FINISH notifications along
+    the image's routes only if ``notifies``."""
 
-    def __init__(self, cid, coord, neuron_ids, tau, g, vr, vth, v0,
-                 in_syn_target, in_syn_weight, fanout_remote, fanout_local,
-                 external, inputs, start_routes, finish_routes, t_max,
-                 c_update, c_spike):
-        self.cid = cid
-        self.coord = coord
-        self.neuron_ids = neuron_ids
-        self.n_local = len(neuron_ids)
-        self.tau, self.g, self.vr, self.vth = tau, g, vr, vth
-        self.lif_bounds = lif_bounds(tau, g, vr) if self.n_local else None
-        self.v = v0.copy()
-        self.in_syn_target = in_syn_target  # synapse id -> local target
-        self.in_syn_weight = in_syn_weight  # synapse id -> weight
-        # per local neuron: [(dst_core, dst_xy, synapse_id, delay)]
-        self.fanout_remote = fanout_remote
-        # per local neuron: [(target_local, weight, delay)]
-        self.fanout_local = fanout_local
-        self.external = external  # t -> (idx array, current array)
+    def __init__(self, image, inputs, notifies: bool, t_max: int,
+                 c_update: int, c_spike: int):
+        self.image = image
+        self.cid = image.cid
+        self.coord = image.coord
+        self.neuron_ids = image.neuron_ids
+        self.n_local = len(image.neuron_ids)
+        self.v = image.v0.copy()
         self.inputs = inputs
-        self.start_routes = start_routes    # [(pre core, dst_xy, dep_id)]
-        self.finish_routes = finish_routes  # [(post core, dst_xy, dep_id)]
+        self.start_routes = image.start_routes if notifies else ()
+        self.finish_routes = image.finish_routes if notifies else ()
         self.t_max = t_max
         self.c_update = c_update
         self.c_spike = c_spike
 
-        self.tables = DependencyTables(len(start_routes), len(finish_routes))
+        self.tables = DependencyTables(len(self.start_routes), len(self.finish_routes))
 
         self.t_cur = -1
         self.frontier = -1  # highest timestep ever completed
@@ -255,8 +246,8 @@ class NeuromorphicCore:
         when a speculative core has already read that spike's timestep,
         otherwise None."""
         body = pkt.body
-        tgt = self.in_syn_target[body.synapse_id]
-        w = self.in_syn_weight[body.synapse_id]
+        tgt = self.image.in_syn_target[body.synapse_id]
+        w = self.image.in_syn_weight[body.synapse_id]
         if body.anti:
             w = -w
         self.counters["synapse_acc"] += 1
@@ -269,25 +260,26 @@ class NeuromorphicCore:
         """Start computing timestep t_cur + 1. Returns (cost in cycles, START
         packets to inject). The full result is computed eagerly; it becomes
         visible only at completion."""
+        img = self.image
         t = self.t_cur + 1
         acc = self.inputs.take(t, self.v)
         self.counters["buffer_reads"] += self.n_local
 
-        ext = self.external.get(t)
+        ext = img.external[t]
         if ext is not None:
             np.add.at(acc, ext[0], ext[1])
 
         if self.n_local:
             v_new, fired_mask, clamps = lif_step_arrays(
-                self.v, acc[: self.n_local], self.tau, self.g, self.vr, self.vth,
-                self.lif_bounds)
+                self.v, acc[: self.n_local], img.tau, img.g, img.vr, img.vth,
+                img.lif_bounds)
             self.counters["saturations"] += clamps
             fired = np.nonzero(fired_mask)[0].tolist()
         else:
             v_new, fired = self.v, []
 
         emissions = sum(
-            len(self.fanout_remote[i]) + len(self.fanout_local[i]) for i in fired
+            len(img.fanout_remote[i]) + len(img.fanout_local[i]) for i in fired
         )
         cost = max(1, self.c_update * self.n_local + self.c_spike * emissions)
 
@@ -312,12 +304,13 @@ class NeuromorphicCore:
         self.raster[t] = fired
         spikes: list[Packet] = []
         cid, coord = self.cid, self.coord
+        fanout_local, fanout_remote = self.image.fanout_local, self.image.fanout_remote
         for i in fired:
-            for tgt, w, delay in self.fanout_local[i]:
+            for tgt, w, delay in fanout_local[i]:
                 self.counters["synapse_acc"] += 1
                 self.counters["buffer_writes"] += 1
                 self.inputs.receive(t + delay, tgt, w, t)
-            for dst_core, dst_xy, syn_id, delay in self.fanout_remote[i]:
+            for dst_core, dst_xy, syn_id, delay in fanout_remote[i]:
                 spikes.append(Packet(SPIKE, cid, dst_core, coord, dst_xy,
                                      SpikeBody(syn_id, delay, t)))
         self.inputs.seal(t, spikes)

@@ -19,8 +19,6 @@ import json
 import numbers
 from dataclasses import dataclass, field, asdict
 
-import numpy as np
-
 from . import metrics
 from .compiler import CompiledProgram
 from .core import (
@@ -31,7 +29,6 @@ from .core import (
     SpeculativeStore,
     advance_condition,
 )
-from .model import neuron_arrays
 from .noc import DEP, SPIKE, MeshNoc
 
 
@@ -56,8 +53,8 @@ class Protocol:
         self.cfg, self.t_max = cfg, t_max
 
     @staticmethod
-    def new_inputs(cfg: SimConfig, max_delay: int, n_local: int, v0):
-        return InputStore(n_local, max_delay + cfg.m - 1)
+    def new_inputs(cfg: SimConfig, max_delay: int, image):
+        return InputStore(len(image.neuron_ids), max_delay + cfg.m - 1)
 
     def admits(self, core: NeuromorphicCore) -> bool:
         raise NotImplementedError
@@ -100,8 +97,8 @@ class Speculative(Protocol):
         self.epoch_end = min(cfg.period, t_max)
 
     @staticmethod
-    def new_inputs(cfg, max_delay, n_local, v0):
-        return SpeculativeStore(n_local, v0)
+    def new_inputs(cfg, max_delay, image):
+        return SpeculativeStore(len(image.neuron_ids), image.v0)
 
     def admits(self, core):
         return core.t_cur + 1 < self.epoch_end
@@ -281,61 +278,13 @@ class SimReport:
         }
 
 
-def _build_cores(program: CompiledProgram, cfg: SimConfig, t_max: int):
+def new_cores(program: CompiledProgram, cfg: SimConfig,
+              t_max: int) -> list[NeuromorphicCore]:
+    """Fresh run state for ``cfg`` over the program's shared runtime image."""
     protocol = PROTOCOLS[cfg.mode]
-    tau, g, vr, vth, v0 = neuron_arrays(program.neuron_params)
-    placement = program.placement
-    graph = program.dep_graph
-    cores = []
-    for lc in program.cores:
-        ids = np.array(lc.neuron_ids, dtype=np.int64)
-        sel = ids if len(ids) else np.array([], dtype=np.int64)
-        in_tgt = [t for t, _w in lc.in_synapses]
-        in_w = [w for _t, w in lc.in_synapses]
-
-        fan_remote = [[] for _ in range(len(ids))]
-        fan_local = [[] for _ in range(len(ids))]
-        for local, entries in lc.fanout.items():
-            for e in entries:
-                if e.dst_core == lc.id:
-                    tgt_local, weight = lc.in_synapses[e.synapse_id]
-                    fan_local[local].append((tgt_local, weight, e.delay))
-                else:
-                    fan_remote[local].append(
-                        (e.dst_core, placement[e.dst_core], e.synapse_id, e.delay)
-                    )
-
-        ext: dict[int, tuple[list, list]] = {}
-        for li, nid in enumerate(lc.neuron_ids):
-            for t, cur in program.inputs.get(nid, ()):
-                if t >= t_max:
-                    continue
-                ext.setdefault(t, ([], []))
-                ext[t][0].append(li)
-                ext[t][1].append(cur)
-        ext_np = {
-            t: (np.array(idx, dtype=np.int64), np.array(cur, dtype=np.int64))
-            for t, (idx, cur) in ext.items()
-        }
-
-        start_routes, finish_routes = [], []
-        if protocol.notifies:
-            start_routes = [(a, placement[a], dep_id)
-                            for a, dep_id in graph.start_routes(lc.id)]
-            finish_routes = [(b, placement[b], dep_id)
-                             for b, dep_id in graph.finish_routes(lc.id)]
-
-        cores.append(NeuromorphicCore(
-            cid=lc.id, coord=placement[lc.id], neuron_ids=list(lc.neuron_ids),
-            tau=tau[sel], g=g[sel], vr=vr[sel], vth=vth[sel], v0=v0[sel],
-            in_syn_target=in_tgt, in_syn_weight=in_w,
-            fanout_remote=fan_remote, fanout_local=fan_local,
-            external=ext_np,
-            inputs=protocol.new_inputs(cfg, program.max_delay, len(ids), v0[sel]),
-            start_routes=start_routes, finish_routes=finish_routes,
-            t_max=t_max, c_update=cfg.c_update, c_spike=cfg.c_spike,
-        ))
-    return cores
+    return [NeuromorphicCore(image, protocol.new_inputs(cfg, program.max_delay, image),
+                             protocol.notifies, t_max, cfg.c_update, cfg.c_spike)
+            for image in program.image]
 
 
 def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
@@ -350,7 +299,7 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
 
     t_max = program.t_max if cfg.t_max is None else min(cfg.t_max, program.t_max)
     protocol = PROTOCOLS[cfg.mode](cfg, t_max)
-    cores = _build_cores(program, cfg, t_max)
+    cores = new_cores(program, cfg, t_max)
     n_cores = len(cores)
     mesh = MeshNoc(cfg.grid, n_vc=cfg.n_vc, cycles_per_hop=cfg.cycles_per_hop,
                    fifo_depth=cfg.fifo_depth,

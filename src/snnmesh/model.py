@@ -233,17 +233,10 @@ def lif_step_arrays(v, acc, tau_m, g_l, v_rst, v_th, bounds=None):
 
 
 def neuron_arrays(neurons):
-    """Struct-of-arrays view (tau_m, g_l, v_rst, v_th, v0) of a sequence of
-    (NeuronParams, initial potential) pairs."""
-    n = len(neurons)
-    tau = np.empty(n, dtype=np.int64)
-    g = np.empty(n, dtype=np.int64)
-    vr = np.empty(n, dtype=np.int64)
-    vth = np.empty(n, dtype=np.int64)
-    v0 = np.empty(n, dtype=np.int64)
-    for i, (p, v) in enumerate(neurons):
-        tau[i], g[i], vr[i], vth[i], v0[i] = p.tau_m, p.g_l, p.v_rst, p.v_th, v
-    return tau, g, vr, vth, v0
+    """Struct-of-arrays view of a sequence of (NeuronParams, initial
+    potential) pairs: one int64 row each for tau_m, g_l, v_rst, v_th, v0."""
+    rows = [(p.tau_m, p.g_l, p.v_rst, p.v_th, v) for p, v in neurons]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 5).T.copy()
 
 
 def reference_run(net: Network, diag: SaturationCounter | None = None) -> SpikeRaster:

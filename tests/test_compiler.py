@@ -9,7 +9,6 @@ from snnmesh.compiler import (
     Capacity,
     CompileError,
     DepGraph,
-    avg_dep_distance,
     compile_network,
     exchange_with_core0,
     exchanged_assignment,
@@ -28,6 +27,23 @@ from snnmesh.fixedpoint import fx
 from snnmesh.model import Network, NeuronParams, NeuronState, Synapse, gen_layered, gen_synthetic
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def dep_edges(graph: DepGraph) -> list[tuple[int, int]]:
+    return [(a, b) for a, post in enumerate(graph.post) for b in post]
+
+
+def avg_dep_distance(placement: list[tuple[int, int]], graph: DepGraph) -> float:
+    """Mean Manhattan hop distance over all dependency edges (0.0 if none)."""
+    edges = dep_edges(graph)
+    if not edges:
+        return 0.0
+    total = 0
+    for a, b in edges:
+        xa, ya = placement[a]
+        xb, yb = placement[b]
+        total += abs(xa - xb) + abs(ya - yb)
+    return total / len(edges)
 
 
 def simple_net(n, synapse_pairs, t_max=4):
@@ -113,7 +129,7 @@ class TestExtractDeps:
             if a != b:
                 expected.add((a, b))
         g = extract_deps(cores)
-        assert set(g.edges()) == expected
+        assert set(dep_edges(g)) == expected
 
     def test_symmetry_invariant(self):
         net = gen_synthetic(40, 300, seed=13, t_max=4)

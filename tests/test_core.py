@@ -172,12 +172,12 @@ class TestPacketEmission:
 
     def _cores(self):
         from conftest import build_diamond_trace_program
-        from snnmesh.engine import SimConfig, _build_cores
+        from snnmesh.engine import SimConfig, new_cores
 
         _net, prog = build_diamond_trace_program()
         cfg = SimConfig(grid=(2, 2), mode="depasync", m=2, c_update=10,
                         c_spike=20)
-        return prog, _build_cores(prog, cfg, t_max=prog.t_max)
+        return prog, new_cores(prog, cfg, t_max=prog.t_max)
 
     def test_start_notifications_go_to_pre_dependencies(self):
         prog, cores = self._cores()
@@ -210,7 +210,7 @@ class TestPacketEmission:
 
     def test_one_spike_packet_per_remote_fanout_synapse(self):
         from snnmesh.compiler import compile_network
-        from snnmesh.engine import SimConfig, _build_cores
+        from snnmesh.engine import SimConfig, new_cores
         from snnmesh.fixedpoint import fx
         from snnmesh.model import Network, NeuronParams, NeuronState, Synapse
 
@@ -225,7 +225,7 @@ class TestPacketEmission:
         )
         prog = compile_network(net, (3, 1), assignment=[0, 1, 1, 2])
         cfg = SimConfig(grid=(3, 1), mode="depasync", c_update=1, c_spike=1)
-        cores = _build_cores(prog, cfg, t_max=2)
+        cores = new_cores(prog, cfg, t_max=2)
         cost, _starts = cores[0].begin(cycle=0)
         assert cost == 1 * 1 + 1 * 3  # update plus three emitted spikes
         packets = cores[0].finish(cycle=cost)

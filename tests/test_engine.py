@@ -115,6 +115,61 @@ class TestDeterminism:
         assert a == b
 
 
+class TestRuntimeImage:
+    """Every run of a program shares its one read-only runtime image."""
+
+    TINY = os.path.join(FIXTURES, "tiny_program.json")
+    CONFIGS = {"sync": {"mode": "sync"}, "sync-t10": {"mode": "sync", "t_max": 10},
+               "se": {"mode": "se"}, "se-P1": {"mode": "se", "P": 1},
+               "depasync": {"mode": "depasync"}}
+
+    @staticmethod
+    def dump(prog, keys):
+        report = run(prog, SimConfig(grid=(2, 2), m=2, debug=True, **keys))
+        return json.dumps([report.to_dict(), report.dep_log], sort_keys=True)
+
+    def test_shared_image_runs_match_fresh_programs(self):
+        fresh = {name: self.dump(load_program(self.TINY), keys)
+                 for name, keys in self.CONFIGS.items()}
+        shared = load_program(self.TINY)
+        order = list(self.CONFIGS)
+        for name in order + order[::-1] + order[:1]:
+            assert self.dump(shared, self.CONFIGS[name]) == fresh[name], name
+
+    def test_image_arrays_are_read_only(self):
+        import dataclasses
+
+        prog = load_program(self.TINY)
+        self.dump(prog, {"mode": "se"})
+        image = prog.image
+        arrays = [a for img in image for a in (img.tau, img.g, img.vr, img.vth, img.v0)]
+        arrays += [a for img in image for ext in img.external if ext for a in ext]
+        assert len(arrays) > 5 * len(image)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            image[0].v0 = image[0].v0.copy()
+
+    def test_verify_workload_builds_one_image_for_its_runs(self, monkeypatch):
+        from snnmesh import compiler
+        from snnmesh.cli import verify_workload
+        from snnmesh.model import load_workload
+
+        builds = []
+        build_image = compiler.build_image
+
+        def counted(prog):
+            builds.append(prog)
+            return build_image(prog)
+
+        monkeypatch.setattr(compiler, "build_image", counted)
+        net = load_workload(os.path.join(FIXTURES, "tiny_workload.json"))
+        ok, details = verify_workload(net, (2, 2), SimConfig(grid=(2, 2)))
+        assert ok and sorted(details["reports"]) == ["depasync", "se", "sync"]
+        assert len(builds) == 1
+
+
 class TestModeEquivalence:
     @pytest.mark.parametrize("mode", ["sync", "se", "depasync"])
     def test_small_synthetic_matches_reference(self, mode):
