@@ -226,10 +226,17 @@ def _raster_hash(raster) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _run_task(task):
-    """The measured columns of one sweep row."""
-    prog, cfg = task
-    report = run(prog, cfg)
+_WORKER_PROGRAMS: list = []  # a sweep worker's programs, set once per process
+
+
+def _init_worker(programs) -> None:
+    _WORKER_PROGRAMS[:] = programs
+
+
+def _run_task(task, programs=_WORKER_PROGRAMS):
+    """The measured columns of one (program index, config) sweep task."""
+    index, cfg = task
+    report = run(programs[index], cfg)
     return {
         "total_cycles": report.total_cycles,
         "busy": sum(c["busy"] for c in report.cores),
@@ -262,9 +269,9 @@ def _axis_values(axis: str, raw: str):
 
 
 def build_sweep_tasks(args, base_cfg: SimConfig):
-    """The distinct simulations of a sweep and its rows: returns (tasks,
-    rows), a task being a (program, config) pair and a row a (task index,
-    meta) pair per (axis value, mode, seed, rep).
+    """The distinct simulations of a sweep and its rows: returns (programs,
+    tasks, rows), a task being a (program index, config) pair and a row a
+    (task index, meta) pair per (axis value, mode, seed, rep).
 
     A run is a pure function of (program, config), so each distinct pair runs
     once and the rows of other seeds and reps copy it; the seed is an input
@@ -284,7 +291,8 @@ def build_sweep_tasks(args, base_cfg: SimConfig):
     base_net = load_workload(args.workload) if args.workload else None
     grid = base_cfg.grid
 
-    programs: dict = {}  # (grid, mapping, seeded value, seed) -> program
+    programs: list = []  # each distinct program once
+    index_of: dict = {}  # (grid, mapping, seeded value, seed) -> index into programs
     task_of: dict = {}   # (program key, config) -> index into tasks
     tasks, rows = [], []
     for value in values:
@@ -292,8 +300,7 @@ def build_sweep_tasks(args, base_cfg: SimConfig):
             point_grid = parse_value("grid", value) if axis == "grid" else grid
             mapping = value if axis == "mapping" else args.mapping
             prog_key = (point_grid, mapping, *((value, seed) if seeded else ()))
-            prog = programs.get(prog_key)
-            if prog is None:
+            if prog_key not in index_of:
                 net = base_net
                 if axis == "rate":
                     if args.neurons is None or args.synapses is None:
@@ -309,8 +316,9 @@ def build_sweep_tasks(args, base_cfg: SimConfig):
                 if axis == "exchange" and value > 0:
                     assignment = exchanged_assignment(
                         net, point_grid[0] * point_grid[1], value, seed=seed)
-                prog = programs[prog_key] = compile_network(
-                    net, point_grid, mapping=mapping, assignment=assignment)
+                index_of[prog_key] = len(programs)
+                programs.append(compile_network(
+                    net, point_grid, mapping=mapping, assignment=assignment))
             cfg_doc = {**base_cfg.to_dict(), "grid": list(point_grid)}
             if axis in _CONFIG_AXES:
                 cfg_doc[_CONFIG_AXES[axis]] = value
@@ -321,22 +329,23 @@ def build_sweep_tasks(args, base_cfg: SimConfig):
                 run_key = (prog_key, json.dumps(cfg.to_dict(), sort_keys=True))
                 if run_key not in task_of:
                     task_of[run_key] = len(tasks)
-                    tasks.append((prog, cfg))
+                    tasks.append((index_of[prog_key], cfg))
                 for rep_i in range(args.reps):
                     rows.append((task_of[run_key], {
                         "axis": axis, "value": value, "mode": cfg.mode,
                         "seed": seed, "rep": rep_i}))
-    return tasks, rows
+    return programs, tasks, rows
 
 
 def cmd_sweep(args) -> int:
     base_cfg = build_config(args)
-    tasks, plan = build_sweep_tasks(args, base_cfg)
+    programs, tasks, plan = build_sweep_tasks(args, base_cfg)
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker,
+                                 initargs=(programs,)) as pool:
             results = list(pool.map(_run_task, tasks))
     else:
-        results = [_run_task(t) for t in tasks]
+        results = [_run_task(t, programs) for t in tasks]
     rows = [{**meta, **results[i]} for i, meta in plan]
     tmp = f"{args.out}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8", newline="") as f:

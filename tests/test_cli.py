@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from snnmesh import cli
+from snnmesh import cli, compiler
 from snnmesh.cli import (
     EXIT_BAD_INPUT,
     EXIT_COMPILE,
@@ -360,20 +360,24 @@ def test_sweep_distinct_seeds_enforced(tmp_path):
 def test_sweep_parallel_jobs_match_serial(tmp_path):
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
-    base = ["sweep", "--workload", str(FIXTURES / "tiny_workload.json"),
-            "--axis", "vc=2,4", "--modes", "depasync", "--grid", "2x2"]
-    assert main(base + ["--out", str(serial)]) == EXIT_OK
-    assert main(base + ["--jobs", "2", "--out", str(parallel)]) == EXIT_OK
-    assert serial.read_text() == parallel.read_text()
+    # one program under two configs; one program under every (m, mode);
+    # two programs, so tasks name programs by index
+    for axis, modes in (("vc=2,4", "depasync"), ("m=2,3,4", "sync,se,depasync"),
+                        ("grid=2x2,3x2", "sync,se,depasync")):
+        base = ["sweep", "--workload", str(FIXTURES / "tiny_workload.json"),
+                "--axis", axis, "--modes", modes, "--grid", "2x2"]
+        assert main(base + ["--out", str(serial)]) == EXIT_OK
+        assert main(base + ["--jobs", "2", "--out", str(parallel)]) == EXIT_OK
+        assert serial.read_text() == parallel.read_text(), axis
 
 
 def test_sweep_simulates_each_distinct_point_once(tmp_path, monkeypatch):
-    # m is a config axis: one program, and a run per (m, mode) whatever
-    # the seed; the seed-1 rows copy the seed-0 rows
-    calls = {"compile_network": 0, "run": 0}
+    # m is a config axis: one program and one runtime image, and a run per
+    # (m, mode) whatever the seed; the seed-1 rows copy the seed-0 rows
+    calls = {"compile_network": 0, "run": 0, "build_image": 0}
 
-    def counted(name):
-        fn = getattr(cli, name)
+    def counted(owner, name):
+        fn = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -381,12 +385,13 @@ def test_sweep_simulates_each_distinct_point_once(tmp_path, monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(cli, name, counted(name))
+        owner = compiler if name == "build_image" else cli
+        monkeypatch.setattr(owner, name, counted(owner, name))
     results = tmp_path / "results.csv"
     assert main(["sweep", "--workload", str(FIXTURES / "tiny_workload.json"),
                  "--axis", "m=2,4,8", "--seeds", "0,1", "--grid", "2x2",
                  "--out", str(results)]) == EXIT_OK
-    assert calls == {"compile_network": 1, "run": 9}
+    assert calls == {"compile_network": 1, "run": 9, "build_image": 1}
     rows = list(csv.DictReader(results.open()))
     assert len(rows) == 18
     by_seed = {seed: [{k: v for k, v in r.items() if k != "seed"}
