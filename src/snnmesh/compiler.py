@@ -145,9 +145,9 @@ def build_image(prog: CompiledProgram) -> tuple[CoreImage, ...]:
                 ext.setdefault(t, []).append((li, cur))
         external = [None] * prog.t_max
         for t, rows in ext.items():
-            idx_cur = np.array(rows, dtype=np.int64).T.copy()
-            idx_cur.flags.writeable = False
-            external[t] = tuple(idx_cur)
+            idx, cur = (np.array(col, dtype=np.int64) for col in zip(*rows))
+            idx.flags.writeable = cur.flags.writeable = False
+            external[t] = (idx, cur)
 
         images.append(CoreImage(
             cid=lc.id, coord=placement[lc.id], neuron_ids=tuple(lc.neuron_ids),
