@@ -104,8 +104,7 @@ class CoreImage:
     vth: np.ndarray
     v0: np.ndarray
     lif_bounds: tuple[int, ...] | None  # model.lif_bounds; None if no neurons
-    in_syn_target: tuple[int, ...]  # synapse id -> local target
-    in_syn_weight: tuple[int, ...]  # synapse id -> weight
+    in_synapses: tuple[tuple[int, int], ...]  # synapse id -> (local target, weight)
     # per local neuron: ((target_local, weight, delay), ...)
     fanout_local: tuple[tuple[tuple[int, int, int], ...], ...]
     # per local neuron: ((dst_core, dst_xy, synapse_id, delay), ...)
@@ -153,8 +152,7 @@ def build_image(prog: CompiledProgram) -> tuple[CoreImage, ...]:
             cid=lc.id, coord=placement[lc.id], neuron_ids=tuple(lc.neuron_ids),
             tau=tau, g=g, vr=vr, vth=vth, v0=v0,
             lif_bounds=lif_bounds(tau, g, vr) if n_local else None,
-            in_syn_target=tuple(t for t, _w in lc.in_synapses),
-            in_syn_weight=tuple(w for _t, w in lc.in_synapses),
+            in_synapses=tuple(lc.in_synapses),
             fanout_local=tuple(map(tuple, fan_local)),
             fanout_remote=tuple(map(tuple, fan_remote)),
             external=tuple(external),

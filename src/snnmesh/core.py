@@ -246,8 +246,7 @@ class NeuromorphicCore:
         when a speculative core has already read that spike's timestep,
         otherwise None."""
         body = pkt.body
-        tgt = self.image.in_syn_target[body.synapse_id]
-        w = self.image.in_syn_weight[body.synapse_id]
+        tgt, w = self.image.in_synapses[body.synapse_id]
         if body.anti:
             w = -w
         self.counters["synapse_acc"] += 1
