@@ -18,13 +18,11 @@ from .engine import DeadlockError, SimConfig, SimReport, run
 from .model import (
     Network,
     NeuronParams,
-    NeuronState,
     SpikeRaster,
     Synapse,
     WorkloadError,
     gen_layered,
     gen_synthetic,
-    lif_step,
     load_workload,
     reference_run,
     save_workload,
@@ -39,7 +37,6 @@ __all__ = [
     "DeadlockError",
     "Network",
     "NeuronParams",
-    "NeuronState",
     "SimConfig",
     "SimReport",
     "SpikeRaster",
@@ -48,7 +45,6 @@ __all__ = [
     "compile_network",
     "gen_layered",
     "gen_synthetic",
-    "lif_step",
     "load_program",
     "load_workload",
     "reference_run",

@@ -34,6 +34,7 @@ from .engine import (
 )
 from .metrics import MetricsError
 from .model import (
+    SpikeRaster,
     WorkloadError,
     gen_layered,
     gen_synthetic,
@@ -109,7 +110,7 @@ def cmd_gen(args) -> int:
             max_delay=args.max_delay, input_rate=args.input_rate,
         )
     else:
-        layers = [int(x) for x in args.layers.split(",")]
+        layers = _numbers(int, args.layers, "--layers")
         net = gen_layered(layers, fanin=args.fanin, seed=args.seed or 0,
                           t_max=args.t_max, max_delay=args.max_delay)
     save_workload(net, args.out)
@@ -164,9 +165,7 @@ def verify_workload(net, grid: tuple[int, int], base_cfg: SimConfig,
     if base_cfg.t_max is not None and base_cfg.t_max < net.t_max:
         # an overridden horizon truncates the comparison on both sides
         horizon = base_cfg.t_max
-        ref = ref.__class__(
-            [(n, t) for n, t in ref if t < horizon], t_max=net.t_max
-        )
+        ref = SpikeRaster([(n, t) for n, t in ref if t < horizon], t_max=net.t_max)
     prog = compile_network(net, grid, mapping=mapping)
     details = {"reference_spikes": len(ref), "modes": {}, "reference": ref,
                "reports": {}}
@@ -175,7 +174,7 @@ def verify_workload(net, grid: tuple[int, int], base_cfg: SimConfig,
         cfg = SimConfig.from_dict({**base_cfg.to_dict(), "mode": mode,
                                    "grid": list(grid)})
         rep = run(prog, cfg)
-        got = ref.__class__(rep.raster, t_max=net.t_max)
+        got = SpikeRaster(rep.raster, t_max=net.t_max)
         divergence = ref.first_divergence(got)
         details["modes"][mode] = {
             "total_cycles": rep.total_cycles,
@@ -413,11 +412,15 @@ def cmd_report(args) -> int:
     if not rows:
         return _fail("empty-results", f"{args.results} holds no rows",
                      EXIT_BAD_INPUT)
-    for r in rows:
-        r["value"] = _coerce(r["value"])
-        r["seed"] = int(r["seed"])
-        r["rep"] = int(r["rep"])
-    summary = summarize_results(rows)
+    try:
+        for r in rows:
+            r["value"] = _coerce(r["value"])
+            r["seed"] = int(r["seed"])
+            r["rep"] = int(r["rep"])
+        summary = summarize_results(rows)
+    except (KeyError, TypeError, ValueError) as exc:
+        return _fail("bad-input", f"{args.results} holds malformed results: "
+                     f"{exc!r}", EXIT_BAD_INPUT)
     header = f"{'axis':9s} {'value':>8s} {'mode':9s} {'cycles':>12s} " \
              f"{'speedup':>8s} {'energy_eff':>10s} {'rb_share':>8s}"
     print(header)

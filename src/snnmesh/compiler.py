@@ -73,7 +73,7 @@ class CompiledProgram:
     dep_graph: DepGraph
     placement: list[tuple[int, int]]  # core id -> (x, y)
     grid: tuple[int, int]
-    neuron_params: list[tuple[NeuronParams, int]]  # global id -> (params, v0)
+    neurons: list[tuple[NeuronParams, int]]  # global id -> (params, v0)
     inputs: dict[int, list[tuple[int, int]]]
     t_max: int
     max_delay: int
@@ -119,7 +119,7 @@ def build_image(prog: CompiledProgram) -> tuple[CoreImage, ...]:
     """Every core's runtime tables: parameter slices, the in-synapse table,
     local and remote fanout per neuron, external input per timestep and
     the START/FINISH routes with their coordinates."""
-    params = neuron_arrays(prog.neuron_params)
+    params = neuron_arrays(prog.neurons)
     placement, graph = prog.placement, prog.dep_graph
     images = []
     for lc in prog.cores:
@@ -355,14 +355,14 @@ def compile_network(
         dep_graph=graph,
         placement=placement,
         grid=grid,
-        neuron_params=[(p, s.v) for p, s in net.neurons],
+        neurons=list(net.neurons),
         inputs={nid: list(evs) for nid, evs in net.inputs.items()},
         t_max=net.t_max,
         max_delay=net.max_delay,
     )
 
 
-def exchange_with_core0(net: Network, assignment: list[int], fraction: float,
+def exchange_with_core0(assignment: list[int], fraction: float,
                         seed: int = 0) -> list[int]:
     """Swap a fraction of core 0's neurons with neurons of the other cores,
     round-robin, to manufacture dependency cycles through core 0."""
@@ -400,7 +400,7 @@ def exchanged_assignment(net: Network, n_cores: int, fraction: float,
     for c in partition(net, n_cores, capacity):
         for nid in c.neuron_ids:
             base[nid] = c.id
-    return exchange_with_core0(net, base, fraction, seed=seed)
+    return exchange_with_core0(base, fraction, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +432,7 @@ def _program_rest_to_dict(prog: CompiledProgram) -> dict:
         "t_max": prog.t_max,
         "max_delay": prog.max_delay,
         "placement": [list(xy) for xy in prog.placement],
-        **neurons_and_inputs_to_dict(prog.neuron_params, prog.inputs),
+        **neurons_and_inputs_to_dict(prog.neurons, prog.inputs),
     }
 
 
@@ -511,12 +511,12 @@ def program_from_dict(doc: dict) -> CompiledProgram:
         ]
         grid = tuple(doc["grid"])
         placement = [(x, y) for x, y in doc["placement"]]
-        neuron_params, inputs = neurons_and_inputs_from_dict(doc)
-        _check_program(cores, placement, grid, len(neuron_params),
+        neurons, inputs = neurons_and_inputs_from_dict(doc)
+        _check_program(cores, placement, grid, len(neurons),
                           inputs, doc["t_max"], doc["max_delay"])
         return CompiledProgram(
             cores=cores, dep_graph=extract_deps(cores), placement=placement,
-            grid=grid, neuron_params=neuron_params, inputs=inputs,
+            grid=grid, neurons=neurons, inputs=inputs,
             t_max=doc["t_max"], max_delay=doc["max_delay"],
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -25,29 +25,9 @@ _FAST_LEN = 64
 _POW10 = [10**k for k in range(_FAST_LEN)]
 
 
-class SaturationCounter:
-    """Diagnostics counter: overflow saturates instead of raising."""
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"SaturationCounter(count={self.count})"
-
-
-def sat(x: int, diag: SaturationCounter | None = None) -> int:
-    """Clamp to the signed 32-bit range, counting clamp events."""
-    if x > FX_MAX:
-        if diag is not None:
-            diag.count += 1
-        return FX_MAX
-    if x < FX_MIN:
-        if diag is not None:
-            diag.count += 1
-        return FX_MIN
-    return x
+def sat(x: int) -> int:
+    """Clamp to the signed 32-bit range."""
+    return FX_MAX if x > FX_MAX else FX_MIN if x < FX_MIN else x
 
 
 def fx(value: float | int | str) -> int:

@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fixedpoint import FX_MAX, FX_MIN, SaturationCounter, fx, from_str, sat, to_str
-
-FRAC_BITS = 16
+from .fixedpoint import FRAC_BITS, FX_MAX, FX_MIN, fx, from_str, to_str
 
 
 class WorkloadError(ValueError):
@@ -40,14 +38,6 @@ class NeuronParams:
             raise WorkloadError("v_th must be > v_rst")
 
 
-@dataclass
-class NeuronState:
-    """Membrane potential and the per-timestep input accumulator (Q16.16)."""
-
-    v: int
-    acc: int = 0
-
-
 @dataclass(frozen=True)
 class Synapse:
     src: int
@@ -60,12 +50,13 @@ class Synapse:
 class Network:
     """A complete workload: neurons, synapses, external input schedule.
 
+    ``neurons`` holds one (NeuronParams, initial potential) pair per neuron.
     ``inputs`` maps neuron id to a list of (timestep, current) pairs.
     ``layers`` is optional layer-size metadata used by the compiler to pick a
     contiguous partition for feed-forward nets.
     """
 
-    neurons: list[tuple[NeuronParams, NeuronState]]
+    neurons: list[tuple[NeuronParams, int]]
     synapses: list[Synapse]
     inputs: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     t_max: int = 0
@@ -78,10 +69,7 @@ class Network:
 
     def validate(self) -> None:
         n = len(self.neurons)
-        if self.t_max < 0:
-            raise WorkloadError("t_max must be >= 0")
-        if self.max_delay < 1:
-            raise WorkloadError("max_delay must be >= 1")
+        _check_horizon(self.t_max, self.max_delay)
         for s in self.synapses:
             if not (0 <= s.src < n and 0 <= s.dst < n):
                 raise WorkloadError(f"synapse {s} references an unknown neuron")
@@ -98,6 +86,13 @@ class Network:
                 raise WorkloadError("layer sizes do not sum to the neuron count")
             if any(sz <= 0 for sz in self.layers):
                 raise WorkloadError("layer sizes must be positive")
+
+
+def _check_horizon(t_max: int, max_delay: int) -> None:
+    if t_max < 0:
+        raise WorkloadError("t_max must be >= 0")
+    if max_delay < 1:
+        raise WorkloadError("max_delay must be >= 1")
 
 
 class SpikeRaster:
@@ -146,26 +141,6 @@ class SpikeRaster:
         return f"SpikeRaster({len(self._pairs)} spikes)"
 
 
-def lif_step(
-    state: NeuronState, params: NeuronParams, diag: SaturationCounter | None = None
-) -> tuple[NeuronState, bool]:
-    """One forward-Euler LIF update with dt = one timestep.
-
-    v' = v + (-(v - v_rst) + acc/g_l) / tau_m, then threshold-and-reset.
-    Returns the new state (accumulator cleared) and whether the neuron fired.
-    """
-    acc0 = sat(state.acc, diag)
-    drive = sat((acc0 << FRAC_BITS) // params.g_l, diag)
-    leak = sat(params.v_rst - state.v, diag)
-    inner = sat(leak + drive, diag)
-    dv = sat((inner << FRAC_BITS) // params.tau_m, diag)
-    v_new = sat(state.v + dv, diag)
-    fired = v_new >= params.v_th
-    if fired:
-        v_new = params.v_rst
-    return NeuronState(v=v_new, acc=0), fired
-
-
 def lif_bounds(tau_m, g_l, v_rst):
     """(tau_m, g_l, v_rst) slice ranges as six ints, the parameter half of
     the proof ``lif_step_arrays`` runs before it skips clamping."""
@@ -174,9 +149,16 @@ def lif_bounds(tau_m, g_l, v_rst):
 
 
 def lif_step_arrays(v, acc, tau_m, g_l, v_rst, v_th, bounds=None):
-    """Vectorized LIF update, bit-identical to ``lif_step`` element-wise.
+    """One forward-Euler LIF update with dt = one timestep, element-wise:
 
-    All arrays int64 holding Q16.16 values. Returns (v_new, fired, clamps).
+        v' = v + (-(v - v_rst) + acc / g_l) / tau_m
+
+    with each intermediate (acc, acc / g_l, v_rst - v, their sum, the
+    quotient by tau_m, v') saturated to Q16.16 and each division a floor
+    division; the neuron fires when v' >= v_th and is then reset to v_rst.
+
+    All arrays int64 holding Q16.16 values. Returns (v_new, fired, clamps),
+    clamps being the number of intermediate values saturation changed.
     ``bounds`` is ``lif_bounds(tau_m, g_l, v_rst)``, computed here if None.
 
     From the ranges of ``acc`` and ``v`` and the parameter bounds it first
@@ -239,7 +221,7 @@ def neuron_arrays(neurons):
     return np.array(rows, dtype=np.int64).reshape(len(rows), 5).T.copy()
 
 
-def reference_run(net: Network, diag: SaturationCounter | None = None) -> SpikeRaster:
+def reference_run(net: Network) -> SpikeRaster:
     """Sequential time-driven interpreter; the oracle for all hardware modes.
 
     Spikes generated at t are consumed at t + delay (delay >= 1), so results
@@ -250,7 +232,7 @@ def reference_run(net: Network, diag: SaturationCounter | None = None) -> SpikeR
     if n == 0 or net.t_max == 0:
         return SpikeRaster([])
 
-    tau, g, vr, vth, v = neuron_arrays([(p, s.v) for p, s in net.neurons])
+    tau, g, vr, vth, v = neuron_arrays(net.neurons)
     bounds = lif_bounds(tau, g, vr)
 
     # Adjacency: per-neuron fanout as (targets, weights, delays) arrays.
@@ -282,9 +264,7 @@ def reference_run(net: Network, diag: SaturationCounter | None = None) -> SpikeR
         acc = ring[slot]
         for nid, cur in ext.get(t, ()):
             acc[nid] += cur
-        v, fired, clamps = lif_step_arrays(v, acc, tau, g, vr, vth, bounds)
-        if diag is not None:
-            diag.count += clamps
+        v, fired, _ = lif_step_arrays(v, acc, tau, g, vr, vth, bounds)
         ring[slot] = 0
         fired_ids = np.nonzero(fired)[0]
         for i in fired_ids:
@@ -332,6 +312,7 @@ def gen_synthetic(
 ) -> Network:
     """Random recurrent network with excitatory/inhibitory populations and
     Poisson external input. Deterministic in the seed."""
+    _check_horizon(t_max, max_delay)
     if n_neurons < 0 or n_synapses < 0:
         raise WorkloadError("counts must be non-negative")
     if n_neurons == 0:
@@ -353,8 +334,7 @@ def gen_synthetic(
     for i in range(n_neurons):
         tau = fx(rng.uniform(tau_lo, tau_hi))
         vr = fx(min(rng.uniform(vr_lo, vr_hi), _V_TH - 2.0))
-        neurons.append((NeuronParams(tau_m=tau, v_rst=vr, g_l=fx(1.0), v_th=v_th),
-                        NeuronState(v=vr)))
+        neurons.append((NeuronParams(tau_m=tau, v_rst=vr, g_l=fx(1.0), v_th=v_th), vr))
         inhibitory.append(rng.random() < frac_inhibitory)
 
     synapses = []
@@ -396,6 +376,7 @@ def gen_layered(
 
     The input layer gets strong Poisson drive; deeper layers get a weak
     background that keeps them near threshold, so synaptic input decides."""
+    _check_horizon(t_max, max_delay)
     if len(layer_sizes) < 2:
         raise WorkloadError("need at least 2 layers")
     if any(sz <= 0 for sz in layer_sizes):
@@ -407,7 +388,7 @@ def gen_layered(
     v_th = fx(_V_TH)
     params = NeuronParams(tau_m=fx(2.0), v_rst=fx(0.0), g_l=fx(1.0), v_th=v_th)
     n_total = sum(layer_sizes)
-    neurons = [(params, NeuronState(v=0)) for _ in range(n_total)]
+    neurons = [(params, 0)] * n_total
 
     # Weights sized so a modest fraction of a layer firing propagates.
     w_mid = _V_TH * weight_scale / fanin
@@ -482,7 +463,7 @@ def neurons_and_inputs_from_dict(doc: dict):
 
 def network_to_dict(net: Network) -> dict:
     doc = {
-        **neurons_and_inputs_to_dict([(p, s.v) for p, s in net.neurons], net.inputs),
+        **neurons_and_inputs_to_dict(net.neurons, net.inputs),
         "synapses": [
             {"src": s.src, "dst": s.dst, "weight": to_str(s.weight), "delay": s.delay}
             for s in net.synapses
@@ -504,7 +485,7 @@ def network_from_dict(doc: dict) -> Network:
             for sd in doc["synapses"]
         ]
         net = Network(
-            neurons=[(p, NeuronState(v=v0)) for p, v0 in neurons],
+            neurons=neurons,
             synapses=synapses,
             inputs=inputs,
             t_max=doc["t_max"],

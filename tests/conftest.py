@@ -29,7 +29,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 from snnmesh.compiler import compile_network
 from snnmesh.fixedpoint import fx
-from snnmesh.model import Network, NeuronParams, NeuronState, Synapse
+from snnmesh.model import Network, NeuronParams, Synapse
 
 
 def memoryless_params(v_th: float = 16.0) -> NeuronParams:
@@ -62,7 +62,7 @@ def build_staircase_net(
     for cid, sz in enumerate(core_sizes):
         first.append(len(assignment))
         assignment.extend([cid] * sz)
-    neurons = [(params, NeuronState(v=0)) for _ in range(len(assignment))]
+    neurons = [(params, 0)] * len(assignment)
 
     synapses = []
     for a, b in chain:

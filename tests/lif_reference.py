@@ -1,13 +1,38 @@
-"""The vectorized LIF update as it stood before the range proof: every
-intermediate goes through its own clamp check. Test-only: the differential
-tests drive it and ``snnmesh.model.lif_step_arrays`` with the same slices
-and require identical results."""
+"""Test-only LIF oracles for ``snnmesh.model.lif_step_arrays``.
+
+``lif_step`` is the update rule for one neuron in plain integers.
+``reference_lif_step_arrays`` is the vectorized update as it stood before
+the range proof: every intermediate goes through its own clamp check. The
+tests drive these and ``lif_step_arrays`` with the same values and require
+identical potentials, fired flags and clamp counts."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from snnmesh.fixedpoint import FRAC_BITS, FX_MAX, FX_MIN
+from snnmesh.fixedpoint import FRAC_BITS, FX_MAX, FX_MIN, sat
+
+
+def lif_step(v: int, acc: int, params):
+    """One forward-Euler LIF update with dt = one timestep for one neuron:
+    v' = v + (-(v - v_rst) + acc/g_l) / tau_m, then threshold-and-reset.
+    Returns (v_new, fired, clamps), clamps counting saturated intermediates."""
+    clamps = 0
+
+    def _sat(x):
+        nonlocal clamps
+        out = sat(x)
+        clamps += out != x
+        return out
+
+    acc0 = _sat(acc)
+    drive = _sat((acc0 << FRAC_BITS) // params.g_l)
+    leak = _sat(params.v_rst - v)
+    inner = _sat(leak + drive)
+    dv = _sat((inner << FRAC_BITS) // params.tau_m)
+    v_new = _sat(v + dv)
+    fired = v_new >= params.v_th
+    return (params.v_rst if fired else v_new), fired, clamps
 
 
 def reference_lif_step_arrays(v, acc, tau_m, g_l, v_rst, v_th):

@@ -255,7 +255,7 @@ def test_criterion_08_cyclic_fallback():
     for c in cores:
         for nid in c.neuron_ids:
             assignment[nid] = c.id
-    swapped = exchange_with_core0(net, assignment, fraction=0.25, seed=9)
+    swapped = exchange_with_core0(assignment, fraction=0.25, seed=9)
     prog_cyc = compile_network(net, (2, 2), assignment=swapped)
     assert prog_cyc.dep_graph.pre[0], "exchange must feed a cycle into core 0"
     cyclic = run(prog_cyc, cfg)  # DeadlockError here would fail the test

@@ -236,10 +236,10 @@ def test_deadlock_exit_code(tmp_path, capsys):
     # mutual dependency with m=1 can never advance past t=0
     from snnmesh.compiler import compile_network, save_program
     from snnmesh.fixedpoint import fx
-    from snnmesh.model import Network, NeuronParams, NeuronState, Synapse
+    from snnmesh.model import Network, NeuronParams, Synapse
 
     p = NeuronParams(tau_m=fx(2.0), v_rst=0, g_l=fx(1.0), v_th=fx(16.0))
-    net = Network(neurons=[(p, NeuronState(v=0)) for _ in range(2)],
+    net = Network(neurons=[(p, 0)] * 2,
                   synapses=[Synapse(0, 1, fx(1.0), 1), Synapse(1, 0, fx(1.0), 1)],
                   inputs={}, t_max=4, max_delay=1)
     prog_path = tmp_path / "p.json"
@@ -437,6 +437,41 @@ def test_report_empty_results(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("axis,value,mode,seed,rep,total_cycles\n")
     assert main(["report", "--results", str(empty)]) == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize("csv_text", [
+    "axis,mode,seed,rep,total_cycles\nm,sync,1,0,10\n",
+    "axis,value,mode,seed,rep,total_cycles\nm,2,sync,one,0,10\n",
+    "axis,value,mode,seed,rep,total_cycles\nm,2,sync,1,x,10\n",
+    "axis,value,mode,seed,rep,total_cycles\nm,2,sync,1,0,many\n",
+], ids=["no-value-column", "seed-not-a-number", "rep-not-a-number",
+        "cycles-not-a-number"])
+def test_report_malformed_results(tmp_path, capsys, csv_text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(csv_text)
+    assert main(["report", "--results", str(bad)]) == EXIT_BAD_INPUT
+    assert "error[bad-input]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind_args", [
+    ["--kind", "synthetic", "--neurons", "10", "--synapses", "10"],
+    ["--kind", "layered", "--layers", "10,10"],
+], ids=["synthetic", "layered"])
+@pytest.mark.parametrize("horizon", [["--max-delay", "0"], ["--t-max", "-1"]],
+                         ids=["max-delay-0", "t-max-negative"])
+def test_gen_rejects_bad_horizon(tmp_path, capsys, kind_args, horizon):
+    out = tmp_path / "w.json"
+    assert main(["gen", *kind_args, *horizon, "--out", str(out)]) == EXIT_BAD_INPUT
+    assert "error[bad-input]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_rejects_non_integer_layer(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    code = main(["gen", "--kind", "layered", "--layers", "10,abc",
+                 "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    assert "error[bad-input]" in capsys.readouterr().err
 
 
 def test_summarize_results_harmonic_mean():

@@ -24,7 +24,7 @@ from snnmesh.compiler import (
 )
 from snnmesh.engine import PROTOCOLS, SimConfig, run
 from snnmesh.fixedpoint import fx
-from snnmesh.model import Network, NeuronParams, NeuronState, Synapse, gen_layered, gen_synthetic
+from snnmesh.model import Network, NeuronParams, Synapse, gen_layered, gen_synthetic
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -49,7 +49,7 @@ def avg_dep_distance(placement: list[tuple[int, int]], graph: DepGraph) -> float
 def simple_net(n, synapse_pairs, t_max=4):
     p = NeuronParams(tau_m=fx(2.0), v_rst=0, g_l=fx(1.0), v_th=fx(16.0))
     return Network(
-        neurons=[(p, NeuronState(v=0)) for _ in range(n)],
+        neurons=[(p, 0)] * n,
         synapses=[Synapse(src=a, dst=b, weight=fx(1.0), delay=1)
                   for a, b in synapse_pairs],
         inputs={}, t_max=t_max, max_delay=1,
@@ -263,7 +263,7 @@ class TestExchange:
                 base_assign[nid] = c.id
         g0 = extract_deps(cores)
         assert 0 not in {b for b in g0.post[1]} or True  # baseline chain
-        swapped = exchange_with_core0(net, base_assign, fraction=0.2, seed=1)
+        swapped = exchange_with_core0(base_assign, fraction=0.2, seed=1)
         cores2 = partition(net, 4, assignment=swapped)
         g = extract_deps(cores2)
         # some edge back into core 0 must now exist
@@ -271,8 +271,7 @@ class TestExchange:
 
     def test_zero_fraction_is_identity(self):
         assign = [0, 0, 1, 1, 2, 2]
-        net = simple_net(6, [(0, 2), (2, 4)])
-        assert exchange_with_core0(net, assign, 0.0) == assign
+        assert exchange_with_core0(assign, 0.0) == assign
 
 
 class TestProgramFile:

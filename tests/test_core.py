@@ -212,12 +212,12 @@ class TestPacketEmission:
         from snnmesh.compiler import compile_network
         from snnmesh.engine import SimConfig, new_cores
         from snnmesh.fixedpoint import fx
-        from snnmesh.model import Network, NeuronParams, NeuronState, Synapse
+        from snnmesh.model import Network, NeuronParams, Synapse
 
         p = NeuronParams(tau_m=fx(1.0), v_rst=0, g_l=fx(1.0), v_th=fx(16.0))
         # one source neuron with three synapses spread over two other cores
         net = Network(
-            neurons=[(p, NeuronState(v=0)) for _ in range(4)],
+            neurons=[(p, 0)] * 4,
             synapses=[Synapse(0, 1, fx(1.0), 1), Synapse(0, 2, fx(1.0), 1),
                       Synapse(0, 3, fx(1.0), 1)],
             inputs={0: [(0, fx(20.0))]},

@@ -20,7 +20,6 @@ from snnmesh.fixedpoint import fx
 from snnmesh.model import (
     Network,
     NeuronParams,
-    NeuronState,
     Synapse,
     gen_layered,
     gen_synthetic,
@@ -36,7 +35,7 @@ FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 def quiet_single_core_net(n_neurons=5, t_max=10):
     p = NeuronParams(tau_m=fx(2.0), v_rst=0, g_l=fx(1.0), v_th=fx(16.0))
-    return Network(neurons=[(p, NeuronState(v=0)) for _ in range(n_neurons)],
+    return Network(neurons=[(p, 0)] * n_neurons,
                    synapses=[], inputs={}, t_max=t_max, max_delay=1)
 
 
@@ -268,7 +267,7 @@ class TestLockstepFallback:
         # t=0; the watchdog must name the stuck cores instead of hanging.
         p = NeuronParams(tau_m=fx(2.0), v_rst=0, g_l=fx(1.0), v_th=fx(16.0))
         net = Network(
-            neurons=[(p, NeuronState(v=0)) for _ in range(2)],
+            neurons=[(p, 0)] * 2,
             synapses=[Synapse(0, 1, fx(1.0), 1), Synapse(1, 0, fx(1.0), 1)],
             inputs={}, t_max=5, max_delay=1,
         )
@@ -281,7 +280,7 @@ class TestCyclicFallsBackNotDeadlocks:
     def test_mutual_dependency_with_m2_progresses(self):
         p = NeuronParams(tau_m=fx(2.0), v_rst=0, g_l=fx(1.0), v_th=fx(16.0))
         net = Network(
-            neurons=[(p, NeuronState(v=0)) for _ in range(4)],
+            neurons=[(p, 0)] * 4,
             synapses=[Synapse(0, 2, fx(1.0), 1), Synapse(2, 1, fx(1.0), 1),
                       Synapse(3, 0, fx(1.0), 1)],
             inputs={}, t_max=12, max_delay=1,
@@ -402,7 +401,7 @@ class TestWindowEdgeDelivery:
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_sustained_firing_across_the_window(self, mode, m):
         p = NeuronParams(tau_m=fx(1.0), v_rst=0, g_l=fx(1.0), v_th=fx(16.0))
-        neurons = [(p, NeuronState(v=0)) for _ in range(31)]
+        neurons = [(p, 0)] * 31
         synapses = [Synapse(0, 1, fx(1.0), 1), Synapse(0, 2, fx(1.0), 1)]
         inputs = {0: [(t, fx(20.0)) for t in range(30)]}
         net = Network(neurons=neurons, synapses=synapses, inputs=inputs,

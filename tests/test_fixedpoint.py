@@ -7,7 +7,6 @@ from snnmesh.fixedpoint import (
     FX_MAX,
     FX_MIN,
     SCALE,
-    SaturationCounter,
     from_str,
     fx,
     sat,
@@ -22,12 +21,12 @@ def test_scale_round_trip_of_small_reals():
     assert fx(-2.5) == -(5 * SCALE) // 2
 
 
-def test_sat_clamps_and_counts():
-    diag = SaturationCounter()
-    assert sat(FX_MAX + 1, diag) == FX_MAX
-    assert sat(FX_MIN - 1, diag) == FX_MIN
-    assert sat(0, diag) == 0
-    assert diag.count == 2
+def test_sat_clamps_to_the_signed_32_bit_range():
+    assert sat(FX_MAX + 1) == FX_MAX
+    assert sat(FX_MIN - 1) == FX_MIN
+    assert sat(FX_MAX) == FX_MAX
+    assert sat(FX_MIN) == FX_MIN
+    assert sat(0) == 0
 
 
 @given(fixed_values)

@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snnmesh.fixedpoint import SaturationCounter, fx
+from lif_reference import lif_step
+from snnmesh.fixedpoint import fx
 from snnmesh.model import (
     Network,
     NeuronParams,
-    NeuronState,
     SpikeRaster,
     Synapse,
     WorkloadError,
     gen_layered,
     gen_synthetic,
-    lif_step,
     lif_step_arrays,
     load_workload,
     network_from_dict,
@@ -30,38 +29,32 @@ def params(tau=2.0, vr=0.0, g=1.0, vth=16.0):
 class TestLifStep:
     def test_equilibrium_is_fixed_point(self):
         p = params(tau=3.0, vr=4.0)
-        state, fired = lif_step(NeuronState(v=fx(4.0), acc=0), p)
+        v, fired, _ = lif_step(fx(4.0), 0, p)
         assert not fired
-        assert state.v == fx(4.0)
-        assert state.acc == 0
+        assert v == fx(4.0)
 
     def test_single_euler_step(self):
         # tau=2, g=1, vr=0, v=0, acc=4 -> v' = 0 + (1/2)(-0 + 4) = 2
-        state, fired = lif_step(NeuronState(v=0, acc=fx(4.0)), params())
+        v, fired, _ = lif_step(0, fx(4.0), params())
         assert not fired
-        assert state.v == fx(2.0)
+        assert v == fx(2.0)
 
     def test_threshold_and_reset(self):
         # v=15, acc=4: 15 + (1/2)(-15 + 4) = 9.5 < 16 -> no fire
-        state, fired = lif_step(NeuronState(v=fx(15.0), acc=fx(4.0)), params())
+        v, fired, _ = lif_step(fx(15.0), fx(4.0), params())
         assert not fired
-        assert state.v == fx(9.5)
+        assert v == fx(9.5)
         # v=15, acc=20: 15 + (1/2)(-15 + 20) = 17.5 >= 16 -> fire, reset to 0
-        state, fired = lif_step(NeuronState(v=fx(15.0), acc=fx(20.0)), params())
+        v, fired, _ = lif_step(fx(15.0), fx(20.0), params())
         assert fired
-        assert state.v == 0
-
-    def test_accumulator_cleared_after_step(self):
-        state, _ = lif_step(NeuronState(v=0, acc=fx(1.0)), params())
-        assert state.acc == 0
+        assert v == 0
 
     def test_overflow_saturates_and_counts(self):
-        diag = SaturationCounter()
         # acc/g_l with g_l = 0.25 quadruples an already-maximal accumulator
         p = params(g=0.25, vth=32000.0)
-        state, _ = lif_step(NeuronState(v=0, acc=2**31 - 1), p, diag)
-        assert diag.count > 0
-        assert state.v <= 2**31 - 1
+        v, _, clamps = lif_step(0, 2**31 - 1, p)
+        assert clamps > 0
+        assert v <= 2**31 - 1
 
     @given(
         v=st.integers(min_value=-(1 << 31), max_value=(1 << 31) - 1),
@@ -74,12 +67,12 @@ class TestLifStep:
     @settings(max_examples=200)
     def test_scalar_matches_vectorized(self, v, acc, tau, g, vr, dv):
         p = NeuronParams(tau_m=tau, v_rst=vr, g_l=g, v_th=vr + dv)
-        state, fired = lif_step(NeuronState(v=v, acc=acc), p)
+        v_scalar, fired, _ = lif_step(v, acc, p)
         arr = lambda x: np.array([x], dtype=np.int64)
         v_new, fired_vec, _ = lif_step_arrays(
             arr(v), arr(acc), arr(tau), arr(g), arr(vr), arr(p.v_th)
         )
-        assert int(v_new[0]) == state.v
+        assert int(v_new[0]) == v_scalar
         assert bool(fired_vec[0]) == fired
 
     @given(st.lists(
@@ -94,17 +87,18 @@ class TestLifStep:
     ))
     @settings(max_examples=200)
     def test_vectorized_clamp_count_matches_scalar(self, rows):
-        diag = SaturationCounter()
+        scalar_clamps = 0
         scalar = []
         for v, acc, tau, g, vr in rows:
             p = NeuronParams(tau_m=tau, v_rst=vr, g_l=g, v_th=vr + 1)
-            state, fired = lif_step(NeuronState(v=v, acc=acc), p, diag)
-            scalar.append((state.v, fired))
+            v_new, fired, clamps = lif_step(v, acc, p)
+            scalar_clamps += clamps
+            scalar.append((v_new, fired))
         cols = [np.array(c, dtype=np.int64) for c in zip(*rows)] or [
             np.zeros(0, dtype=np.int64)] * 5
         v, acc, tau, g, vr = cols
         v_new, fired_vec, clamps = lif_step_arrays(v, acc, tau, g, vr, vr + 1)
-        assert clamps == diag.count
+        assert clamps == scalar_clamps
         assert [(int(a), bool(b)) for a, b in zip(v_new, fired_vec)] == scalar
 
     @given(
@@ -114,10 +108,10 @@ class TestLifStep:
     @settings(max_examples=100)
     def test_more_input_never_lowers_potential(self, acc, bump):
         p = params()
-        lo, _ = lif_step(NeuronState(v=fx(1.0), acc=acc), p)
-        hi, fired = lif_step(NeuronState(v=fx(1.0), acc=acc + bump), p)
+        lo, _, _ = lif_step(fx(1.0), acc, p)
+        hi, fired, _ = lif_step(fx(1.0), acc + bump, p)
         if not fired:
-            assert hi.v >= lo.v
+            assert hi >= lo
 
 
 class TestNeuronParamsValidation:
@@ -147,7 +141,7 @@ class TestSpikeRaster:
 
 def two_neuron_chain(t_max=8):
     p = params()
-    neurons = [(p, NeuronState(v=0)), (p, NeuronState(v=0))]
+    neurons = [(p, 0), (p, 0)]
     synapses = [Synapse(src=0, dst=1, weight=fx(40.0), delay=1)]
     # drive neuron 0 over threshold exactly at t=3: with tau=2 and pulses of
     # 12 at t in {2,3}: v(3-) accumulates 6 then 6 + 9 = ... hand trace below
@@ -159,7 +153,7 @@ def two_neuron_chain(t_max=8):
 class TestReferenceRun:
     def test_quiescent_net_gives_empty_raster(self):
         p = params()
-        net = Network(neurons=[(p, NeuronState(v=0))] * 4, synapses=[],
+        net = Network(neurons=[(p, 0)] * 4, synapses=[],
                       inputs={}, t_max=10, max_delay=1)
         assert len(reference_run(net)) == 0
 
