@@ -280,6 +280,8 @@ def build_sweep_tasks(args, base_cfg: SimConfig):
     if axis not in _AXES or not eq:
         raise ConfigError(f"sweep axis must look like <axis>=v1,v2 with <axis> "
                           f"one of {_AXES}, got {args.axis!r}")
+    if args.reps < 1:
+        raise ConfigError(f"sweep reps must be >= 1, got {args.reps}")
     values = _axis_values(axis, raw)
     seeds = _numbers(int, args.seeds, "sweep seeds")
     if len(set(seeds)) != len(seeds):
@@ -312,7 +314,7 @@ def build_sweep_tasks(args, base_cfg: SimConfig):
                 if net is None:
                     raise ConfigError("sweep needs --workload (or a rate axis)")
                 assignment = None
-                if axis == "exchange" and value > 0:
+                if axis == "exchange" and value:
                     assignment = exchanged_assignment(
                         net, point_grid[0] * point_grid[1], value, seed=seed)
                 index_of[prog_key] = len(programs)

@@ -10,15 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import lif_step_arrays
-from .noc import (
-    DEP,
-    FLAG_FINISH,
-    FLAG_START,
-    SPIKE,
-    DepBody,
-    Packet,
-    SpikeBody,
-)
+from .noc import FLAG_FINISH, FLAG_START, DepPacket, Packet, SpikePacket
 
 # The work counters every core keeps, in report order.
 COUNTERS = ("neuron_updates", "rollback_updates", "synapse_acc", "buffer_reads",
@@ -57,8 +49,6 @@ def advance_condition(tables: DependencyTables, t_cur: int, m: int) -> bool:
     provably landed) and every post-dependency to have started at least
     t_cur - m + 2 (it still has buffer room for spikes we will emit).
     """
-    if m < 1:
-        raise ValueError("window m must be >= 1")
     for t in tables.pre_finish:
         if t < t_cur:
             return False
@@ -115,7 +105,7 @@ class InputStore:
             acc[tgt] += w
         return np.array(acc, dtype=np.int64)
 
-    def seal(self, t: int, sent: list[Packet]) -> None:
+    def seal(self, t: int, sent: list[SpikePacket]) -> None:
         """Timestep t is committed; its receptions are no longer needed."""
         self.recv.pop(t, None)
 
@@ -137,7 +127,7 @@ class SpeculativeStore(InputStore):
     def __init__(self, n_local: int, v0: np.ndarray):
         super().__init__(n_local, None)
         self.checkpoints: dict[int, np.ndarray] = {0: v0.copy()}
-        self.sent: dict[int, list[Packet]] = {}
+        self.sent: dict[int, list[SpikePacket]] = {}
 
     def receive(self, consuming_t: int, local_idx: int, weight: int,
                 sender_t: int = -1) -> int | None:
@@ -151,10 +141,10 @@ class SpeculativeStore(InputStore):
         self.checkpoints[t] = v.copy()
         return super().take(t, v)
 
-    def seal(self, t: int, sent: list[Packet]) -> None:
+    def seal(self, t: int, sent: list[SpikePacket]) -> None:
         self.sent[t] = sent
 
-    def rollback(self, tc: int) -> tuple[np.ndarray, list[Packet]]:
+    def rollback(self, tc: int) -> tuple[np.ndarray, list[SpikePacket]]:
         """Forget timesteps >= tc: returns the state at the entry of tc and
         the spikes sent since, oldest first."""
         for t in [t for t in self.checkpoints if t > tc]:
@@ -228,34 +218,32 @@ class NeuromorphicCore:
         """Idle with every timestep committed."""
         return self.computing is None and self.t_cur + 1 >= self.t_max
 
-    def _notifications(self, routes, flag: int, t: int) -> list[Packet]:
+    def _notifications(self, routes, flag: int, t: int) -> list[DepPacket]:
         self.counters["scheduler_events"] += len(routes)
         cid, coord = self.cid, self.coord
-        return [Packet(DEP, cid, core, coord, dst_xy, DepBody(t, flag, dep_id))
+        return [DepPacket(cid, core, coord, dst_xy, t, flag, dep_id)
                 for core, dst_xy, dep_id in routes]
 
     # -- packet handlers ----------------------------------------------------
 
-    def on_dep(self, pkt: Packet) -> None:
+    def on_dep(self, pkt: DepPacket) -> None:
         self.counters["scheduler_events"] += 1
-        body = pkt.body
-        self.tables.update(body.flag, body.dep_id, body.timestep)
+        self.tables.update(pkt.flag, pkt.dep_id, pkt.timestep)
 
-    def on_spike(self, pkt: Packet) -> int | None:
+    def on_spike(self, pkt: SpikePacket) -> int | None:
         """Buffer an arriving spike. Returns the timestep to roll back to
         when a speculative core has already read that spike's timestep,
         otherwise None."""
-        body = pkt.body
-        tgt, w = self.image.in_synapses[body.synapse_id]
-        if body.anti:
+        tgt, w = self.image.in_synapses[pkt.synapse_id]
+        if pkt.anti:
             w = -w
         self.counters["synapse_acc"] += 1
         self.counters["buffer_writes"] += 1
-        return self.inputs.receive(body.timestep + body.delay, tgt, w)
+        return self.inputs.receive(pkt.timestep + pkt.delay, tgt, w)
 
     # -- timestep execution --------------------------------------------------
 
-    def begin(self, cycle: int) -> tuple[int, list[Packet]]:
+    def begin(self, cycle: int) -> tuple[int, list[DepPacket]]:
         """Start computing timestep t_cur + 1. Returns (cost in cycles, START
         packets to inject). The full result is computed eagerly; it becomes
         visible only at completion."""
@@ -301,7 +289,7 @@ class NeuromorphicCore:
         self.counters["neuron_updates"] += self.n_local
 
         self.raster[t] = fired
-        spikes: list[Packet] = []
+        spikes: list[SpikePacket] = []
         cid, coord = self.cid, self.coord
         fanout_local, fanout_remote = self.image.fanout_local, self.image.fanout_remote
         for i in fired:
@@ -310,8 +298,8 @@ class NeuromorphicCore:
                 self.counters["buffer_writes"] += 1
                 self.inputs.receive(t + delay, tgt, w, t)
             for dst_core, dst_xy, syn_id, delay in fanout_remote[i]:
-                spikes.append(Packet(SPIKE, cid, dst_core, coord, dst_xy,
-                                     SpikeBody(syn_id, delay, t)))
+                spikes.append(SpikePacket(cid, dst_core, coord, dst_xy, t,
+                                          syn_id, delay))
         self.inputs.seal(t, spikes)
 
         self.t_cur = t
@@ -319,7 +307,7 @@ class NeuromorphicCore:
 
     # -- speculative rollback -------------------------------------------------
 
-    def rollback(self, tc: int, cycle: int) -> list[Packet]:
+    def rollback(self, tc: int, cycle: int) -> list[SpikePacket]:
         """Restore the checkpoint at entry of ``tc`` and cancel everything
         sent for timesteps >= tc. Returns the cancellation packets to
         inject."""
@@ -335,12 +323,9 @@ class NeuromorphicCore:
             self.gen += 1
 
         self.v, undone = self.inputs.rollback(tc)
-        anti = [Packet(
-            kind=SPIKE, src_core=self.cid, dst_core=pkt.dst_core,
-            src_xy=self.coord, dst_xy=pkt.dst_xy,
-            body=SpikeBody(synapse_id=pkt.body.synapse_id, delay=pkt.body.delay,
-                           timestep=pkt.body.timestep, anti=True),
-        ) for pkt in undone]
+        anti = [SpikePacket(self.cid, pkt.dst_core, self.coord, pkt.dst_xy,
+                            pkt.timestep, pkt.synapse_id, pkt.delay, anti=True)
+                for pkt in undone]
         for t in [t for t in self.raster if t >= tc]:
             del self.raster[t]
         self.t_cur = tc - 1

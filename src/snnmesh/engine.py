@@ -342,12 +342,12 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
                 dirty.add(core.cid)
                 if cfg.debug:
                     dep_log.append((cycle, pkt.dst_core, pkt.src_core,
-                                    pkt.body.flag, pkt.body.timestep))
+                                    pkt.flag, pkt.timestep))
             elif pkt.kind == SPIKE:
                 rollback_to = core.on_spike(pkt)
                 if rollback_to is not None:
                     for anti in core.rollback(rollback_to, cycle):
-                        mesh.inject(core.coord, anti, cycle)
+                        mesh.inject(anti, cycle)
                     dirty.add(core.cid)
                     changed.add(core.cid)
 
@@ -360,7 +360,7 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
             t, start_cycle, *_rest = core.computing
             kind = "rollback" if t <= core.frontier else "compute"
             for pkt in core.finish(cycle):
-                mesh.inject(core.coord, pkt, cycle)
+                mesh.inject(pkt, cycle)
             if cfg.trace:
                 trace_rows.append((start_cycle, cycle, cid, t, kind))
             last_completion = cycle
@@ -378,7 +378,7 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
                 if core.may_advance() and protocol.admits(core):
                     cost, starts = core.begin(cycle)
                     for pkt in starts:
-                        mesh.inject(core.coord, pkt, cycle)
+                        mesh.inject(pkt, cycle)
                     seq += 1
                     heapq.heappush(completions, (cycle + cost, seq, cid, core.gen))
                     changed.add(cid)

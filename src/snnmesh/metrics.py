@@ -95,11 +95,6 @@ def export_report(report, path) -> None:
         f.write("\n")
 
 
-def load_report(path) -> dict:
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)
-
-
 def trace_rows_with_waits(report) -> list[tuple[int, int, int, int, str]]:
     """Fill the gaps between a core's compute segments with wait rows, so the
     trace renders as a complete Gantt timeline."""

@@ -95,6 +95,12 @@ def _check_horizon(t_max: int, max_delay: int) -> None:
         raise WorkloadError("max_delay must be >= 1")
 
 
+def _check_rates(**rates: float) -> None:
+    for name, rate in rates.items():
+        if not 0.0 <= rate <= 1.0:  # also rejects NaN
+            raise WorkloadError(f"{name} must be in [0, 1], got {rate!r}")
+
+
 class SpikeRaster:
     """An ordered set of (neuron id, timestep) spike events."""
 
@@ -313,6 +319,7 @@ def gen_synthetic(
     """Random recurrent network with excitatory/inhibitory populations and
     Poisson external input. Deterministic in the seed."""
     _check_horizon(t_max, max_delay)
+    _check_rates(input_rate=input_rate)
     if n_neurons < 0 or n_synapses < 0:
         raise WorkloadError("counts must be non-negative")
     if n_neurons == 0:
@@ -377,6 +384,7 @@ def gen_layered(
     The input layer gets strong Poisson drive; deeper layers get a weak
     background that keeps them near threshold, so synaptic input decides."""
     _check_horizon(t_max, max_delay)
+    _check_rates(input_rate=input_rate, background_rate=background_rate)
     if len(layer_sizes) < 2:
         raise WorkloadError("need at least 2 layers")
     if any(sz <= 0 for sz in layer_sizes):

@@ -116,16 +116,11 @@ class ReferenceNoc:
 
     # -- public surface ----------------------------------------------------
 
-    def inject(self, at: tuple[int, int], packet: Packet, cycle: int) -> None:
-        packet.validate()
-        if tuple(at) != tuple(packet.src_xy):
-            raise NocError(
-                f"inject at {at} but packet originates at {packet.src_xy}"
-            )
+    def inject(self, packet: Packet, cycle: int) -> None:
         route_xy(packet.src_xy, packet.dst_xy, self.grid)  # bounds check
-        packet.vc = vc_for_packet(packet, self.n_vc)
-        r = self.routers[self._ridx(at)]
-        r.ports[PORT_LOCAL][packet.vc].append(packet)
+        vc = vc_for_packet(packet, self.n_vc)
+        r = self.routers[self._ridx(packet.src_xy)]
+        r.ports[PORT_LOCAL][vc].append(packet)
         r.port_count[PORT_LOCAL] += 1
         r.occ_change(+1, cycle)
         self._queued += 1
@@ -201,18 +196,18 @@ class ReferenceNoc:
     def _finish_masked(self, r: _Router, port: int, pkt: Packet) -> bool:
         """A FINISH may not pass a resident spike from the same source with a
         timestep it claims to complete."""
-        t = pkt.body.timestep
+        t = pkt.timestep
         src = pkt.src_xy
         for q in r.ports[port]:
             for other in q:
                 if (other.kind == SPIKE and other.src_xy == src
-                        and other.body.timestep <= t):
+                        and other.timestep <= t):
                     return True
         return False
 
-    def _eligible(self, r: _Router, port: int, pkt: Packet, out: int,
+    def _eligible(self, r: _Router, port: int, vc: int, pkt: Packet, out: int,
                   cycle: int) -> bool:
-        if pkt.kind == DEP and pkt.body.flag == FLAG_FINISH:
+        if pkt.kind == DEP and pkt.flag == FLAG_FINISH:
             if self._finish_masked(r, port, pkt):
                 return False
         if out == PORT_LOCAL:
@@ -221,8 +216,8 @@ class ReferenceNoc:
             return False
         dx, dy, in_port = _LINKS[out]
         nxt = self.routers[self._ridx((r.coord[0] + dx, r.coord[1] + dy))]
-        q = nxt.ports[in_port][pkt.vc]
-        if len(q) + nxt.reserved[in_port][pkt.vc] >= self.fifo_depth:
+        q = nxt.ports[in_port][vc]
+        if len(q) + nxt.reserved[in_port][vc] >= self.fifo_depth:
             return False
         return True
 
@@ -256,7 +251,7 @@ class ReferenceNoc:
                     out = PORT_S
                 else:
                     out = PORT_LOCAL
-                if self._eligible(r, port, pkt, out, cycle):
+                if self._eligible(r, port, vc, pkt, out, cycle):
                     nominees.append((port, vc, pkt, out))
                     break
 
@@ -317,11 +312,11 @@ class ReferenceNoc:
                 nxt_xy = (cx + dx, cy + dy)
                 nidx = self._ridx(nxt_xy)
                 nxt = self.routers[nidx]
-                nxt.reserved[in_port][pkt.vc] += 1
+                nxt.reserved[in_port][vc] += 1
                 hop = self._hop_cycles(r.coord, nxt_xy)
                 if hop > self.cycles_per_hop:
                     r.next_free[out] = cycle + self.slowdown
-                self._schedule(cycle + hop, ("hop", nidx, in_port, pkt.vc, pkt))
+                self._schedule(cycle + hop, ("hop", nidx, in_port, vc, pkt))
 
     # -- reporting ---------------------------------------------------------
 

@@ -27,9 +27,8 @@ from snnmesh.noc import (
     FLAG_FINISH,
     FLAG_START,
     SPIKE,
-    DepBody,
-    Packet,
-    SpikeBody,
+    DepPacket,
+    SpikePacket,
 )
 from stepped_noc import SteppedNoc
 
@@ -313,17 +312,15 @@ class TestCriterion10NocProperties:
                 at = cycle + (si % 3)
                 for d in dsts[s]:
                     for _k in range(2):
-                        p = Packet(kind=SPIKE, src_core=0, dst_core=0,
-                                   src_xy=s, dst_xy=d,
-                                   body=SpikeBody(synapse_id=0, delay=1,
-                                                  timestep=t))
-                        mesh.inject(s, p, at)
+                        p = SpikePacket(src_core=0, dst_core=0,
+                                        src_xy=s, dst_xy=d,
+                                        timestep=t, synapse_id=0, delay=1)
+                        mesh.inject(p, at)
                         injected += 1
-                    f = Packet(kind=DEP, src_core=0, dst_core=0, src_xy=s,
-                               dst_xy=d,
-                               body=DepBody(timestep=t, flag=FLAG_FINISH,
-                                            dep_id=0))
-                    mesh.inject(s, f, at)
+                    f = DepPacket(src_core=0, dst_core=0, src_xy=s,
+                                  dst_xy=d,
+                                  timestep=t, flag=FLAG_FINISH, dep_id=0)
+                    mesh.inject(f, at)
                     injected += 1
             for _ in range(3):
                 for q in mesh.step(cycle):
@@ -343,11 +340,11 @@ class TestCriterion10NocProperties:
         for at, p in deliveries:
             key = (tuple(p.src_xy), tuple(p.dst_xy))
             if p.kind == SPIKE:
-                last_spike.setdefault(key, {})[p.body.timestep] = at
-            elif p.kind == DEP and p.body.flag == FLAG_FINISH:
+                last_spike.setdefault(key, {})[p.timestep] = at
+            elif p.kind == DEP and p.flag == FLAG_FINISH:
                 for ts, seen_at in last_spike.get(key, {}).items():
-                    if ts <= p.body.timestep and seen_at > at:
-                        finish_violations.append((key, ts, p.body.timestep))
+                    if ts <= p.timestep and seen_at > at:
+                        finish_violations.append((key, ts, p.timestep))
         record_criterion(
             10, "10k-packet conservation and FINISH ordering; VC trend", True,
             f"{injected} packets conserved, {len(finish_violations)} "
@@ -362,12 +359,11 @@ class TestCriterion10NocProperties:
             for burst in range(40):
                 for sy in range(6):
                     for _k in range(2):
-                        p = Packet(kind=SPIKE, src_core=0, dst_core=0,
-                                   src_xy=(0, sy),
-                                   dst_xy=(5, rng.randrange(6)),
-                                   body=SpikeBody(synapse_id=0, delay=1,
-                                                  timestep=burst))
-                        mesh.inject((0, sy), p, cycle)
+                        p = SpikePacket(src_core=0, dst_core=0,
+                                        src_xy=(0, sy),
+                                        dst_xy=(5, rng.randrange(6)),
+                                        timestep=burst, synapse_id=0, delay=1)
+                        mesh.inject(p, cycle)
                 mesh.step(cycle)
                 cycle += 1
             while mesh.busy():

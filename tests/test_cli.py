@@ -357,6 +357,38 @@ def test_sweep_distinct_seeds_enforced(tmp_path):
     assert code == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("value", ["nan", "-0.5"])
+def test_sweep_exchange_outside_unit_interval_fails_as_compile_does(
+        tmp_path, capsys, value):
+    workload = str(FIXTURES / "tiny_workload.json")
+    out = tmp_path / "r.csv"
+    code = main(["sweep", "--workload", workload, "--axis", f"exchange={value}",
+                 "--grid", "2x2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_COMPILE
+    assert err.startswith("snnmesh: error[compile] ") and err.count("\n") == 1
+    assert not out.exists()
+    assert main(["compile", "--workload", workload, "--grid", "2x2",
+                 "--exchange-frac", value,
+                 "--out", str(tmp_path / "p.json")]) == EXIT_COMPILE
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_sweep_rejects_nonpositive_reps_before_compiling(tmp_path, capsys,
+                                                         monkeypatch, reps):
+    def never(*args, **kwargs):
+        raise AssertionError("sweep compiled or ran with no reps")
+
+    monkeypatch.setattr(cli, "compile_network", never)
+    monkeypatch.setattr(cli, "run", never)
+    out = tmp_path / "r.csv"
+    code = main(["sweep", "--workload", str(FIXTURES / "tiny_workload.json"),
+                 "--axis", "m=2", "--reps", reps, "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("snnmesh: error[bad-input] ")
+    assert not out.exists()
+
+
 def test_sweep_parallel_jobs_match_serial(tmp_path):
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
@@ -462,6 +494,15 @@ def test_report_malformed_results(tmp_path, capsys, csv_text):
 def test_gen_rejects_bad_horizon(tmp_path, capsys, kind_args, horizon):
     out = tmp_path / "w.json"
     assert main(["gen", *kind_args, *horizon, "--out", str(out)]) == EXIT_BAD_INPUT
+    assert "error[bad-input]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_rejects_nan_input_rate(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    code = main(["gen", "--kind", "synthetic", "--neurons", "10", "--synapses",
+                 "10", "--input-rate", "nan", "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
     assert "error[bad-input]" in capsys.readouterr().err
     assert not out.exists()
 

@@ -25,7 +25,7 @@ from snnmesh.model import (
     gen_synthetic,
     reference_run,
 )
-from snnmesh.noc import FLAG_FINISH, FLAG_START, Packet, SpikeBody, SPIKE
+from snnmesh.noc import FLAG_FINISH, FLAG_START, SpikePacket
 
 from conftest import build_staircase_net
 from stepped_noc import SteppedNoc
@@ -62,7 +62,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("fifo_depth", 0), ("inter_cluster_slowdown", 0), ("cluster_size", 0),
-        ("t_max", -3),
+        ("t_max", -3), ("m", 0),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -382,10 +382,9 @@ class TestDrainDetect:
         barrier = Barrier(SimConfig(grid=(2, 1), mode="sync"), t_max=2)
         cores = [SimpleNamespace(t_cur=0)]
         mesh = SteppedNoc((2, 1))
-        pkt = Packet(kind=SPIKE, src_core=0, dst_core=1, src_xy=(0, 0),
-                     dst_xy=(1, 0),
-                     body=SpikeBody(synapse_id=0, delay=1, timestep=0))
-        mesh.inject((0, 0), pkt, 0)
+        pkt = SpikePacket(src_core=0, dst_core=1, src_xy=(0, 0), dst_xy=(1, 0),
+                          timestep=0, synapse_id=0, delay=1)
+        mesh.inject(pkt, 0)
         assert not barrier.gate(cores, mesh)
         mesh.drain(0)
         assert barrier.gate(cores, mesh)

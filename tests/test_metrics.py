@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from snnmesh.compiler import compile_network
@@ -9,7 +11,6 @@ from snnmesh.metrics import (
     energy_total,
     export_report,
     export_trace_csv,
-    load_report,
     load_trace_csv,
     trace_rows_with_waits,
 )
@@ -70,7 +71,8 @@ class TestReportExport:
     def test_round_trip(self, small_report, tmp_path):
         path = tmp_path / "report.json"
         export_report(small_report, path)
-        doc = load_report(path)
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
         assert doc == small_report.to_dict()
 
     def test_identities_reasserted_at_export(self, small_report, tmp_path):

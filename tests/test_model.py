@@ -253,6 +253,25 @@ class TestGenerators:
         with pytest.raises(WorkloadError):
             gen_layered([2, 4], fanin=3, seed=0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), -0.1, 1.5])
+    def test_synthetic_rejects_rate_outside_unit_interval(self, rate):
+        with pytest.raises(WorkloadError, match="input_rate"):
+            gen_synthetic(10, 10, seed=0, t_max=5, input_rate=rate)
+
+    @pytest.mark.parametrize("name", ["input_rate", "background_rate"])
+    @pytest.mark.parametrize("rate", [float("nan"), -0.1, 1.5])
+    def test_layered_rejects_rate_outside_unit_interval(self, name, rate):
+        with pytest.raises(WorkloadError, match=name):
+            gen_layered([4, 2], fanin=2, seed=0, t_max=5, **{name: rate})
+
+    def test_unit_interval_rates_accepted(self):
+        for rate in (0.0, 1.0):
+            net = gen_synthetic(4, 4, seed=0, t_max=3, input_rate=rate)
+            assert sum(map(len, net.inputs.values())) == 4 * 3 * rate
+            net = gen_layered([2, 2], fanin=1, seed=0, t_max=3,
+                              input_rate=rate, background_rate=rate)
+            assert sum(map(len, net.inputs.values())) == 4 * 3 * rate
+
     def test_layered_is_acyclic(self):
         # Kahn's algorithm as an independent cycle check
         net = gen_layered([10, 8, 6], fanin=4, seed=7, t_max=5)

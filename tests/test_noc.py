@@ -13,11 +13,10 @@ from snnmesh.noc import (
     PORT_S,
     PORT_W,
     SPIKE,
-    DepBody,
+    DepPacket,
     MeshNoc,
     NocError,
-    Packet,
-    SpikeBody,
+    SpikePacket,
     route_xy,
     vc_for_packet,
 )
@@ -26,21 +25,18 @@ from stepped_noc import SteppedNoc
 
 
 def spike(src_xy, dst_xy, t=0, syn=0, delay=1, src_core=0, dst_core=0):
-    return Packet(kind=SPIKE, src_core=src_core, dst_core=dst_core,
-                  src_xy=src_xy, dst_xy=dst_xy,
-                  body=SpikeBody(synapse_id=syn, delay=delay, timestep=t))
+    return SpikePacket(src_core=src_core, dst_core=dst_core, src_xy=src_xy,
+                       dst_xy=dst_xy, timestep=t, synapse_id=syn, delay=delay)
 
 
 def finish(src_xy, dst_xy, t=0, dep_id=0):
-    return Packet(kind=DEP, src_core=0, dst_core=0, src_xy=src_xy,
-                  dst_xy=dst_xy,
-                  body=DepBody(timestep=t, flag=FLAG_FINISH, dep_id=dep_id))
+    return DepPacket(src_core=0, dst_core=0, src_xy=src_xy, dst_xy=dst_xy,
+                     timestep=t, flag=FLAG_FINISH, dep_id=dep_id)
 
 
 def start(src_xy, dst_xy, t=0, dep_id=0):
-    return Packet(kind=DEP, src_core=0, dst_core=0, src_xy=src_xy,
-                  dst_xy=dst_xy,
-                  body=DepBody(timestep=t, flag=FLAG_START, dep_id=dep_id))
+    return DepPacket(src_core=0, dst_core=0, src_xy=src_xy, dst_xy=dst_xy,
+                     timestep=t, flag=FLAG_START, dep_id=dep_id)
 
 
 class TestRouteXY:
@@ -63,15 +59,12 @@ class TestRouteXY:
 
 
 class TestPacketFormat:
-    def test_exactly_one_body_variant(self):
-        with pytest.raises(NocError):
-            Packet(kind=SPIKE, src_core=0, dst_core=0, src_xy=(0, 0),
-                   dst_xy=(0, 0), body=DepBody(timestep=1, flag=FLAG_FINISH,
-                                                dep_id=0)).validate()
-        with pytest.raises(NocError):
-            Packet(kind="BOGUS", src_core=0, dst_core=0, src_xy=(0, 0),
-                   dst_xy=(0, 0), body=DepBody(timestep=1, flag=FLAG_FINISH,
-                                                dep_id=0)).validate()
+    def test_each_record_fixes_its_kind_in_a_slot(self):
+        s, f = spike((0, 0), (1, 1)), finish((0, 0), (1, 1))
+        assert (s.kind, f.kind) == (SPIKE, DEP)
+        for p in (s, f):
+            assert "kind" in type(p).__slots__
+            assert not hasattr(p, "vc")
 
     def test_control_packets_use_reserved_vc(self):
         assert vc_for_packet(finish((0, 0), (1, 1)), 4) == 4
@@ -87,7 +80,7 @@ class TestLatency:
     def test_single_packet_two_cycles_per_hop(self):
         mesh = SteppedNoc((4, 4))
         p = spike((0, 0), (0, 0))
-        mesh.inject((0, 0), p, cycle=0)
+        mesh.inject(p, cycle=0)
         delivered = []
         c = 0
         while mesh.busy():
@@ -102,7 +95,7 @@ class TestLatency:
     def test_unblocked_latency_formula(self, dst, expect_hops):
         mesh = SteppedNoc((4, 4), cycles_per_hop=2)
         p = spike((0, 0), dst)
-        mesh.inject((0, 0), p, cycle=0)
+        mesh.inject(p, cycle=0)
         deliveries = {}
         c = 0
         while mesh.busy():
@@ -119,38 +112,19 @@ class TestLatency:
         with pytest.raises(NocError, match=field):
             MeshNoc((2, 2), **{field: 0})
 
-    def test_inject_at_wrong_coordinate_rejected(self):
-        mesh = MeshNoc((4, 4))
-        with pytest.raises(NocError):
-            mesh.inject((1, 0), spike((0, 0), (2, 2)), cycle=0)
-
 
 class TestInjectChecks:
     @pytest.mark.parametrize("packet", [
-        Packet(kind=SPIKE, src_core=0, dst_core=0, src_xy=(0, 0), dst_xy=(1, 1),
-               body=DepBody(timestep=0, flag=FLAG_FINISH, dep_id=0)),
-        Packet(kind="BOGUS", src_core=0, dst_core=0, src_xy=(0, 0), dst_xy=(1, 1),
-               body=SpikeBody(synapse_id=0, delay=1, timestep=0)),
         spike((4, 0), (0, 0)),
         spike((0, 0), (0, 4)),
         spike((0, 0), (-1, 2)),
-    ], ids=["wrong-body", "unknown-kind", "source-off-grid", "destination-off-grid",
-            "negative-destination"])
+    ], ids=["source-off-grid", "destination-off-grid", "negative-destination"])
     def test_rejected_packet_leaves_no_trace(self, packet):
         mesh = MeshNoc((4, 4))
         with pytest.raises(NocError):
-            mesh.inject(packet.src_xy, packet, cycle=0)
+            mesh.inject(packet, cycle=0)
         assert mesh.queued == 0
         assert mesh.injected == {SPIKE: 0, DEP: 0}
-
-    def test_list_coordinates_are_accepted_as_tuples(self):
-        mesh = SteppedNoc((4, 4))
-        p = spike([1, 2], [2, 2])
-        mesh.inject([1, 2], p, cycle=0)
-        assert p.src_xy == (1, 2) and type(p.src_xy) is tuple
-        _cycle, delivered = mesh.drain(0)
-        assert delivered == [p]
-        assert mesh.eject((2, 2)) == [p]
 
 
 class TestFinishMask:
@@ -160,8 +134,8 @@ class TestFinishMask:
         mesh = SteppedNoc((4, 1))
         s = spike((0, 0), (3, 0), t=5)
         f = finish((0, 0), (3, 0), t=5)
-        mesh.inject((0, 0), f, cycle=0)  # FINISH queued first
-        mesh.inject((0, 0), s, cycle=0)
+        mesh.inject(f, cycle=0)  # FINISH queued first
+        mesh.inject(s, cycle=0)
         order = []
         c = 0
         while mesh.busy():
@@ -176,8 +150,8 @@ class TestFinishMask:
         mesh = SteppedNoc((4, 1))
         s = spike((0, 0), (3, 0), t=9)
         f = finish((0, 0), (3, 0), t=5)
-        mesh.inject((0, 0), f, cycle=0)
-        mesh.inject((0, 0), s, cycle=0)
+        mesh.inject(f, cycle=0)
+        mesh.inject(s, cycle=0)
         when = {}
         c = 0
         while mesh.busy():
@@ -190,8 +164,8 @@ class TestFinishMask:
         mesh = SteppedNoc((4, 1))
         s = spike((0, 0), (3, 0), t=5)
         st_pkt = start((0, 0), (3, 0), t=6)
-        mesh.inject((0, 0), st_pkt, cycle=0)
-        mesh.inject((0, 0), s, cycle=0)
+        mesh.inject(st_pkt, cycle=0)
+        mesh.inject(s, cycle=0)
         order = []
         c = 0
         while mesh.busy():
@@ -212,7 +186,7 @@ class TestArbitration:
             for f in flows:
                 p = spike(*f, t=i)
                 pkts.append(p)
-                mesh.inject((0, 0), p, cycle=0)
+                mesh.inject(p, cycle=0)
         # Read which VC each step drained from the per-VC queue lengths of
         # the local port: at most one packet leaves it per cycle, and the
         # round-robin pointer makes the two VCs take turns.
@@ -233,7 +207,7 @@ class TestArbitration:
         mesh = SteppedNoc((4, 4))
         sent = [spike((0, 0), (3, 2), t=i, syn=i) for i in range(6)]
         for i, p in enumerate(sent):
-            mesh.inject((0, 0), p, cycle=i)
+            mesh.inject(p, cycle=i)
         got = []
         c = 0
         while mesh.busy():
@@ -254,7 +228,7 @@ class TestConservation:
             dx, dy = rng.randrange(4), rng.randrange(4)
             p = spike((sx, sy), (dx, dy), t=rng.randrange(10),
                       syn=rng.randrange(100))
-            mesh.inject((sx, sy), p, cycle)
+            mesh.inject(p, cycle)
             injected.append(p)
             delivered += mesh.step(cycle)
             cycle += 1
@@ -282,7 +256,7 @@ class TestConservation:
         mesh = SteppedNoc((3, 3))
         pkts = [spike((0, 0), (2, 2), t=i) for i in range(4)]
         for p in pkts:
-            mesh.inject((0, 0), p, 0)
+            mesh.inject(p, 0)
         end, delivered = mesh.drain(0)
         assert delivered == pkts
         assert not mesh.busy()
@@ -291,7 +265,7 @@ class TestConservation:
     def test_delivery_at_destination_only(self):
         mesh = SteppedNoc((3, 3))
         p = spike((0, 0), (2, 2))
-        mesh.inject((0, 0), p, 0)
+        mesh.inject(p, 0)
         c = 0
         while mesh.busy():
             for q in mesh.step(c):
@@ -313,7 +287,7 @@ class TestVcScaling:
                 for k in range(2):
                     dy = rng.randrange(6)
                     p = spike((0, sy), (5, dy), t=burst, syn=k)
-                    mesh.inject((0, sy), p, cycle)
+                    mesh.inject(p, cycle)
             mesh.step(cycle)
             cycle += 1
         while mesh.busy():
@@ -333,7 +307,7 @@ class TestInterClusterSlowdown:
         fast = SteppedNoc((4, 1), inter_cluster_slowdown=1, cluster_size=2)
         slow = SteppedNoc((4, 1), inter_cluster_slowdown=4, cluster_size=2)
         for mesh in (fast, slow):
-            mesh.inject((0, 0), spike((0, 0), (3, 0)), 0)
+            mesh.inject(spike((0, 0), (3, 0)), 0)
         def drain_time(mesh):
             c = 0
             while mesh.busy():
@@ -356,7 +330,7 @@ def test_conservation_property(moves):
     mesh = SteppedNoc((4, 4), n_vc=2, fifo_depth=2)
     n = 0
     for cycle, (sx, sy, dx, dy, t) in enumerate(moves):
-        mesh.inject((sx, sy), spike((sx, sy), (dx, dy), t=t), cycle)
+        mesh.inject(spike((sx, sy), (dx, dy), t=t), cycle)
         n += 1
         mesh.step(cycle)
     cycle = len(moves)

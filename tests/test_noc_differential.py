@@ -14,15 +14,7 @@ from snnmesh import engine
 from snnmesh.compiler import compile_network, load_program
 from snnmesh.engine import SimConfig, run
 from snnmesh.model import gen_layered
-from snnmesh.noc import (
-    DEP,
-    FLAG_FINISH,
-    FLAG_START,
-    SPIKE,
-    DepBody,
-    Packet,
-    SpikeBody,
-)
+from snnmesh.noc import FLAG_FINISH, FLAG_START, DepPacket, SpikePacket
 from stepped_noc import SteppedNoc
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -60,11 +52,11 @@ def noc_scenarios(draw):
 
 def _packet(i, kind, src, dst, t):
     if kind == "SPIKE":
-        return Packet(kind=SPIKE, src_core=i, dst_core=i, src_xy=src, dst_xy=dst,
-                      body=SpikeBody(synapse_id=i, delay=1, timestep=t))
+        return SpikePacket(src_core=i, dst_core=i, src_xy=src, dst_xy=dst,
+                           timestep=t, synapse_id=i, delay=1)
     flag = FLAG_START if kind == "START" else FLAG_FINISH
-    return Packet(kind=DEP, src_core=i, dst_core=i, src_xy=src, dst_xy=dst,
-                  body=DepBody(timestep=t, flag=flag, dep_id=i))
+    return DepPacket(src_core=i, dst_core=i, src_xy=src, dst_xy=dst,
+                     timestep=t, flag=flag, dep_id=i)
 
 
 def _drive(noc, injections, limit=100_000):
@@ -79,7 +71,7 @@ def _drive(noc, injections, limit=100_000):
         ejected = {tuple(p.dst_xy): noc.eject(p.dst_xy) for p in delivered}
         while k < len(pending_inj) and pending_inj[k][0] == cycle:
             _c, _i, pkt = pending_inj[k]
-            noc.inject(pkt.src_xy, pkt, cycle)
+            noc.inject(pkt, cycle)
             k += 1
         noc.end_cycle(cycle)
         nxt = noc.next_pending_cycle()
