@@ -101,18 +101,35 @@ def build_config(args, defaults: dict | None = None) -> SimConfig:
 # ---------------------------------------------------------------------------
 
 
+# the gen flags only one --kind reads, with their defaults
+_GEN_FLAGS = {
+    "synthetic": {"neurons": 1000, "synapses": 50000, "rate": None,
+                  "frac_inhibitory": 0.2},
+    "layered": {"layers": "100,100", "fanin": 10},
+}
+
+
 def cmd_gen(args) -> int:
+    for kind, flags in _GEN_FLAGS.items():
+        for flag, default in flags.items():
+            if getattr(args, flag) is None:
+                setattr(args, flag, default)
+            elif kind != args.kind:
+                raise ConfigError(f"--{flag.replace('_', '-')} is not read by "
+                                  f"--kind {args.kind}")
+    # an unset --input-rate leaves each generator its own default
+    rate = {} if args.input_rate is None else {"input_rate": args.input_rate}
     if args.kind == "synthetic":
         knobs = rate_knobs_for_level(args.rate) if args.rate is not None else None
         net = gen_synthetic(
             args.neurons, args.synapses, frac_inhibitory=args.frac_inhibitory,
             rate_knobs=knobs, seed=args.seed or 0, t_max=args.t_max,
-            max_delay=args.max_delay, input_rate=args.input_rate,
+            max_delay=args.max_delay, **rate,
         )
     else:
         layers = _numbers(int, args.layers, "--layers")
         net = gen_layered(layers, fanin=args.fanin, seed=args.seed or 0,
-                          t_max=args.t_max, max_delay=args.max_delay)
+                          t_max=args.t_max, max_delay=args.max_delay, **rate)
     save_workload(net, args.out)
     print(f"wrote {args.out}: {net.n_neurons} neurons, "
           f"{len(net.synapses)} synapses, t_max={net.t_max}")
@@ -156,23 +173,22 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def verify_workload(net, grid: tuple[int, int], base_cfg: SimConfig,
-                    mapping: str = "plain"):
-    """Run the reference interpreter and every mode; returns
-    (ok, details dict), whose ``reports`` holds each mode's report. The
-    workhorse behind ``snnmesh verify``."""
+def verify_workload(net, base_cfg: SimConfig):
+    """Compile ``net`` onto ``base_cfg.grid`` (plain mapping), run the
+    reference interpreter and every mode; returns (ok, details dict), whose
+    ``reports`` holds each mode's report. The workhorse behind
+    ``snnmesh verify``."""
     ref = reference_run(net)
     if base_cfg.t_max is not None and base_cfg.t_max < net.t_max:
         # an overridden horizon truncates the comparison on both sides
         horizon = base_cfg.t_max
         ref = SpikeRaster([(n, t) for n, t in ref if t < horizon], t_max=net.t_max)
-    prog = compile_network(net, grid, mapping=mapping)
+    prog = compile_network(net, base_cfg.grid)
     details = {"reference_spikes": len(ref), "modes": {}, "reference": ref,
                "reports": {}}
     ok = True
     for mode in PROTOCOLS:
-        cfg = SimConfig.from_dict({**base_cfg.to_dict(), "mode": mode,
-                                   "grid": list(grid)})
+        cfg = SimConfig.from_dict({**base_cfg.to_dict(), "mode": mode})
         rep = run(prog, cfg)
         got = SpikeRaster(rep.raster, t_max=net.t_max)
         divergence = ref.first_divergence(got)
@@ -192,7 +208,7 @@ def verify_workload(net, grid: tuple[int, int], base_cfg: SimConfig,
 def cmd_verify(args) -> int:
     net = load_workload(args.workload)
     cfg = build_config(args)
-    ok, details = verify_workload(net, cfg.grid, cfg)
+    ok, details = verify_workload(net, cfg)
     for mode, info in details["modes"].items():
         status = "ok" if info["match"] else f"MISMATCH at {info['first_divergence']}"
         print(f"{mode}: cycles={info['total_cycles']} spikes={info['spikes']} "
@@ -282,6 +298,8 @@ def build_sweep_tasks(args, base_cfg: SimConfig):
                           f"one of {_AXES}, got {args.axis!r}")
     if args.reps < 1:
         raise ConfigError(f"sweep reps must be >= 1, got {args.reps}")
+    if args.jobs < 1:
+        raise ConfigError(f"sweep jobs must be >= 1, got {args.jobs}")
     values = _axis_values(axis, raw)
     seeds = _numbers(int, args.seeds, "sweep seeds")
     if len(set(seeds)) != len(seeds):
@@ -477,13 +495,16 @@ def make_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a workload file")
     g.add_argument("--kind", choices=["synthetic", "layered"], required=True)
-    g.add_argument("--neurons", type=int, default=1000)
-    g.add_argument("--synapses", type=int, default=50000)
+    g.add_argument("--input-rate", type=float,
+                   help="default 0.05 (synthetic) or 0.1 (layered)")
+    # synthetic only (_GEN_FLAGS holds the defaults)
+    g.add_argument("--neurons", type=int)
+    g.add_argument("--synapses", type=int)
     g.add_argument("--rate", type=float, help="firing-rate level in [0,1]")
-    g.add_argument("--frac-inhibitory", type=float, default=0.2)
-    g.add_argument("--input-rate", type=float, default=0.05)
-    g.add_argument("--layers", default="100,100")
-    g.add_argument("--fanin", type=int, default=10)
+    g.add_argument("--frac-inhibitory", type=float)
+    # layered only
+    g.add_argument("--layers", help="layer sizes, e.g. 100,100")
+    g.add_argument("--fanin", type=int)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--t-max", dest="t_max", type=int, default=100)
     g.add_argument("--max-delay", type=int, default=2)

@@ -95,7 +95,6 @@ class CoreImage:
     shared by all its runs; the arrays are read-only."""
 
     cid: int
-    coord: tuple[int, int]
     neuron_ids: tuple[int, ...]
     # per local neuron: tau_m, g_l, v_rst, v_th, initial potential
     tau: np.ndarray
@@ -107,20 +106,20 @@ class CoreImage:
     in_synapses: tuple[tuple[int, int], ...]  # synapse id -> (local target, weight)
     # per local neuron: ((target_local, weight, delay), ...)
     fanout_local: tuple[tuple[tuple[int, int, int], ...], ...]
-    # per local neuron: ((dst_core, dst_xy, synapse_id, delay), ...)
-    fanout_remote: tuple[tuple[tuple, ...], ...]
+    # per local neuron: ((dst_core, synapse_id, delay), ...)
+    fanout_remote: tuple[tuple[tuple[int, int, int], ...], ...]
     # per timestep: (local index array, current array), or None without input
     external: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
-    start_routes: tuple[tuple, ...]   # ((pre core, dst_xy, dep_id), ...)
-    finish_routes: tuple[tuple, ...]  # ((post core, dst_xy, dep_id), ...)
+    start_routes: tuple[tuple[int, int], ...]   # ((pre core, dep_id), ...)
+    finish_routes: tuple[tuple[int, int], ...]  # ((post core, dep_id), ...)
 
 
 def build_image(prog: CompiledProgram) -> tuple[CoreImage, ...]:
     """Every core's runtime tables: parameter slices, the in-synapse table,
     local and remote fanout per neuron, external input per timestep and
-    the START/FINISH routes with their coordinates."""
+    the START/FINISH routes."""
     params = neuron_arrays(prog.neurons)
-    placement, graph = prog.placement, prog.dep_graph
+    graph = prog.dep_graph
     images = []
     for lc in prog.cores:
         n_local = len(lc.neuron_ids)
@@ -136,7 +135,7 @@ def build_image(prog: CompiledProgram) -> tuple[CoreImage, ...]:
                     tgt, weight = lc.in_synapses[syn]
                     fan_local[local].append((tgt, weight, delay))
                 else:
-                    fan_remote[local].append((dst, placement[dst], syn, delay))
+                    fan_remote[local].append((dst, syn, delay))
 
         ext: dict[int, list[tuple[int, int]]] = {}
         for li, nid in enumerate(lc.neuron_ids):
@@ -149,17 +148,15 @@ def build_image(prog: CompiledProgram) -> tuple[CoreImage, ...]:
             external[t] = (idx, cur)
 
         images.append(CoreImage(
-            cid=lc.id, coord=placement[lc.id], neuron_ids=tuple(lc.neuron_ids),
+            cid=lc.id, neuron_ids=tuple(lc.neuron_ids),
             tau=tau, g=g, vr=vr, vth=vth, v0=v0,
             lif_bounds=lif_bounds(tau, g, vr) if n_local else None,
             in_synapses=tuple(lc.in_synapses),
             fanout_local=tuple(map(tuple, fan_local)),
             fanout_remote=tuple(map(tuple, fan_remote)),
             external=tuple(external),
-            start_routes=tuple((a, placement[a], dep_id)
-                               for a, dep_id in graph.start_routes(lc.id)),
-            finish_routes=tuple((b, placement[b], dep_id)
-                                for b, dep_id in graph.finish_routes(lc.id)),
+            start_routes=tuple(graph.start_routes(lc.id)),
+            finish_routes=tuple(graph.finish_routes(lc.id)),
         ))
     return tuple(images)
 

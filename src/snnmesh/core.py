@@ -177,7 +177,6 @@ class NeuromorphicCore:
                  c_update: int, c_spike: int):
         self.image = image
         self.cid = image.cid
-        self.coord = image.coord
         self.neuron_ids = image.neuron_ids
         self.n_local = len(image.neuron_ids)
         self.v = image.v0.copy()
@@ -220,9 +219,8 @@ class NeuromorphicCore:
 
     def _notifications(self, routes, flag: int, t: int) -> list[DepPacket]:
         self.counters["scheduler_events"] += len(routes)
-        cid, coord = self.cid, self.coord
-        return [DepPacket(cid, core, coord, dst_xy, t, flag, dep_id)
-                for core, dst_xy, dep_id in routes]
+        cid = self.cid
+        return [DepPacket(cid, core, t, flag, dep_id) for core, dep_id in routes]
 
     # -- packet handlers ----------------------------------------------------
 
@@ -290,16 +288,15 @@ class NeuromorphicCore:
 
         self.raster[t] = fired
         spikes: list[SpikePacket] = []
-        cid, coord = self.cid, self.coord
+        cid = self.cid
         fanout_local, fanout_remote = self.image.fanout_local, self.image.fanout_remote
         for i in fired:
             for tgt, w, delay in fanout_local[i]:
                 self.counters["synapse_acc"] += 1
                 self.counters["buffer_writes"] += 1
                 self.inputs.receive(t + delay, tgt, w, t)
-            for dst_core, dst_xy, syn_id, delay in fanout_remote[i]:
-                spikes.append(SpikePacket(cid, dst_core, coord, dst_xy, t,
-                                          syn_id, delay))
+            for dst_core, syn_id, delay in fanout_remote[i]:
+                spikes.append(SpikePacket(cid, dst_core, t, syn_id, delay))
         self.inputs.seal(t, spikes)
 
         self.t_cur = t
@@ -323,8 +320,8 @@ class NeuromorphicCore:
             self.gen += 1
 
         self.v, undone = self.inputs.rollback(tc)
-        anti = [SpikePacket(self.cid, pkt.dst_core, self.coord, pkt.dst_xy,
-                            pkt.timestep, pkt.synapse_id, pkt.delay, anti=True)
+        anti = [SpikePacket(self.cid, pkt.dst_core, pkt.timestep, pkt.synapse_id,
+                            pkt.delay, anti=True)
                 for pkt in undone]
         for t in [t for t in self.raster if t >= tc]:
             del self.raster[t]

@@ -301,8 +301,8 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
     protocol = PROTOCOLS[cfg.mode](cfg, t_max)
     cores = new_cores(program, cfg, t_max)
     n_cores = len(cores)
-    mesh = MeshNoc(cfg.grid, n_vc=cfg.n_vc, cycles_per_hop=cfg.cycles_per_hop,
-                   fifo_depth=cfg.fifo_depth,
+    mesh = MeshNoc(cfg.grid, program.placement, n_vc=cfg.n_vc,
+                   cycles_per_hop=cfg.cycles_per_hop, fifo_depth=cfg.fifo_depth,
                    inter_cluster_slowdown=cfg.inter_cluster_slowdown,
                    cluster_size=cfg.cluster_size)
 

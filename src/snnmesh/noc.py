@@ -1,6 +1,9 @@
 """2D-mesh on-chip network: single-flit packets, XY routing, multi-VC
 routers with per-input-port round-robin arbitration, and an eligibility mask
-that holds a FINISH notification behind the spikes it vouches for."""
+that holds a FINISH notification behind the spikes it vouches for.
+
+Packets name their source and destination cores; the mesh alone maps cores
+to cells, through the program's placement."""
 
 from __future__ import annotations
 
@@ -29,17 +32,15 @@ class NocError(ValueError):
     pass
 
 
-# Single-flit packets. ``kind`` is a per-instance slot rather than a class
-# attribute because the arbiter reads it for every head it visits, and a slot
-# reads faster.
+# Single-flit packets between cores. ``kind`` is a per-instance slot rather
+# than a class attribute because the arbiter reads it for every head it
+# visits, and a slot reads faster.
 
 
 @dataclass(slots=True)
 class SpikePacket:
     src_core: int
     dst_core: int
-    src_xy: tuple[int, int]
-    dst_xy: tuple[int, int]
     timestep: int
     synapse_id: int
     delay: int
@@ -51,8 +52,6 @@ class SpikePacket:
 class DepPacket:
     src_core: int
     dst_core: int
-    src_xy: tuple[int, int]
-    dst_xy: tuple[int, int]
     timestep: int
     flag: int  # FLAG_START or FLAG_FINISH
     dep_id: int
@@ -81,25 +80,26 @@ def route_xy(cur: tuple[int, int], dst: tuple[int, int], grid: tuple[int, int]) 
     return PORT_LOCAL
 
 
-def vc_for_packet(p: Packet, n_vc: int) -> int:
-    """Deterministic VC choice: spikes hash their flow over the data VCs,
-    control packets ride a reserved extra channel."""
+def vc_for_packet(p: Packet, placement: list[tuple[int, int]], n_vc: int) -> int:
+    """Deterministic VC choice: spikes hash their flow's cells over the data
+    VCs, control packets ride a reserved extra channel."""
     if p.kind != SPIKE:
         return n_vc
-    sx, sy = p.src_xy
-    dx, dy = p.dst_xy
+    sx, sy = placement[p.src_core]
+    dx, dy = placement[p.dst_core]
     h = (sx * 73856093) ^ (sy * 19349663) ^ (dx * 83492791) ^ (dy * 15485863)
     return h % n_vc
 
 
 class _Router:
-    __slots__ = ("coord", "ports", "vc_rr", "out_rr", "reserved", "next_free",
-                 "resident", "vc_mask", "spike_src", "link_queues",
+    __slots__ = ("coord", "route", "ports", "vc_rr", "out_rr", "reserved",
+                 "next_free", "resident", "vc_mask", "spike_src", "link_queues",
                  "link_reserved", "link_router", "link_port", "link_hop",
                  "occ_hist", "_occ_last_cycle")
 
     def __init__(self, coord: tuple[int, int], n_vc_total: int):
         self.coord = coord
+        self.route: list[int] = []  # destination core -> output port
         self.ports = [[deque() for _ in range(n_vc_total)] for _ in range(5)]
         self.vc_rr = [0] * 5
         self.out_rr = [0] * 5
@@ -107,7 +107,7 @@ class _Router:
         self.next_free = [0] * 5
         self.resident = 0
         self.vc_mask = [0] * 5  # per input port: bit v set iff VC v is non-empty
-        # per input port: src_xy -> resident spikes from it (FINISH mask filter)
+        # per input port: src_core -> resident spikes from it (FINISH mask filter)
         self.spike_src: list[dict] = [{} for _ in range(5)]
         # per output port: the next router's VC queues and credits on the
         # input port it sees, the next router, that port, and the hop cycles;
@@ -135,22 +135,19 @@ class _Router:
 
 class MeshNoc:
     """The network advances only through explicit cycle calls from the engine
-    clock; everything is deterministic given the injection order."""
+    clock; everything is deterministic given the injection order.
 
-    def __init__(self, grid: tuple[int, int], n_vc: int = 4, cycles_per_hop: int = 2,
-                 fifo_depth: int = 4, inter_cluster_slowdown: int = 1,
-                 cluster_size: int = 2):
+    ``placement`` maps core id -> (x, y) cell, one core per cell. The other
+    parameters are taken as ``SimConfig.validate`` leaves them; a cell off the
+    grid, or a packet naming a core outside the placement, raises NocError."""
+
+    def __init__(self, grid: tuple[int, int], placement: list[tuple[int, int]],
+                 n_vc: int = 4, cycles_per_hop: int = 2, fifo_depth: int = 4,
+                 inter_cluster_slowdown: int = 1, cluster_size: int = 2):
         w, h = grid
-        if w < 1 or h < 1:
-            raise NocError("grid must be at least 1x1")
-        if n_vc < 1:
-            raise NocError("need at least one data VC")
-        for name, value in (("cycles_per_hop", cycles_per_hop), ("fifo_depth", fifo_depth),
-                            ("inter_cluster_slowdown", inter_cluster_slowdown),
-                            ("cluster_size", cluster_size)):
-            if value < 1:
-                raise NocError(f"{name} must be >= 1, got {value}")
         self.grid = grid
+        self.placement = placement
+        self.n_cores = len(placement)
         self.n_vc = n_vc
         self.n_vc_total = n_vc + 1  # data VCs plus the reserved control VC
         self.cycles_per_hop = cycles_per_hop
@@ -159,6 +156,7 @@ class MeshNoc:
         self.routers = [_Router((x, y), self.n_vc_total)
                         for y in range(h) for x in range(w)]
         for r in self.routers:
+            r.route = [route_xy(r.coord, xy, grid) for xy in placement]
             x, y = r.coord
             for out, (dx, dy, in_port) in _LINKS.items():
                 nx, ny = x + dx, y + dy
@@ -172,6 +170,7 @@ class MeshNoc:
                     r.link_router[out] = nxt
                     r.link_port[out] = in_port
                     r.link_hop[out] = hop
+        self._core_router = [self.routers[y * w + x] for x, y in placement]
         self._pending: dict[int, list] = {}  # cycle -> events in order
         self._pending_heap: list[int] = []
         self.injected = {SPIKE: 0, DEP: 0}
@@ -185,20 +184,18 @@ class MeshNoc:
     # -- public surface ----------------------------------------------------
 
     def inject(self, packet: Packet, cycle: int) -> None:
-        w, h = self.grid
-        src_xy = packet.src_xy
-        sx, sy = src_xy
-        dx, dy = packet.dst_xy
-        if not (0 <= sx < w and 0 <= sy < h and 0 <= dx < w and 0 <= dy < h):
-            route_xy(src_xy, packet.dst_xy, self.grid)  # raises
+        n = self.n_cores
+        if not (0 <= packet.src_core < n and 0 <= packet.dst_core < n):
+            raise NocError(f"packet {packet.src_core}->{packet.dst_core} names a core "
+                           f"outside the {n}-core placement")
         kind = packet.kind
-        vc = vc_for_packet(packet, self.n_vc)
-        r = self.routers[sy * w + sx]
+        vc = vc_for_packet(packet, self.placement, self.n_vc)
+        r = self._core_router[packet.src_core]
         r.ports[PORT_LOCAL][vc].append(packet)
         r.vc_mask[PORT_LOCAL] |= 1 << vc
         if kind == SPIKE:
             src = r.spike_src[PORT_LOCAL]
-            src[src_xy] = src.get(src_xy, 0) + 1
+            src[packet.src_core] = src.get(packet.src_core, 0) + 1
         r.occ_change(+1, cycle)
         self.queued += 1
         self.injected[kind] += 1
@@ -230,7 +227,7 @@ class MeshNoc:
             r.reserved[port][vc] -= 1
             if pkt.kind == SPIKE:
                 src = r.spike_src[port]
-                key = pkt.src_xy
+                key = pkt.src_core
                 src[key] = src.get(key, 0) + 1
             last = r._occ_last_cycle
             if cycle > last:
@@ -259,7 +256,7 @@ class MeshNoc:
         for r in self.routers:
             if not r.resident:
                 continue
-            cx, cy = r.coord
+            route = r.route
             ports = r.ports
             out_rr = r.out_rr
             next_free = r.next_free
@@ -279,23 +276,13 @@ class MeshNoc:
                         if mask >> vc & 1)
                 for vc in order:
                     pkt = queues[vc][0]
-                    dx, dy = pkt.dst_xy
-                    if dx > cx:
-                        out = PORT_E
-                    elif dx < cx:
-                        out = PORT_W
-                    elif dy > cy:
-                        out = PORT_N
-                    elif dy < cy:
-                        out = PORT_S
-                    else:
-                        out = PORT_LOCAL
+                    out = route[pkt.dst_core]
                     if out != PORT_LOCAL and (
                             cycle < next_free[out]
                             or len(link_queues[out][vc]) + link_reserved[out][vc] >= depth):
                         continue
                     if (pkt.kind == DEP and pkt.flag == FLAG_FINISH
-                            and r.spike_src[port].get(pkt.src_xy)
+                            and r.spike_src[port].get(pkt.src_core)
                             and self._finish_masked(r, port, pkt)):
                         continue
                     if wins is None:
@@ -333,7 +320,7 @@ class MeshNoc:
                 if not q:
                     r.vc_mask[port] &= ~(1 << vc)
                 if pkt.kind == SPIKE:
-                    r.spike_src[port][pkt.src_xy] -= 1
+                    r.spike_src[port][pkt.src_core] -= 1
                 r.vc_rr[port] = vc + 1 if vc + 1 < n_q else 0
                 out_rr[out] = port + 1 if port < 4 else 0
                 granted += 1
@@ -369,10 +356,10 @@ class MeshNoc:
         """A FINISH may not pass a resident spike from the same source with a
         timestep it claims to complete."""
         t = pkt.timestep
-        src = pkt.src_xy
+        src = pkt.src_core
         for q in r.ports[port]:
             for other in q:
-                if (other.kind == SPIKE and other.src_xy == src
+                if (other.kind == SPIKE and other.src_core == src
                         and other.timestep <= t):
                     return True
         return False

@@ -1,7 +1,9 @@
 """The mesh NoC's router logic as it stood before the one-pass arbiter:
 three passes per router (nominate through ``_eligible``, group nominees by
 output port, rescan ports to attribute stalls) and a FINISH mask that scans
-every queue on the port. Test-only: the differential tests drive it and
+every queue on the port. It looks up each packet's cells in the placement
+and routes them with ``route_xy`` hop by hop, where ``MeshNoc`` reads its
+per-router route tables. Test-only: the differential tests drive it and
 ``snnmesh.noc.MeshNoc`` with the same packets and require identical results."""
 
 from __future__ import annotations
@@ -64,15 +66,16 @@ class ReferenceNoc:
     """The network advances only through explicit cycle calls from the engine
     clock; everything is deterministic given the injection order."""
 
-    def __init__(self, grid: tuple[int, int], n_vc: int = 4, cycles_per_hop: int = 2,
-                 fifo_depth: int = 4, inter_cluster_slowdown: int = 1,
-                 cluster_size: int = 2):
+    def __init__(self, grid: tuple[int, int], placement: list[tuple[int, int]],
+                 n_vc: int = 4, cycles_per_hop: int = 2, fifo_depth: int = 4,
+                 inter_cluster_slowdown: int = 1, cluster_size: int = 2):
         w, h = grid
         if w < 1 or h < 1:
             raise NocError("grid must be at least 1x1")
         if n_vc < 1:
             raise NocError("need at least one data VC")
         self.grid = grid
+        self.placement = placement  # core id -> (x, y)
         self.n_vc = n_vc
         self.n_vc_total = n_vc + 1  # data VCs plus the reserved control VC
         self.cycles_per_hop = cycles_per_hop
@@ -117,9 +120,10 @@ class ReferenceNoc:
     # -- public surface ----------------------------------------------------
 
     def inject(self, packet: Packet, cycle: int) -> None:
-        route_xy(packet.src_xy, packet.dst_xy, self.grid)  # bounds check
-        vc = vc_for_packet(packet, self.n_vc)
-        r = self.routers[self._ridx(packet.src_xy)]
+        src_xy = self.placement[packet.src_core]
+        route_xy(src_xy, self.placement[packet.dst_core], self.grid)  # bounds check
+        vc = vc_for_packet(packet, self.placement, self.n_vc)
+        r = self.routers[self._ridx(src_xy)]
         r.ports[PORT_LOCAL][vc].append(packet)
         r.port_count[PORT_LOCAL] += 1
         r.occ_change(+1, cycle)
@@ -164,7 +168,8 @@ class ReferenceNoc:
                 delivered.append(pkt)
                 self.delivered[pkt.kind] += 1
                 self.in_flight[pkt.kind] -= 1
-                self._delivered_now.setdefault(tuple(pkt.dst_xy), []).append(pkt)
+                dst_xy = self.placement[pkt.dst_core]
+                self._delivered_now.setdefault(dst_xy, []).append(pkt)
         return delivered
 
     def end_cycle(self, cycle: int) -> None:
@@ -197,10 +202,11 @@ class ReferenceNoc:
         """A FINISH may not pass a resident spike from the same source with a
         timestep it claims to complete."""
         t = pkt.timestep
-        src = pkt.src_xy
+        placement = self.placement
+        src = placement[pkt.src_core]
         for q in r.ports[port]:
             for other in q:
-                if (other.kind == SPIKE and other.src_xy == src
+                if (other.kind == SPIKE and placement[other.src_core] == src
                         and other.timestep <= t):
                     return True
         return False
@@ -224,6 +230,7 @@ class ReferenceNoc:
     def _arbitrate(self, r: _Router, cycle: int) -> None:
         n_q = self.n_vc_total
         cx, cy = r.coord
+        placement, grid = self.placement, self.grid
         port_count = r.port_count
         # Phase 1: each input port nominates one eligible VC head.
         nominees: list[tuple[int, int, Packet, int]] = []  # (port, vc, pkt, out)
@@ -240,17 +247,7 @@ class ReferenceNoc:
                 if not q:
                     continue
                 pkt = q[0]
-                dx, dy = pkt.dst_xy
-                if dx > cx:
-                    out = PORT_E
-                elif dx < cx:
-                    out = PORT_W
-                elif dy > cy:
-                    out = PORT_N
-                elif dy < cy:
-                    out = PORT_S
-                else:
-                    out = PORT_LOCAL
+                out = route_xy(r.coord, placement[pkt.dst_core], grid)
                 if self._eligible(r, port, vc, pkt, out, cycle):
                     nominees.append((port, vc, pkt, out))
                     break

@@ -30,7 +30,7 @@ from snnmesh.noc import (
     DepPacket,
     SpikePacket,
 )
-from stepped_noc import SteppedNoc
+from stepped_noc import SteppedNoc, core_at
 
 N_SYNTHETIC = 20
 N_LAYERED = 5
@@ -47,7 +47,7 @@ def exactness_suite():
     for i in range(N_SYNTHETIC):
         net = gen_synthetic(1000, 50000, seed=1000 + i, t_max=100,
                             input_rate=0.05)
-        ok, details = verify_workload(net, (4, 4), base_cfg)
+        ok, details = verify_workload(net, base_cfg)
         entries.append({
             "kind": "synthetic", "seed": 1000 + i, "ok": ok,
             "details": details, "n_neurons": net.n_neurons, "t_max": net.t_max,
@@ -55,7 +55,7 @@ def exactness_suite():
     for i in range(N_LAYERED):
         net = gen_layered([256, 256, 256, 232], fanin=12, seed=2000 + i,
                           t_max=100, input_rate=0.06, max_delay=2)
-        ok, details = verify_workload(net, (4, 4), base_cfg)
+        ok, details = verify_workload(net, base_cfg)
         entries.append({
             "kind": "layered", "seed": 2000 + i, "ok": ok,
             "details": details, "n_neurons": net.n_neurons, "t_max": net.t_max,
@@ -312,13 +312,12 @@ class TestCriterion10NocProperties:
                 at = cycle + (si % 3)
                 for d in dsts[s]:
                     for _k in range(2):
-                        p = SpikePacket(src_core=0, dst_core=0,
-                                        src_xy=s, dst_xy=d,
+                        p = SpikePacket(src_core=core_at(s, 4),
+                                        dst_core=core_at(d, 4),
                                         timestep=t, synapse_id=0, delay=1)
                         mesh.inject(p, at)
                         injected += 1
-                    f = DepPacket(src_core=0, dst_core=0, src_xy=s,
-                                  dst_xy=d,
+                    f = DepPacket(src_core=core_at(s, 4), dst_core=core_at(d, 4),
                                   timestep=t, flag=FLAG_FINISH, dep_id=0)
                     mesh.inject(f, at)
                     injected += 1
@@ -338,7 +337,7 @@ class TestCriterion10NocProperties:
         last_spike = {}
         finish_violations = []
         for at, p in deliveries:
-            key = (tuple(p.src_xy), tuple(p.dst_xy))
+            key = (p.src_core, p.dst_core)
             if p.kind == SPIKE:
                 last_spike.setdefault(key, {})[p.timestep] = at
             elif p.kind == DEP and p.flag == FLAG_FINISH:
@@ -359,9 +358,8 @@ class TestCriterion10NocProperties:
             for burst in range(40):
                 for sy in range(6):
                     for _k in range(2):
-                        p = SpikePacket(src_core=0, dst_core=0,
-                                        src_xy=(0, sy),
-                                        dst_xy=(5, rng.randrange(6)),
+                        p = SpikePacket(src_core=core_at((0, sy), 6),
+                                        dst_core=core_at((5, rng.randrange(6)), 6),
                                         timestep=burst, synapse_id=0, delay=1)
                         mesh.inject(p, cycle)
                 mesh.step(cycle)

@@ -515,6 +515,56 @@ def test_gen_rejects_non_integer_layer(tmp_path, capsys):
     assert "error[bad-input]" in capsys.readouterr().err
 
 
+def test_gen_layered_reads_input_rate(tmp_path):
+    from snnmesh.model import gen_layered, save_workload
+
+    out, want = tmp_path / "w.json", tmp_path / "want.json"
+    args = ["gen", "--kind", "layered", "--layers", "4,2", "--fanin", "2",
+            "--t-max", "5", "--input-rate", "0.9", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    save_workload(gen_layered([4, 2], fanin=2, t_max=5, max_delay=2,
+                              input_rate=0.9), str(want))
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_gen_layered_rejects_input_rate_outside_unit_interval(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    code = main(["gen", "--kind", "layered", "--layers", "4,2", "--fanin", "2",
+                 "--input-rate", "7", "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    assert "input_rate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,flag", [
+    ("layered", ["--neurons", "10"]), ("layered", ["--synapses", "10"]),
+    ("layered", ["--rate", "0.5"]), ("layered", ["--frac-inhibitory", "0.1"]),
+    ("synthetic", ["--layers", "4,2"]), ("synthetic", ["--fanin", "2"]),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_gen_rejects_flag_its_kind_does_not_read(tmp_path, capsys, kind, flag):
+    out = tmp_path / "w.json"
+    assert main(["gen", "--kind", kind, *flag, "--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("snnmesh: error[bad-input] ") and flag[0] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_nonpositive_jobs_before_compiling(tmp_path, capsys,
+                                                         monkeypatch, jobs):
+    def never(*_a, **_k):
+        raise AssertionError("sweep compiled or ran with no workers")
+
+    monkeypatch.setattr(cli, "compile_network", never)
+    monkeypatch.setattr(cli, "run", never)
+    out = tmp_path / "r.csv"
+    code = main(["sweep", "--workload", str(FIXTURES / "tiny_workload.json"),
+                 "--axis", "m=2", "--jobs", jobs, "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    assert "jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_summarize_results_harmonic_mean():
     rows = [
         {"axis": "m", "value": 2, "mode": "sync", "seed": 1, "rep": 0,

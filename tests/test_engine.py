@@ -62,7 +62,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("fifo_depth", 0), ("inter_cluster_slowdown", 0), ("cluster_size", 0),
-        ("t_max", -3), ("m", 0),
+        ("t_max", -3), ("m", 0), ("n_vc", 0), ("cycles_per_hop", 0),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -164,7 +164,7 @@ class TestRuntimeImage:
 
         monkeypatch.setattr(compiler, "build_image", counted)
         net = load_workload(os.path.join(FIXTURES, "tiny_workload.json"))
-        ok, details = verify_workload(net, (2, 2), SimConfig(grid=(2, 2)))
+        ok, details = verify_workload(net, SimConfig(grid=(2, 2)))
         assert ok and sorted(details["reports"]) == ["depasync", "se", "sync"]
         assert len(builds) == 1
 
@@ -382,8 +382,7 @@ class TestDrainDetect:
         barrier = Barrier(SimConfig(grid=(2, 1), mode="sync"), t_max=2)
         cores = [SimpleNamespace(t_cur=0)]
         mesh = SteppedNoc((2, 1))
-        pkt = SpikePacket(src_core=0, dst_core=1, src_xy=(0, 0), dst_xy=(1, 0),
-                          timestep=0, synapse_id=0, delay=1)
+        pkt = SpikePacket(src_core=0, dst_core=1, timestep=0, synapse_id=0, delay=1)
         mesh.inject(pkt, 0)
         assert not barrier.gate(cores, mesh)
         mesh.drain(0)

@@ -1,7 +1,11 @@
+import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from snnmesh.compiler import load_program
+from snnmesh.engine import ConfigError, SimConfig, run
 
 from snnmesh.noc import (
     DEP,
@@ -21,21 +25,26 @@ from snnmesh.noc import (
     vc_for_packet,
 )
 
-from stepped_noc import SteppedNoc
+from stepped_noc import SteppedNoc, core_at, row_major
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+
+# Packets between the cores that a row-major placement puts on the given
+# cells of a ``w``-wide grid (``SteppedNoc``'s placement).
 
 
-def spike(src_xy, dst_xy, t=0, syn=0, delay=1, src_core=0, dst_core=0):
-    return SpikePacket(src_core=src_core, dst_core=dst_core, src_xy=src_xy,
-                       dst_xy=dst_xy, timestep=t, synapse_id=syn, delay=delay)
+def spike(src_xy, dst_xy, t=0, syn=0, delay=1, w=4):
+    return SpikePacket(src_core=core_at(src_xy, w), dst_core=core_at(dst_xy, w),
+                       timestep=t, synapse_id=syn, delay=delay)
 
 
-def finish(src_xy, dst_xy, t=0, dep_id=0):
-    return DepPacket(src_core=0, dst_core=0, src_xy=src_xy, dst_xy=dst_xy,
+def finish(src_xy, dst_xy, t=0, dep_id=0, w=4):
+    return DepPacket(src_core=core_at(src_xy, w), dst_core=core_at(dst_xy, w),
                      timestep=t, flag=FLAG_FINISH, dep_id=dep_id)
 
 
-def start(src_xy, dst_xy, t=0, dep_id=0):
-    return DepPacket(src_core=0, dst_core=0, src_xy=src_xy, dst_xy=dst_xy,
+def start(src_xy, dst_xy, t=0, dep_id=0, w=4):
+    return DepPacket(src_core=core_at(src_xy, w), dst_core=core_at(dst_xy, w),
                      timestep=t, flag=FLAG_START, dep_id=dep_id)
 
 
@@ -67,13 +76,22 @@ class TestPacketFormat:
             assert not hasattr(p, "vc")
 
     def test_control_packets_use_reserved_vc(self):
-        assert vc_for_packet(finish((0, 0), (1, 1)), 4) == 4
-        assert vc_for_packet(spike((0, 0), (1, 1)), 4) < 4
+        cells = row_major((4, 4))
+        assert vc_for_packet(finish((0, 0), (1, 1)), cells, 4) == 4
+        assert vc_for_packet(spike((0, 0), (1, 1)), cells, 4) < 4
 
     def test_flow_vc_is_deterministic(self):
-        a = vc_for_packet(spike((0, 0), (3, 2)), 4)
-        b = vc_for_packet(spike((0, 0), (3, 2), t=9, syn=5), 4)
+        cells = row_major((4, 4))
+        a = vc_for_packet(spike((0, 0), (3, 2)), cells, 4)
+        b = vc_for_packet(spike((0, 0), (3, 2), t=9, syn=5), cells, 4)
         assert a == b
+
+    def test_flow_vc_hashes_the_cells_not_the_core_ids(self):
+        # cores 0 and 1 swap cells: the VC follows the cells
+        p = spike((0, 0), (1, 0))
+        swapped = [(1, 0), (0, 0)]
+        assert (vc_for_packet(p, row_major((2, 1)), 4)
+                == vc_for_packet(SpikePacket(1, 0, 0, 0, 1), swapped, 4))
 
 
 class TestLatency:
@@ -109,22 +127,49 @@ class TestLatency:
     @pytest.mark.parametrize("field", ["cycles_per_hop", "fifo_depth",
                                        "inter_cluster_slowdown", "cluster_size"])
     def test_nonpositive_parameter_rejected_not_clamped(self, field):
-        with pytest.raises(NocError, match=field):
-            MeshNoc((2, 2), **{field: 0})
+        # MeshNoc takes its parameters as validated; a run rejects a
+        # nonpositive one before any mesh is built
+        prog = load_program(os.path.join(FIXTURES, "tiny_program.json"))
+        with pytest.raises(ConfigError, match=field):
+            run(prog, SimConfig(grid=(2, 2), **{field: 0}))
 
 
 class TestInjectChecks:
+    # a core id outside the placement has no cell on the grid
     @pytest.mark.parametrize("packet", [
-        spike((4, 0), (0, 0)),
-        spike((0, 0), (0, 4)),
-        spike((0, 0), (-1, 2)),
+        SpikePacket(src_core=16, dst_core=0, timestep=0, synapse_id=0, delay=1),
+        SpikePacket(src_core=0, dst_core=16, timestep=0, synapse_id=0, delay=1),
+        SpikePacket(src_core=0, dst_core=-1, timestep=0, synapse_id=0, delay=1),
     ], ids=["source-off-grid", "destination-off-grid", "negative-destination"])
     def test_rejected_packet_leaves_no_trace(self, packet):
-        mesh = MeshNoc((4, 4))
-        with pytest.raises(NocError):
+        mesh = MeshNoc((4, 4), row_major((4, 4)))
+        with pytest.raises(NocError, match="outside the 16-core placement"):
             mesh.inject(packet, cycle=0)
         assert mesh.queued == 0
         assert mesh.injected == {SPIKE: 0, DEP: 0}
+
+
+class TestPlacement:
+    def test_off_grid_placement_rejected(self):
+        for cell in [(4, 0), (0, 4), (-1, 2)]:
+            with pytest.raises(NocError, match="outside 4x4 grid"):
+                MeshNoc((4, 4), [(0, 0), cell])
+
+    def test_packets_travel_between_the_cells_of_their_cores(self):
+        # core 0 on (3, 1), core 1 on (0, 0): three hops west, one south,
+        # one local, whatever the core ids' order
+        mesh = MeshNoc((4, 2), [(3, 1), (0, 0)], cycles_per_hop=1)
+        p = SpikePacket(src_core=0, dst_core=1, timestep=0, synapse_id=0, delay=1)
+        mesh.inject(p, 0)
+        delivered = []
+        for c in range(10):
+            delivered += mesh.begin_cycle(c)
+            mesh.end_cycle(c)
+        assert delivered == [p]
+        assert mesh.hops == 5
+        path = [(3, 1), (2, 1), (1, 1), (0, 1), (0, 0)]
+        assert [mesh.routers[y * 4 + x].route[1] for x, y in path] == [
+            PORT_W, PORT_W, PORT_W, PORT_S, PORT_LOCAL]
 
 
 class TestFinishMask:
@@ -179,7 +224,7 @@ class TestArbitration:
         # Two spike flows hashed to different VCs on the same input port.
         mesh = SteppedNoc((4, 2), n_vc=4)
         flows = [((0, 0), (3, 0)), ((0, 0), (3, 1))]
-        vcs = {vc_for_packet(spike(*f), 4) for f in flows}
+        vcs = {vc_for_packet(spike(*f), mesh.placement, 4) for f in flows}
         assert len(vcs) == 2, "flows must land on distinct VCs for this test"
         pkts = []
         for i in range(4):
@@ -240,9 +285,9 @@ class TestConservation:
         # per-flow FIFO: packets of one (src, dst) flow arrive in injection order
         sent_by_flow, got_by_flow = {}, {}
         for p in injected:
-            sent_by_flow.setdefault((p.src_xy, p.dst_xy), []).append(id(p))
+            sent_by_flow.setdefault((p.src_core, p.dst_core), []).append(id(p))
         for p in delivered:
-            got_by_flow.setdefault((p.src_xy, p.dst_xy), []).append(id(p))
+            got_by_flow.setdefault((p.src_core, p.dst_core), []).append(id(p))
         assert got_by_flow == sent_by_flow
         assert mesh.injected[SPIKE] == mesh.delivered[SPIKE] == 100
 
@@ -254,7 +299,7 @@ class TestConservation:
 
     def test_drain_runs_to_quiescence(self):
         mesh = SteppedNoc((3, 3))
-        pkts = [spike((0, 0), (2, 2), t=i) for i in range(4)]
+        pkts = [spike((0, 0), (2, 2), t=i, w=3) for i in range(4)]
         for p in pkts:
             mesh.inject(p, 0)
         end, delivered = mesh.drain(0)
@@ -264,12 +309,12 @@ class TestConservation:
 
     def test_delivery_at_destination_only(self):
         mesh = SteppedNoc((3, 3))
-        p = spike((0, 0), (2, 2))
+        p = spike((0, 0), (2, 2), w=3)
         mesh.inject(p, 0)
         c = 0
         while mesh.busy():
             for q in mesh.step(c):
-                assert tuple(q.dst_xy) == (2, 2)
+                assert mesh.placement[q.dst_core] == (2, 2)
                 assert mesh.eject((2, 2)) == [q]
                 assert mesh.eject((0, 0)) == []
             c += 1
@@ -286,7 +331,7 @@ class TestVcScaling:
             for sy in range(6):
                 for k in range(2):
                     dy = rng.randrange(6)
-                    p = spike((0, sy), (5, dy), t=burst, syn=k)
+                    p = spike((0, sy), (5, dy), t=burst, syn=k, w=6)
                     mesh.inject(p, cycle)
             mesh.step(cycle)
             cycle += 1

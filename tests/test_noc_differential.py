@@ -15,7 +15,7 @@ from snnmesh.compiler import compile_network, load_program
 from snnmesh.engine import SimConfig, run
 from snnmesh.model import gen_layered
 from snnmesh.noc import FLAG_FINISH, FLAG_START, DepPacket, SpikePacket
-from stepped_noc import SteppedNoc
+from stepped_noc import SteppedNoc, row_major
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -39,24 +39,26 @@ def noc_scenarios(draw):
         inter_cluster_slowdown=draw(st.integers(1, 4)),
         cluster_size=draw(st.integers(1, 3)),
     )
-    xy = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
-    # (inject cycle, kind, src, dst, timestep); few timesteps so that FINISH
-    # packets often sit behind spikes they vouch for
+    # cores on distinct cells in any order, not necessarily every cell
+    cells = draw(st.permutations(row_major((w, h))))
+    placement = cells[:draw(st.integers(1, w * h))]
+    core = st.integers(0, len(placement) - 1)
+    # (inject cycle, kind, src core, dst core, timestep); few timesteps so
+    # that FINISH packets often sit behind spikes they vouch for
     stream = draw(st.lists(
         st.tuples(st.integers(0, 30), st.sampled_from(["SPIKE", "START", "FINISH"]),
-                  xy, xy, st.integers(0, 3)),
+                  core, core, st.integers(0, 3)),
         min_size=1, max_size=60,
     ))
-    return (w, h), cfg, stream
+    return (w, h), placement, cfg, stream
 
 
 def _packet(i, kind, src, dst, t):
     if kind == "SPIKE":
-        return SpikePacket(src_core=i, dst_core=i, src_xy=src, dst_xy=dst,
-                           timestep=t, synapse_id=i, delay=1)
+        return SpikePacket(src_core=src, dst_core=dst, timestep=t,
+                           synapse_id=i, delay=1)
     flag = FLAG_START if kind == "START" else FLAG_FINISH
-    return DepPacket(src_core=i, dst_core=i, src_xy=src, dst_xy=dst,
-                     timestep=t, flag=flag, dep_id=i)
+    return DepPacket(src_core=src, dst_core=dst, timestep=t, flag=flag, dep_id=i)
 
 
 def _drive(noc, injections, limit=100_000):
@@ -68,7 +70,8 @@ def _drive(noc, injections, limit=100_000):
     k = 0
     while True:
         delivered = noc.begin_cycle(cycle)
-        ejected = {tuple(p.dst_xy): noc.eject(p.dst_xy) for p in delivered}
+        cells = {noc.placement[p.dst_core] for p in delivered}
+        ejected = {xy: noc.eject(xy) for xy in cells}
         while k < len(pending_inj) and pending_inj[k][0] == cycle:
             _c, _i, pkt = pending_inj[k]
             noc.inject(pkt, cycle)
@@ -92,10 +95,11 @@ def _drive(noc, injections, limit=100_000):
 @settings(max_examples=50, deadline=None)
 @given(noc_scenarios())
 def test_one_pass_arbiter_matches_reference(scenario):
-    grid, cfg, stream = scenario
+    grid, placement, cfg, stream = scenario
     packets = [(c, i, _packet(i, kind, src, dst, t))
                for i, (c, kind, src, dst, t) in enumerate(stream)]
-    new, ref = SteppedNoc(grid, **cfg), QueuedReferenceNoc(grid, **cfg)
+    new = SteppedNoc(grid, placement, **cfg)
+    ref = QueuedReferenceNoc(grid, placement, **cfg)
     log_new, end_new = _drive(new, packets)
     log_ref, end_ref = _drive(ref, packets)
     assert log_new == log_ref
