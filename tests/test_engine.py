@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -373,6 +374,57 @@ class TestPinnedTinyFixture:
         assert rep.noc["hops"] == hops
         assert rep.energy["total"] == pytest.approx(energy, abs=1e-6)
         assert len(rep.raster) == 42
+
+    # cost-model corners: no update cost, and spike costs small and large
+    # next to it, so a step's true cost differs from its update cost alone
+    @pytest.mark.parametrize("mode,c_update,c_spike,cycles,rollbacks,hops,energy", [
+        ("sync", 0, 5, 1542, 0, 684, 7284.2),
+        ("se", 0, 5, 1413, 161, 902, 15889.2),
+        ("depasync", 0, 5, 1588, 0, 2028, 11133.4),
+        ("sync", 1, 3, 1313, 0, 684, 7238.4),
+        ("se", 1, 3, 1212, 134, 778, 10928.0),
+        ("depasync", 1, 3, 1351, 0, 2028, 11086.0),
+        ("sync", 2, 40, 11073, 0, 684, 9190.4),
+        ("se", 2, 40, 10417, 134, 826, 14255.0),
+        ("depasync", 2, 40, 11111, 0, 2028, 13038.0),
+    ])
+    def test_cost_model_corners(self, mode, c_update, c_spike, cycles, rollbacks,
+                                hops, energy):
+        prog = load_program(os.path.join(FIXTURES, "tiny_program.json"))
+        rep = run(prog, SimConfig(grid=(2, 2), mode=mode, m=4, c_update=c_update,
+                                  c_spike=c_spike, debug=True))
+        assert rep.total_cycles == cycles
+        assert rep.rollbacks == rollbacks
+        assert rep.noc["hops"] == hops
+        assert rep.energy["total"] == pytest.approx(energy, abs=1e-6)
+        assert len(rep.raster) == 42
+
+
+class TestSaturationCount:
+    """``counts.saturations`` counts the Q16.16 clamps of every timestep a
+    core begins, including the speculative ones a rollback cancels."""
+
+    @pytest.fixture(scope="class")
+    def saturating(self):
+        # weights and currents large enough that most steps clamp
+        net = gen_layered([24, 24, 16], fanin=6, seed=3, t_max=16, max_delay=2)
+        lo, hi = fx(-32000.0), fx(32000.0)
+        net.synapses = [dataclasses.replace(s, weight=max(lo, min(hi, s.weight * 4000)))
+                        for s in net.synapses]
+        net.inputs = {n: [(t, fx(30000.0)) for t, _cur in events]
+                      for n, events in net.inputs.items()}
+        return net, compile_network(net, (3, 3)), reference_run(net).ordered()
+
+    @pytest.mark.parametrize("mode,P,saturations", [
+        ("sync", None, 220), ("depasync", None, 220), ("se", None, 947),
+        ("se", 1, 220), ("se", 3, 929),
+    ])
+    def test_counts_clamps_of_every_begun_step(self, saturating, mode, P,
+                                               saturations):
+        _net, prog, ref = saturating
+        rep = run(prog, SimConfig(grid=(3, 3), mode=mode, m=2, P=P))
+        assert [tuple(pr) for pr in rep.raster] == ref
+        assert rep.counts["saturations"] == saturations
 
 
 class TestDrainDetect:
