@@ -62,6 +62,19 @@ def _fail(name: str, message: str, code: int) -> int:
     return code
 
 
+def _check_outputs(*paths) -> None:
+    """Fail before any work if an output path is a directory or its
+    directory does not exist: a write there would fail only after the work,
+    and name a temporary file or a missing input."""
+    for path in paths:
+        if not path:
+            continue
+        if os.path.isdir(path):
+            raise OSError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise OSError(f"cannot write {path}: its directory does not exist")
+
+
 def _atomic_json(path: str, doc) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as f:
@@ -110,6 +123,7 @@ _GEN_FLAGS = {
 
 
 def cmd_gen(args) -> int:
+    _check_outputs(args.out)
     for kind, flags in _GEN_FLAGS.items():
         for flag, default in flags.items():
             if getattr(args, flag) is None:
@@ -150,6 +164,7 @@ def _compile_from_args(net, args):
 
 
 def cmd_compile(args) -> int:
+    _check_outputs(args.out)
     net = load_workload(args.workload)
     prog = _compile_from_args(net, args)
     save_program(prog, args.out)
@@ -159,6 +174,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_run(args) -> int:
+    _check_outputs(args.out, args.trace_file)
     prog = load_program(args.program)
     cfg = build_config(args, defaults={"grid": list(prog.grid)})
     if args.trace_file:
@@ -357,6 +373,7 @@ def build_sweep_tasks(args, base_cfg: SimConfig):
 
 
 def cmd_sweep(args) -> int:
+    _check_outputs(args.out)
     base_cfg = build_config(args)
     programs, tasks, plan = build_sweep_tasks(args, base_cfg)
     if args.jobs > 1:
@@ -427,6 +444,7 @@ def summarize_results(rows: list[dict]) -> dict:
 
 
 def cmd_report(args) -> int:
+    _check_outputs(args.out)
     with open(args.results, encoding="utf-8", newline="") as f:
         rows = list(csv.DictReader(f))
     if not rows:

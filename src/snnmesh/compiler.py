@@ -110,6 +110,8 @@ class CoreImage:
     fanout_remote: tuple[tuple[tuple[int, int, int], ...], ...]
     # per timestep: (local index array, current array), or None without input
     external: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
+    # per timestep: (sum of negative currents, sum of positive currents)
+    external_span: tuple[tuple[int, int], ...]
     start_routes: tuple[tuple[int, int], ...]   # ((pre core, dep_id), ...)
     finish_routes: tuple[tuple[int, int], ...]  # ((post core, dep_id), ...)
 
@@ -142,10 +144,13 @@ def build_image(prog: CompiledProgram) -> tuple[CoreImage, ...]:
             for t, cur in prog.inputs.get(nid, ()):
                 ext.setdefault(t, []).append((li, cur))
         external = [None] * prog.t_max
+        external_span = [(0, 0)] * prog.t_max
         for t, rows in ext.items():
             idx, cur = (np.array(col, dtype=np.int64) for col in zip(*rows))
             idx.flags.writeable = cur.flags.writeable = False
             external[t] = (idx, cur)
+            external_span[t] = (sum(c for _li, c in rows if c < 0),
+                                sum(c for _li, c in rows if c > 0))
 
         images.append(CoreImage(
             cid=lc.id, neuron_ids=tuple(lc.neuron_ids),
@@ -154,7 +159,7 @@ def build_image(prog: CompiledProgram) -> tuple[CoreImage, ...]:
             in_synapses=tuple(lc.in_synapses),
             fanout_local=tuple(map(tuple, fan_local)),
             fanout_remote=tuple(map(tuple, fan_remote)),
-            external=tuple(external),
+            external=tuple(external), external_span=tuple(external_span),
             start_routes=tuple(graph.start_routes(lc.id)),
             finish_routes=tuple(graph.finish_routes(lc.id)),
         ))

@@ -3,13 +3,21 @@
 window; the speculative store adds checkpoints and rollback on top), and the
 dependency tables of dependency-driven forwarding. Which store and which
 notification routes a core gets is up to the coordination protocol that
-builds it (``engine.PROTOCOLS``)."""
+builds it (``engine.PROTOCOLS``).
+
+A timestep is begun, evaluated and finished. ``begin`` reads its input and
+returns its earliest completion, the update cost alone; ``evaluate`` computes
+the step and its true completion; ``finish`` commits it. The engine evaluates
+a step when its earliest completion comes, so a rollback that cancels it
+before then cancels a step that was never computed. Nothing a begun step
+reads can change without cancelling it, which makes the late evaluation
+exact."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import lif_step_arrays
+from .model import lif_clamp_free, lif_step_arrays
 from .noc import FLAG_FINISH, FLAG_START, DepPacket, Packet, SpikePacket
 
 # The work counters every core keeps, in report order.
@@ -59,6 +67,21 @@ def advance_condition(tables: DependencyTables, t_cur: int, m: int) -> bool:
     return True
 
 
+def input_sum(rows, n_local: int) -> np.ndarray:
+    """The sum of receptions ``(local target, weight, sender)`` per neuron."""
+    if len(rows) * 8 < n_local:
+        # few receptions: converting a list of n_local ints would cost
+        # more than indexing the array once per reception
+        acc = np.zeros(n_local, dtype=np.int64)
+        for tgt, w, _sender in rows:
+            acc[tgt] += w
+        return acc
+    acc = [0] * n_local
+    for tgt, w, _sender in rows:
+        acc[tgt] += w
+    return np.array(acc, dtype=np.int64)
+
+
 class InputStore:
     """Input store of a non-speculative core: each reception once, as
     ``(local target, weight, sending timestep)`` under the timestep that
@@ -72,6 +95,7 @@ class InputStore:
     """
 
     __slots__ = ("n_local", "window", "recv", "consumed", "violations")
+    rolls_back = False  # may a reception cancel a timestep already read?
 
     def __init__(self, n_local: int, window: int | None):
         self.n_local = n_local
@@ -89,21 +113,13 @@ class InputStore:
             self.violations += 1
         return None
 
-    def take(self, t: int, v: np.ndarray) -> np.ndarray:
-        """Read timestep t's input: the sum of its receptions per neuron."""
+    def take(self, t: int, state) -> list[tuple[int, int, int]]:
+        """Read timestep t's input: mark it consumed and return its
+        receptions. No reception for t is added to them once read: it is a
+        violation here and a rollback in the speculative store. ``state`` is
+        the core's committed state at the entry of t."""
         self.consumed = t
-        rows = self.recv.get(t, ())
-        if len(rows) * 8 < self.n_local:
-            # few receptions: converting a list of n_local ints would cost
-            # more than indexing the array once per reception
-            acc = np.zeros(self.n_local, dtype=np.int64)
-            for tgt, w, _sender in rows:
-                acc[tgt] += w
-            return acc
-        acc = [0] * max(self.n_local, 1)
-        for tgt, w, _sender in rows:
-            acc[tgt] += w
-        return np.array(acc, dtype=np.int64)
+        return self.recv.get(t, ())
 
     def seal(self, t: int, sent: list[SpikePacket]) -> None:
         """Timestep t is committed; its receptions are no longer needed."""
@@ -123,10 +139,14 @@ class SpeculativeStore(InputStore):
     """
 
     __slots__ = ("checkpoints", "sent")
+    rolls_back = True
 
-    def __init__(self, n_local: int, v0: np.ndarray):
+    def __init__(self, n_local: int):
         super().__init__(n_local, None)
-        self.checkpoints: dict[int, np.ndarray] = {0: v0.copy()}
+        # a core's states are never written in place: a checkpoint keeps a
+        # reference. Only a timestep read can be rolled back to, so the
+        # checkpoints are those taken since the last epoch seal.
+        self.checkpoints: dict[int, tuple] = {}
         self.sent: dict[int, list[SpikePacket]] = {}
 
     def receive(self, consuming_t: int, local_idx: int, weight: int,
@@ -136,15 +156,15 @@ class SpeculativeStore(InputStore):
         self.recv.setdefault(consuming_t, []).append((local_idx, weight, sender_t))
         return consuming_t if consuming_t <= self.consumed else None
 
-    def take(self, t: int, v: np.ndarray) -> np.ndarray:
-        """Checkpoint ``v`` at the entry of ``t`` and sum t's receptions."""
-        self.checkpoints[t] = v.copy()
-        return super().take(t, v)
+    def take(self, t: int, state) -> list[tuple[int, int, int]]:
+        """Checkpoint ``state`` at the entry of ``t`` and read t's input."""
+        self.checkpoints[t] = state
+        return super().take(t, state)
 
     def seal(self, t: int, sent: list[SpikePacket]) -> None:
         self.sent[t] = sent
 
-    def rollback(self, tc: int) -> tuple[np.ndarray, list[SpikePacket]]:
+    def rollback(self, tc: int) -> tuple[tuple, list[SpikePacket]]:
         """Forget timesteps >= tc: returns the state at the entry of tc and
         the spikes sent since, oldest first."""
         for t in [t for t in self.checkpoints if t > tc]:
@@ -156,11 +176,11 @@ class SpeculativeStore(InputStore):
             if c > tc:
                 self.recv[c] = [r for r in rows if r[2] < tc]
         self.consumed = tc - 1
-        return self.checkpoints[tc].copy(), undone
+        return self.checkpoints[tc], undone
 
-    def epoch_reset(self, new_start: int, v: np.ndarray) -> None:
+    def epoch_reset(self, new_start: int) -> None:
         """Seal an epoch: no rollback can reach before ``new_start`` again."""
-        self.checkpoints = {new_start: v.copy()}
+        self.checkpoints = {}
         self.sent = {}
         self.recv = {c: rows for c, rows in self.recv.items() if c >= new_start}
 
@@ -179,7 +199,11 @@ class NeuromorphicCore:
         self.cid = image.cid
         self.neuron_ids = image.neuron_ids
         self.n_local = len(image.neuron_ids)
-        self.v = image.v0.copy()
+        # the committed state: potentials (replaced by each step, never
+        # written in place) and their (min, max), which begin's range proof
+        # reads
+        self.v = image.v0
+        self.v_range = (int(self.v.min()), int(self.v.max())) if self.n_local else None
         self.inputs = inputs
         self.start_routes = image.start_routes if notifies else ()
         self.finish_routes = image.finish_routes if notifies else ()
@@ -192,7 +216,9 @@ class NeuromorphicCore:
         self.t_cur = -1
         self.frontier = -1  # highest timestep ever completed
         self.gen = 0  # invalidates in-flight completion events after rollback
-        self.computing: tuple | None = None  # (t, start_cycle, v_new, fired, cost)
+        # (t, start_cycle, receptions read, step): step is None until
+        # evaluated, then (v_new, its range, fired, cost)
+        self.computing: tuple | None = None
 
         self.raster: dict[int, list[int]] = {}
         self.counters = dict.fromkeys(COUNTERS, 0)
@@ -242,41 +268,63 @@ class NeuromorphicCore:
     # -- timestep execution --------------------------------------------------
 
     def begin(self, cycle: int) -> tuple[int, list[DepPacket]]:
-        """Start computing timestep t_cur + 1. Returns (cost in cycles, START
-        packets to inject). The full result is computed eagerly; it becomes
-        visible only at completion."""
+        """Start timestep t_cur + 1: read its input. Returns (its earliest
+        cost in cycles, the update cost alone; START packets to inject).
+
+        ``evaluate`` computes the step. A step that a rollback may cancel is
+        evaluated here when the range proof cannot show it clamp-free, so
+        that ``saturations`` counts its clamps even if it is cancelled; a
+        step the proof clears has none to count."""
         img = self.image
         t = self.t_cur + 1
-        acc = self.inputs.take(t, self.v)
+        rows = self.inputs.take(t, (self.v, self.v_range))
         self.counters["buffer_reads"] += self.n_local
+        self.computing = (t, cycle, rows, None)
+        if self.inputs.rolls_back and self.n_local:
+            neg, pos = img.external_span[t]
+            for _tgt, w, _sender in rows:
+                if w < 0:
+                    neg += w
+                else:
+                    pos += w
+            if not lif_clamp_free(neg, pos, *self.v_range, img.lif_bounds):
+                self.evaluate()
+        return (max(1, self.c_update * self.n_local),
+                self._notifications(self.start_routes, FLAG_START, t))
 
-        ext = img.external[t]
-        if ext is not None:
-            np.add.at(acc, ext[0], ext[1])
-
-        if self.n_local:
-            v_new, fired_mask, clamps = lif_step_arrays(
-                self.v, acc[: self.n_local], img.tau, img.g, img.vr, img.vth,
-                img.lif_bounds)
-            self.counters["saturations"] += clamps
-            fired = np.nonzero(fired_mask)[0].tolist()
-        else:
-            v_new, fired = self.v, []
-
-        emissions = sum(
-            len(img.fanout_remote[i]) + len(img.fanout_local[i]) for i in fired
-        )
-        cost = max(1, self.c_update * self.n_local + self.c_spike * emissions)
-
-        self.computing = (t, cycle, v_new, fired, cost)
-        return cost, self._notifications(self.start_routes, FLAG_START, t)
+    def evaluate(self) -> int:
+        """Compute the begun timestep, once: input sum, LIF step, fired set
+        and cost. Returns the cycle it completes at."""
+        t, start_cycle, rows, step = self.computing
+        if step is None:
+            img = self.image
+            if self.n_local:
+                acc = input_sum(rows, self.n_local)
+                ext = img.external[t]
+                if ext is not None:
+                    np.add.at(acc, ext[0], ext[1])
+                v_new, fired_mask, clamps = lif_step_arrays(
+                    self.v, acc, img.tau, img.g, img.vr, img.vth, img.lif_bounds,
+                    self.v_range)
+                self.counters["saturations"] += clamps
+                fired = np.nonzero(fired_mask)[0].tolist()
+                v_range = (int(v_new.min()), int(v_new.max()))
+            else:
+                v_new, v_range, fired = self.v, self.v_range, []
+            emissions = sum(
+                len(img.fanout_remote[i]) + len(img.fanout_local[i]) for i in fired
+            )
+            cost = max(1, self.c_update * self.n_local + self.c_spike * emissions)
+            step = (v_new, v_range, fired, cost)
+            self.computing = (t, start_cycle, rows, step)
+        return start_cycle + step[3]
 
     def finish(self, cycle: int) -> list[Packet]:
         """Commit the pending timestep: apply states, emit spike packets and
         FINISH notifications, seal the timestep in the input store."""
-        t, start_cycle, v_new, fired, cost = self.computing
+        self.evaluate()
+        t, start_cycle, _rows, (self.v, self.v_range, fired, _cost) = self.computing
         self.computing = None
-        self.v = v_new
 
         if t <= self.frontier:  # recomputing after a rollback
             self.rollback_cycles += cycle - start_cycle
@@ -314,12 +362,11 @@ class NeuromorphicCore:
             )
         self.rollbacks += 1
         if self.computing is not None:
-            _t, start_cycle, _v, _f, _c = self.computing
-            self.rollback_cycles += cycle - start_cycle
+            self.rollback_cycles += cycle - self.computing[1]
             self.computing = None
             self.gen += 1
 
-        self.v, undone = self.inputs.rollback(tc)
+        (self.v, self.v_range), undone = self.inputs.rollback(tc)
         anti = [SpikePacket(self.cid, pkt.dst_core, pkt.timestep, pkt.synapse_id,
                             pkt.delay, anti=True)
                 for pkt in undone]
@@ -331,4 +378,4 @@ class NeuromorphicCore:
     def epoch_reset(self, new_start: int) -> None:
         """Seal an epoch after the periodic barrier: rollbacks can no longer
         reach before ``new_start``."""
-        self.inputs.epoch_reset(new_start, self.v)
+        self.inputs.epoch_reset(new_start)

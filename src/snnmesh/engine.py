@@ -98,7 +98,7 @@ class Speculative(Protocol):
 
     @staticmethod
     def new_inputs(cfg, max_delay, image):
-        return SpeculativeStore(len(image.neuron_ids), image.v0)
+        return SpeculativeStore(len(image.neuron_ids))
 
     def admits(self, core):
         return core.t_cur + 1 < self.epoch_end
@@ -351,12 +351,18 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
                     dirty.add(core.cid)
                     changed.add(core.cid)
 
-        # 2. commit completed timesteps
+        # 2. commit completed timesteps. A timestep is queued at its
+        # earliest completion and evaluated when that comes; one whose
+        # spikes cost more is queued again, same entry, at its true one.
         while completions and completions[0][0] == cycle:
-            _c, _s, cid, gen = heapq.heappop(completions)
+            _c, s, cid, gen = heapq.heappop(completions)
             core = cores[cid]
             if gen != core.gen or core.computing is None:
                 continue  # cancelled by a rollback
+            done = core.evaluate()
+            if done > cycle:
+                heapq.heappush(completions, (done, s, cid, gen))
+                continue
             t, start_cycle, *_rest = core.computing
             kind = "rollback" if t <= core.frontier else "compute"
             for pkt in core.finish(cycle):

@@ -154,7 +154,33 @@ def lif_bounds(tau_m, g_l, v_rst):
             int(v_rst.min()), int(v_rst.max()))
 
 
-def lif_step_arrays(v, acc, tau_m, g_l, v_rst, v_th, bounds=None):
+def lif_clamp_free(a_lo, a_hi, v_lo, v_hi, bounds) -> bool:
+    """Can no intermediate of ``lif_step_arrays`` leave Q16.16 while every
+    input lies in [a_lo, a_hi] and every potential in [v_lo, v_hi]?
+    ``bounds`` is ``lif_bounds`` of the parameters.
+
+    Floor division by a positive divisor is monotone in each operand, so the
+    corners of the ranges bound every intermediate: the least quotient of a
+    negative bound divides by the least divisor, of any other bound by the
+    greatest. Widening a range can only turn True into False, so True for
+    ranges that hold the true values means no clamp can happen."""
+    if a_lo < FX_MIN or a_hi > FX_MAX:
+        return False
+    t_lo, t_hi, g_lo, g_hi, r_lo, r_hi = bounds
+    d_lo = (a_lo << FRAC_BITS) // (g_lo if a_lo < 0 else g_hi)
+    d_hi = (a_hi << FRAC_BITS) // (g_hi if a_hi < 0 else g_lo)
+    l_lo, l_hi = r_lo - v_hi, r_hi - v_lo
+    i_lo, i_hi = l_lo + d_lo, l_hi + d_hi
+    dv_lo = (i_lo << FRAC_BITS) // (t_lo if i_lo < 0 else t_hi)
+    dv_hi = (i_hi << FRAC_BITS) // (t_hi if i_hi < 0 else t_lo)
+    return (FX_MIN <= d_lo and d_hi <= FX_MAX
+            and FX_MIN <= l_lo and l_hi <= FX_MAX
+            and FX_MIN <= i_lo and i_hi <= FX_MAX
+            and FX_MIN <= dv_lo and dv_hi <= FX_MAX
+            and FX_MIN <= v_lo + dv_lo and v_hi + dv_hi <= FX_MAX)
+
+
+def lif_step_arrays(v, acc, tau_m, g_l, v_rst, v_th, bounds=None, v_range=None):
     """One forward-Euler LIF update with dt = one timestep, element-wise:
 
         v' = v + (-(v - v_rst) + acc / g_l) / tau_m
@@ -165,37 +191,21 @@ def lif_step_arrays(v, acc, tau_m, g_l, v_rst, v_th, bounds=None):
 
     All arrays int64 holding Q16.16 values. Returns (v_new, fired, clamps),
     clamps being the number of intermediate values saturation changed.
-    ``bounds`` is ``lif_bounds(tau_m, g_l, v_rst)``, computed here if None.
+    ``bounds`` is ``lif_bounds(tau_m, g_l, v_rst)`` and ``v_range`` is
+    ``(v.min(), v.max())``, each computed here if None.
 
-    From the ranges of ``acc`` and ``v`` and the parameter bounds it first
-    bounds every intermediate: floor division by a positive divisor is
-    monotone in each operand, so the corners of the two ranges bound each
-    quotient. When no bound leaves Q16.16, no clamp can happen and the step
-    runs unclamped; otherwise it clamps step by step.
+    When ``lif_clamp_free`` proves from the ranges of ``acc`` and ``v`` that
+    no clamp can happen, the step runs unclamped; otherwise it clamps step
+    by step.
     """
-    if v.size:
-        t_lo, t_hi, g_lo, g_hi, r_lo, r_hi = (
-            lif_bounds(tau_m, g_l, v_rst) if bounds is None else bounds)
-        a_lo, a_hi = int(acc.min()), int(acc.max())
-        v_lo, v_hi = int(v.min()), int(v.max())
-        if FX_MIN <= a_lo and a_hi <= FX_MAX:
-            a_lo <<= FRAC_BITS
-            a_hi <<= FRAC_BITS
-            d_lo = min(a_lo // g_lo, a_lo // g_hi)
-            d_hi = max(a_hi // g_lo, a_hi // g_hi)
-            l_lo, l_hi = r_lo - v_hi, r_hi - v_lo
-            i_lo, i_hi = (l_lo + d_lo) << FRAC_BITS, (l_hi + d_hi) << FRAC_BITS
-            dv_lo = min(i_lo // t_lo, i_lo // t_hi)
-            dv_hi = max(i_hi // t_lo, i_hi // t_hi)
-            if (FX_MIN <= d_lo and d_hi <= FX_MAX
-                    and FX_MIN <= l_lo and l_hi <= FX_MAX
-                    and FX_MIN <= l_lo + d_lo and l_hi + d_hi <= FX_MAX
-                    and FX_MIN <= dv_lo and dv_hi <= FX_MAX
-                    and FX_MIN <= v_lo + dv_lo and v_hi + dv_hi <= FX_MAX):
-                inner = v_rst - v + (acc << FRAC_BITS) // g_l
-                v_new = v + (inner << FRAC_BITS) // tau_m
-                fired = v_new >= v_th
-                return np.where(fired, v_rst, v_new), fired, 0
+    if v.size and lif_clamp_free(
+            int(acc.min()), int(acc.max()),
+            *((int(v.min()), int(v.max())) if v_range is None else v_range),
+            lif_bounds(tau_m, g_l, v_rst) if bounds is None else bounds):
+        inner = v_rst - v + (acc << FRAC_BITS) // g_l
+        v_new = v + (inner << FRAC_BITS) // tau_m
+        fired = v_new >= v_th
+        return np.where(fired, v_rst, v_new), fired, 0
 
     clamps = 0
 

@@ -12,6 +12,7 @@ from snnmesh.cli import (
     EXIT_BAD_INPUT,
     EXIT_COMPILE,
     EXIT_DEADLOCK,
+    EXIT_IO,
     EXIT_MISSING_FILE,
     EXIT_OK,
     EXIT_VERIFY_MISMATCH,
@@ -85,6 +86,51 @@ def test_missing_file_exit_code(tmp_path):
     code = main(["run", "--program", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "r.json")])
     assert code == EXIT_MISSING_FILE
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "layered", "--layers", "4,4", "--fanin", "2", "--t-max", "4"],
+    ["compile", "--workload", str(FIXTURES / "tiny_workload.json"), "--grid", "2x2"],
+    ["run", "--program", str(FIXTURES / "tiny_program.json")],
+    ["sweep", "--workload", str(FIXTURES / "tiny_workload.json"), "--axis", "m=2",
+     "--grid", "2x2"],
+    ["report", "--results", str(FIXTURES / "results.csv")],
+], ids=lambda argv: argv[0])
+def test_output_in_missing_directory_fails_before_any_work(tmp_path, capsys,
+                                                           monkeypatch, argv):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("worked before checking the output path")
+
+    for name in ("save_workload", "compile_network", "run", "summarize_results"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = str(tmp_path / "nonexistent" / "x")
+    assert main(argv + ["--out", out]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"snnmesh: error[io] cannot write {out}: its "
+                            "directory does not exist\n")
+
+
+def test_output_that_is_a_directory_fails_before_the_run(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(cli, "run", None)
+    code = main(["run", "--program", str(FIXTURES / "tiny_program.json"),
+                 "--out", str(tmp_path)])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err == (f"snnmesh: error[io] cannot write "
+                                       f"{tmp_path}: it is a directory\n")
+    assert not list(tmp_path.parent.glob(f"{tmp_path.name}.tmp.*"))
+
+
+def test_run_trace_in_missing_directory_fails_before_the_run(tmp_path, capsys,
+                                                             monkeypatch):
+    monkeypatch.setattr(cli, "run", None)
+    trace = str(tmp_path / "nonexistent" / "t.csv")
+    code = main(["run", "--program", str(FIXTURES / "tiny_program.json"),
+                 "--out", str(tmp_path / "r.json"), "--trace", trace])
+    assert code == EXIT_IO
+    assert trace in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_bad_workload_exit_code(tmp_path):

@@ -10,8 +10,9 @@ from snnmesh.core import (
     ProtocolFault,
     SpeculativeStore,
     advance_condition,
+    input_sum,
 )
-from snnmesh.noc import DEP, FLAG_FINISH, FLAG_START
+from snnmesh.noc import DEP, FLAG_FINISH, FLAG_START, SpikePacket
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -85,7 +86,7 @@ class TestDependencyTables:
 
 def read(store, t):
     """What a core does with its input store over one timestep."""
-    row = list(store.take(t, None))
+    row = input_sum(store.take(t, None), store.n_local).tolist()
     store.seal(t, [])
     return row
 
@@ -150,17 +151,18 @@ class TestInputStore:
                           rng.integers(-(1 << 31), 1 << 31, n_receptions).tolist()):
             store.receive(0, tgt, w)
             want[tgt] += w
-        acc = store.take(0, None)
+        acc = input_sum(store.take(0, None), 16)
         assert acc.dtype == np.int64
         assert acc.tolist() == want
 
     def test_speculative_store_has_no_window(self):
-        store = SpeculativeStore(1, np.zeros(1, dtype=np.int64))
+        store = SpeculativeStore(1)
+        state = (np.zeros(1, dtype=np.int64), (0, 0))
         assert store.receive(9, 0, 1) is None  # far ahead: kept
-        store.take(0, np.zeros(1, dtype=np.int64))
+        store.take(0, state)
         assert store.receive(0, 0, 3) == 0     # already read: roll back to 0
         assert store.violations == 0
-        assert list(store.take(0, np.zeros(1, dtype=np.int64))) == [3]
+        assert input_sum(store.take(0, state), 1).tolist() == [3]
 
 
 class TestPacketEmission:
@@ -222,12 +224,71 @@ class TestPacketEmission:
         prog = compile_network(net, (3, 1), assignment=[0, 1, 1, 2])
         cfg = SimConfig(grid=(3, 1), mode="depasync", c_update=1, c_spike=1)
         cores = new_cores(prog, cfg, t_max=2)
-        cost, _starts = cores[0].begin(cycle=0)
+        earliest, _starts = cores[0].begin(cycle=0)
+        assert earliest == 1 * 1  # the update alone
+        cost = cores[0].evaluate()  # completion cycle of a step begun at 0
         assert cost == 1 * 1 + 1 * 3  # update plus three emitted spikes
         packets = cores[0].finish(cycle=cost)
         spikes = [pk for pk in packets if pk.kind == "SPIKE"]
         assert len(spikes) == 3
         assert sorted(pk.dst_core for pk in spikes) == [1, 1, 2]
+
+
+class TestDeferredEvaluation:
+    """``begin`` only reads a timestep's input; the step is computed when
+    its earliest completion comes, unless it may saturate."""
+
+    def test_cancelled_step_is_never_computed(self, monkeypatch):
+        from snnmesh import core as core_module
+        from snnmesh.compiler import compile_network
+        from snnmesh.engine import SimConfig, new_cores
+        from snnmesh.fixedpoint import fx
+        from snnmesh.model import Network, NeuronParams, Synapse
+
+        calls = []
+        real = core_module.lif_step_arrays
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].size)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(core_module, "lif_step_arrays", counted)
+        # g_l = 0.5 doubles the input: 30000.0 saturates, 1.0 cannot
+        p = NeuronParams(tau_m=fx(1.0), v_rst=0, g_l=fx(0.5), v_th=fx(16.0))
+        net = Network(neurons=[(p, 0)] * 2, synapses=[Synapse(0, 1, fx(1.0), 1)],
+                      inputs={1: [(0, fx(1.0)), (2, fx(30000.0))]},
+                      t_max=3, max_delay=1)
+        prog = compile_network(net, (2, 1), assignment=[0, 1])
+        cfg = SimConfig(grid=(2, 1), mode="se", c_update=5, c_spike=1)
+        sink = new_cores(prog, cfg, t_max=3)[1]
+        late = SpikePacket(0, 1, timestep=0, synapse_id=0, delay=1)
+
+        assert sink.begin(cycle=0)[0] == 5
+        assert calls == []
+        sink.finish(cycle=5)  # evaluates t=0
+        assert calls == [1]
+        sink.begin(cycle=5)   # t=1
+        # a spike for t=1 lands before the earliest completion at cycle 10
+        assert sink.on_spike(late) == 1
+        sink.rollback(1, cycle=7)
+        assert calls == [1]   # the cancelled step never ran
+        assert sink.rollback_cycles == 2
+        sink.begin(cycle=7)
+        assert sink.evaluate() == 7 + 5
+        sink.finish(cycle=12)
+        assert calls == [1, 1]
+        assert sink.counters["saturations"] == 0
+
+        # t=2's input cannot be proven clamp-free: begin computes it, and
+        # its clamps stay counted when a rollback cancels it
+        sink.begin(cycle=12)
+        assert calls == [1, 1, 1]
+        clamps = sink.counters["saturations"]
+        assert clamps > 0
+        assert sink.on_spike(SpikePacket(0, 1, timestep=1, synapse_id=0, delay=1)) == 2
+        sink.rollback(2, cycle=13)
+        assert sink.counters["saturations"] == clamps
+        assert calls == [1, 1, 1]
 
 
 class TestBenchAttribution:
