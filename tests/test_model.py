@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,6 +203,29 @@ class TestReferenceRun:
         raster = reference_run(net)
         for _nid, t in raster:
             assert 0 <= t < net.t_max
+
+
+# The three bench workload shapes, with the spike count and the sha256 of
+# ``reference_run(net).ordered()`` as JSON, taken from the per-neuron-fanout
+# interpreter the oracle replaced.
+BENCH_PINS = {
+    "wide-4x4": (lambda: gen_synthetic(16000, 32000, seed=7, input_rate=0.01, t_max=150),
+                 65, "80bf512df6df9b9d31bbe3b877d7720164b674527bb59ee580aeae2707b25493"),
+    "dense-8x8": (lambda: gen_synthetic(1280, 32000, frac_inhibitory=0.5,
+                                        rate_knobs=rate_knobs_for_level(0.8), seed=404,
+                                        input_rate=0.1, t_max=6),
+                  210, "1a606f1b83ed036f2c8d014e70c93847a741a6c976c88ecd4c02883f74f50142"),
+    "layered-4x4": (lambda: gen_layered([256, 256, 128], fanin=12, seed=1, t_max=60),
+                    4892, "b5b923b93894878ad7bf96fbe38a31d612d27d17866c48277f371dc0d1502986"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_PINS))
+def test_reference_raster_pinned_on_bench_shapes(name):
+    make, n_spikes, digest = BENCH_PINS[name]
+    ordered = reference_run(make()).ordered()
+    assert len(ordered) == n_spikes
+    assert hashlib.sha256(json.dumps(ordered).encode()).hexdigest() == digest
 
 
 class TestGenerators:
