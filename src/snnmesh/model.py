@@ -237,58 +237,71 @@ def neuron_arrays(neurons):
     return np.array(rows, dtype=np.int64).reshape(len(rows), 5).T.copy()
 
 
+def _grouped(keys, columns, n_keys: int):
+    """``columns``, each a list of ints, stably sorted by ``keys`` and made
+    int64 arrays, with the offsets ``start``: the rows whose key is k are
+    ``start[k]:start[k + 1]``, for k in [0, n_keys)."""
+    keys = np.array(keys, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    start = np.zeros(n_keys + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n_keys), out=start[1:])
+    return start, [np.array(c, dtype=np.int64)[order] for c in columns]
+
+
 def reference_run(net: Network) -> SpikeRaster:
     """Sequential time-driven interpreter; the oracle for all hardware modes.
 
     Spikes generated at t are consumed at t + delay (delay >= 1), so results
     do not depend on neuron iteration order within a timestep.
+
+    The synapses are kept once, sorted by source, so the fanout of neuron i
+    is rows ``start[i]:start[i + 1]``. Each timestep expands the fired
+    neurons' row ranges into one index and scatters all their spikes into
+    the delay ring at once; a spike consumed at or after ``t_max`` is never
+    read and is dropped, so the ring needs only ``min(max_delay, t_max) + 1``
+    slots.
     """
     net.validate()
-    n = net.n_neurons
-    if n == 0 or net.t_max == 0:
+    n, t_max = net.n_neurons, net.t_max
+    if n == 0 or t_max == 0:
         return SpikeRaster([])
 
     tau, g, vr, vth, v = neuron_arrays(net.neurons)
     bounds = lif_bounds(tau, g, vr)
 
-    # Adjacency: per-neuron fanout as (targets, weights, delays) arrays.
-    fan_dst: list[list[int]] = [[] for _ in range(n)]
-    fan_w: list[list[int]] = [[] for _ in range(n)]
-    fan_d: list[list[int]] = [[] for _ in range(n)]
-    for s in net.synapses:
-        fan_dst[s.src].append(s.dst)
-        fan_w[s.src].append(s.weight)
-        fan_d[s.src].append(s.delay)
-    fanout = [
-        (np.array(fan_dst[i], dtype=np.int64),
-         np.array(fan_w[i], dtype=np.int64),
-         np.array(fan_d[i], dtype=np.int64))
-        for i in range(n)
-    ]
+    syn = net.synapses
+    start, (dst, w, d) = _grouped([s.src for s in syn], (
+        [s.dst for s in syn], [s.weight for s in syn], [s.delay for s in syn]), n)
+    ext = [(t, nid, cur) for nid, events in net.inputs.items() for t, cur in events]
+    ext_start, (ext_n, ext_c) = _grouped([e[0] for e in ext], (
+        [e[1] for e in ext], [e[2] for e in ext]), t_max)
 
-    ext: dict[int, list[tuple[int, int]]] = {}
-    for nid, events in net.inputs.items():
-        for t, cur in events:
-            ext.setdefault(t, []).append((nid, cur))
-
-    n_ring = net.max_delay + 1
+    n_ring = min(net.max_delay, t_max) + 1
     ring = np.zeros((n_ring, n), dtype=np.int64)
     spikes: list[tuple[int, int]] = []
 
-    for t in range(net.t_max):
+    for t in range(t_max):
         slot = t % n_ring
         acc = ring[slot]
-        for nid, cur in ext.get(t, ()):
-            acc[nid] += cur
+        lo, hi = ext_start[t], ext_start[t + 1]
+        if lo < hi:
+            np.add.at(acc, ext_n[lo:hi], ext_c[lo:hi])
         v, fired, _ = lif_step_arrays(v, acc, tau, g, vr, vth, bounds)
         ring[slot] = 0
-        fired_ids = np.nonzero(fired)[0]
-        for i in fired_ids:
-            spikes.append((int(i), t))
-            dst, w, d = fanout[i]
-            if len(dst):
-                np.add.at(ring, ((t + d) % n_ring, dst), w)
-    return SpikeRaster(spikes, t_max=net.t_max)
+        fired_ids = np.flatnonzero(fired)
+        if not fired_ids.size:
+            continue
+        spikes.extend((i, t) for i in fired_ids.tolist())
+        first = start[fired_ids]
+        lens = start[fired_ids + 1] - first
+        # the fired neurons' row ranges, concatenated: item k of range j is
+        # first[j] + k - (the length of ranges 0..j-1)
+        rows = np.arange(int(lens.sum())) + np.repeat(first - (np.cumsum(lens) - lens), lens)
+        t_in = t + d[rows]
+        keep = t_in < t_max
+        rows = rows[keep]
+        np.add.at(ring, (t_in[keep] % n_ring, dst[rows]), w[rows])
+    return SpikeRaster(spikes, t_max=t_max)
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,20 @@ def test_verify_with_shortened_horizon(capsys):
     assert "all modes match" in capsys.readouterr().out
 
 
+def test_verify_with_huge_max_delay(tmp_path, capsys):
+    # the schema asks only max_delay >= 1; the oracle's delay ring must not
+    # be sized by it
+    from snnmesh.model import gen_layered, save_workload
+    net = gen_layered([4, 3], fanin=2, seed=1, t_max=5)
+    net.max_delay = 10**12
+    path = tmp_path / "w.json"
+    save_workload(net, path)
+    code = main(["verify", "--workload", str(path), "--grid", "2x2"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "all modes match" in out
+    assert out.count(" ok\n") == 3
+
 def test_energy_costs_override_via_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
