@@ -123,11 +123,3 @@ def export_trace_csv(report, path) -> None:
         writer.writerow(["cycle_start", "cycle_end", "core", "timestep", "kind"])
         writer.writerows(rows)
 
-
-def load_trace_csv(path) -> list[tuple[int, int, int, int, str]]:
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["cycle_start", "cycle_end", "core", "timestep", "kind"]:
-            raise MetricsError(f"unexpected trace header {header}")
-        return [(int(a), int(b), int(c), int(t), k) for a, b, c, t, k in reader]

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -11,11 +12,19 @@ from snnmesh.metrics import (
     energy_total,
     export_report,
     export_trace_csv,
-    load_trace_csv,
     trace_rows_with_waits,
 )
 from snnmesh.model import gen_synthetic
 
+
+def load_trace_csv(path) -> list[tuple[int, int, int, int, str]]:
+    """The rows of a trace CSV written by ``export_trace_csv``."""
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader)
+        if header != ["cycle_start", "cycle_end", "core", "timestep", "kind"]:
+            raise MetricsError(f"unexpected trace header {header}")
+        return [(int(a), int(b), int(c), int(t), k) for a, b, c, t, k in reader]
 
 class TestEnergyTotal:
     def test_all_zero(self):
