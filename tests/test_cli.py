@@ -339,6 +339,7 @@ def test_verify_with_huge_max_delay(tmp_path, capsys):
     assert "all modes match" in out
     assert out.count(" ok\n") == 3
 
+
 def test_energy_costs_override_via_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

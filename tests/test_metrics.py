@@ -26,6 +26,7 @@ def load_trace_csv(path) -> list[tuple[int, int, int, int, str]]:
             raise MetricsError(f"unexpected trace header {header}")
         return [(int(a), int(b), int(c), int(t), k) for a, b, c, t, k in reader]
 
+
 class TestEnergyTotal:
     def test_all_zero(self):
         costs = EnergyCostTable(neuron_update=0, synapse_acc=0, buffer_read=0,
