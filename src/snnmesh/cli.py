@@ -342,9 +342,10 @@ def build_sweep_tasks(args, base_cfg: SimConfig):
                         raise ConfigError(
                             "rate sweeps need --neurons and --synapses to regenerate"
                         )
+                    horizon = {} if base_cfg.t_max is None else {"t_max": base_cfg.t_max}
                     net = gen_synthetic(args.neurons, args.synapses,
                                         rate_knobs=rate_knobs_for_level(value),
-                                        seed=seed, t_max=args.t_max)
+                                        seed=seed, **horizon)
                 if net is None:
                     raise ConfigError("sweep needs --workload (or a rate axis)")
                 assignment = None
@@ -400,17 +401,22 @@ def _harmonic_mean(values):
     return len(vals) / sum(1.0 / v for v in vals)
 
 
+def _baseline_key(r: dict) -> tuple:
+    """The run a row is compared with: the ``sync`` row of the same axis
+    value, seed and rep. On the mode axis the value is the mode itself, so
+    it is left out."""
+    value = None if r["axis"] == "mode" else r["value"]
+    return (r["axis"], value, r["seed"], r["rep"])
+
+
 def summarize_results(rows: list[dict]) -> dict:
     """Per (axis value, mode): harmonic-mean speedup and energy efficiency
-    against the barrier baseline with the same (value, seed)."""
-    baseline = {}
-    for r in rows:
-        if r["mode"] == "sync":
-            baseline[(r["axis"], r["value"], r["seed"], r["rep"])] = r
+    against the barrier baseline (``_baseline_key``)."""
+    baseline = {_baseline_key(r): r for r in rows if r["mode"] == "sync"}
     summary: dict = {}
     for r in rows:
         key = (r["axis"], str(r["value"]), r["mode"])
-        base = baseline.get((r["axis"], r["value"], r["seed"], r["rep"]))
+        base = baseline.get(_baseline_key(r))
         cell = summary.setdefault(
             "|".join(key),
             {"axis": r["axis"], "value": r["value"], "mode": r["mode"],
@@ -587,7 +593,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         return _fail("missing-file", str(exc), EXIT_MISSING_FILE)
     except (WorkloadError, ConfigError, MetricsError, NocError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, UnicodeDecodeError) as exc:
         return _fail("bad-input", str(exc), EXIT_BAD_INPUT)
     except CompileError as exc:
         return _fail("compile", str(exc), EXIT_COMPILE)

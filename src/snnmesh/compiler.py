@@ -1,7 +1,7 @@
 """Compile a Network onto logic cores: partitioning, dependency extraction
-with reverse-index routing for control packets, and mesh placement. A
-compiled program builds its runtime image, the read-only tables every run
-of it shares, once."""
+(which cores each core hears from and tells, by core id), and mesh
+placement. A compiled program builds its runtime image, the read-only
+tables every run of it shares, once."""
 
 from __future__ import annotations
 
@@ -49,19 +49,11 @@ class LogicCore:
 
 @dataclass
 class DepGraph:
-    """Per-core pre/post dependency lists plus the reverse row indices each
-    core stamps onto its outgoing control packets."""
+    """Per core, the cores it receives synapses from (``pre``) and sends
+    synapses to (``post``), each in ascending core id."""
 
     pre: list[list[int]]
     post: list[list[int]]
-
-    def finish_routes(self, core: int) -> list[tuple[int, int]]:
-        """(post-dep core, row in its pre table) for FINISH packets."""
-        return [(b, self.pre[b].index(core)) for b in self.post[core]]
-
-    def start_routes(self, core: int) -> list[tuple[int, int]]:
-        """(pre-dep core, row in its post table) for START packets."""
-        return [(a, self.post[a].index(core)) for a in self.pre[core]]
 
 
 @dataclass
@@ -112,14 +104,14 @@ class CoreImage:
     external: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
     # per timestep: (sum of negative currents, sum of positive currents)
     external_span: tuple[tuple[int, int], ...]
-    start_routes: tuple[tuple[int, int], ...]   # ((pre core, dep_id), ...)
-    finish_routes: tuple[tuple[int, int], ...]  # ((post core, dep_id), ...)
+    pre: tuple[int, ...]   # pre-dependency core ids: STARTs go here
+    post: tuple[int, ...]  # post-dependency core ids: FINISHes go here
 
 
 def build_image(prog: CompiledProgram) -> tuple[CoreImage, ...]:
     """Every core's runtime tables: parameter slices, the in-synapse table,
     local and remote fanout per neuron, external input per timestep and
-    the START/FINISH routes."""
+    the dependencies."""
     params = neuron_arrays(prog.neurons)
     graph = prog.dep_graph
     images = []
@@ -160,8 +152,7 @@ def build_image(prog: CompiledProgram) -> tuple[CoreImage, ...]:
             fanout_local=tuple(map(tuple, fan_local)),
             fanout_remote=tuple(map(tuple, fan_remote)),
             external=tuple(external), external_span=tuple(external_span),
-            start_routes=tuple(graph.start_routes(lc.id)),
-            finish_routes=tuple(graph.finish_routes(lc.id)),
+            pre=tuple(graph.pre[lc.id]), post=tuple(graph.post[lc.id]),
         ))
     return tuple(images)
 
@@ -263,8 +254,7 @@ def partition(
 
 
 def extract_deps(cores: list[LogicCore], capacity: Capacity = Capacity()) -> DepGraph:
-    """Dependency edge A -> B iff some synapse crosses from A to B (A != B).
-    Row indices are assigned by ascending neighbour core id."""
+    """Dependency edge A -> B iff some synapse crosses from A to B (A != B)."""
     n = len(cores)
     out_sets: list[set[int]] = [set() for _ in range(n)]
     for c in cores:
@@ -550,6 +540,6 @@ def load_program(path) -> CompiledProgram:
     with open(path, encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CompileError(f"not valid JSON: {exc}") from exc
     return program_from_dict(doc)

@@ -1,9 +1,9 @@
 """The neuromorphic core: compute engine over a neuron slice, its input store
 (receptions keyed by the timestep that consumes them, inside the buffer
 window; the speculative store adds checkpoints and rollback on top), and the
-dependency tables of dependency-driven forwarding. Which store and which
-notification routes a core gets is up to the coordination protocol that
-builds it (``engine.PROTOCOLS``).
+last START/FINISH heard from each dependency. Which store a core gets, and
+whether START/FINISH notifications are sent at all, is up to the
+coordination protocol (``engine.PROTOCOLS``).
 
 A timestep is begun, evaluated and finished. ``begin`` reads its input and
 returns its earliest completion, the update cost alone; ``evaluate`` computes
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import lif_clamp_free, lif_step_arrays
-from .noc import FLAG_FINISH, FLAG_START, DepPacket, Packet, SpikePacket
+from .noc import FLAG_FINISH, DepPacket, SpikePacket
 
 # The work counters every core keeps, in report order.
 COUNTERS = ("neuron_updates", "rollback_updates", "synapse_acc", "buffer_reads",
@@ -26,45 +26,8 @@ COUNTERS = ("neuron_updates", "rollback_updates", "synapse_acc", "buffer_reads",
 
 
 class ProtocolFault(RuntimeError):
-    """A packet violated the protocol (bad dep id, impossible rollback)."""
-
-
-class DependencyTables:
-    """Last FINISH seen per pre-dependency and last START per post-dependency.
-    Entries only ever grow; updates take the max."""
-
-    __slots__ = ("pre_finish", "post_start")
-
-    def __init__(self, n_pre: int, n_post: int):
-        # Nothing has finished yet; everyone is allowed to start t=0.
-        self.pre_finish = [-1] * n_pre
-        self.post_start = [0] * n_post
-
-    def update(self, flag: int, dep_id: int, timestep: int) -> None:
-        table = self.pre_finish if flag == FLAG_FINISH else self.post_start
-        if not (0 <= dep_id < len(table)):
-            raise ProtocolFault(
-                f"dep id {dep_id} outside table of length {len(table)}"
-            )
-        if timestep > table[dep_id]:
-            table[dep_id] = timestep
-
-
-def advance_condition(tables: DependencyTables, t_cur: int, m: int) -> bool:
-    """May the core begin timestep t_cur + 1?
-
-    Requires every pre-dependency to have finished t_cur (its spikes have
-    provably landed) and every post-dependency to have started at least
-    t_cur - m + 2 (it still has buffer room for spikes we will emit).
-    """
-    for t in tables.pre_finish:
-        if t < t_cur:
-            return False
-    bound = t_cur - m + 1
-    for t in tables.post_start:
-        if t <= bound:
-            return False
-    return True
+    """A packet violated the protocol (a notification from a core that is
+    not a dependency, an impossible rollback)."""
 
 
 def input_sum(rows, n_local: int) -> np.ndarray:
@@ -190,11 +153,11 @@ class NeuromorphicCore:
     (``compiler.CoreImage``).
 
     ``inputs`` is the core's input store (``InputStore`` or
-    ``SpeculativeStore``); the core sends START/FINISH notifications along
-    the image's routes only if ``notifies``."""
+    ``SpeculativeStore``). ``pre_finish`` and ``post_start`` hold, per
+    pre- and post-dependency core id, the last FINISH and START heard from
+    it; they only ever grow."""
 
-    def __init__(self, image, inputs, notifies: bool, t_max: int,
-                 c_update: int, c_spike: int):
+    def __init__(self, image, inputs, t_max: int, c_update: int, c_spike: int):
         self.image = image
         self.cid = image.cid
         self.neuron_ids = image.neuron_ids
@@ -205,13 +168,12 @@ class NeuromorphicCore:
         self.v = image.v0
         self.v_range = (int(self.v.min()), int(self.v.max())) if self.n_local else None
         self.inputs = inputs
-        self.start_routes = image.start_routes if notifies else ()
-        self.finish_routes = image.finish_routes if notifies else ()
         self.t_max = t_max
         self.c_update = c_update
         self.c_spike = c_spike
-
-        self.tables = DependencyTables(len(self.start_routes), len(self.finish_routes))
+        # nothing has finished yet; everyone is allowed to start t=0
+        self.pre_finish = dict.fromkeys(image.pre, -1)
+        self.post_start = dict.fromkeys(image.post, 0)
 
         self.t_cur = -1
         self.frontier = -1  # highest timestep ever completed
@@ -243,16 +205,20 @@ class NeuromorphicCore:
         """Idle with every timestep committed."""
         return self.computing is None and self.t_cur + 1 >= self.t_max
 
-    def _notifications(self, routes, flag: int, t: int) -> list[DepPacket]:
-        self.counters["scheduler_events"] += len(routes)
-        cid = self.cid
-        return [DepPacket(cid, core, t, flag, dep_id) for core, dep_id in routes]
-
     # -- packet handlers ----------------------------------------------------
 
     def on_dep(self, pkt: DepPacket) -> None:
+        """Record a FINISH from a pre-dependency or a START from a
+        post-dependency; a stale one changes nothing."""
         self.counters["scheduler_events"] += 1
-        self.tables.update(pkt.flag, pkt.dep_id, pkt.timestep)
+        table = self.pre_finish if pkt.flag == FLAG_FINISH else self.post_start
+        last = table.get(pkt.src_core)
+        if last is None:
+            raise ProtocolFault(
+                f"core {self.cid}: notification from core {pkt.src_core}, "
+                "which is not a dependency")
+        if pkt.timestep > last:
+            table[pkt.src_core] = pkt.timestep
 
     def on_spike(self, pkt: SpikePacket) -> int | None:
         """Buffer an arriving spike. Returns the timestep to roll back to
@@ -267,9 +233,9 @@ class NeuromorphicCore:
 
     # -- timestep execution --------------------------------------------------
 
-    def begin(self, cycle: int) -> tuple[int, list[DepPacket]]:
-        """Start timestep t_cur + 1: read its input. Returns (its earliest
-        cost in cycles, the update cost alone; START packets to inject).
+    def begin(self, cycle: int) -> int:
+        """Start timestep t_cur + 1: read its input. Returns its earliest
+        cost in cycles, the update cost alone.
 
         ``evaluate`` computes the step. A step that a rollback may cancel is
         evaluated here when the range proof cannot show it clamp-free, so
@@ -289,8 +255,7 @@ class NeuromorphicCore:
                     pos += w
             if not lif_clamp_free(neg, pos, *self.v_range, img.lif_bounds):
                 self.evaluate()
-        return (max(1, self.c_update * self.n_local),
-                self._notifications(self.start_routes, FLAG_START, t))
+        return max(1, self.c_update * self.n_local)
 
     def evaluate(self) -> int:
         """Compute the begun timestep, once: input sum, LIF step, fired set
@@ -319,9 +284,9 @@ class NeuromorphicCore:
             self.computing = (t, start_cycle, rows, step)
         return start_cycle + step[3]
 
-    def finish(self, cycle: int) -> list[Packet]:
-        """Commit the pending timestep: apply states, emit spike packets and
-        FINISH notifications, seal the timestep in the input store."""
+    def finish(self, cycle: int) -> list[SpikePacket]:
+        """Commit the pending timestep: apply states, seal the timestep in
+        the input store. Returns the spike packets to inject."""
         self.evaluate()
         t, start_cycle, _rows, (self.v, self.v_range, fired, _cost) = self.computing
         self.computing = None
@@ -348,7 +313,7 @@ class NeuromorphicCore:
         self.inputs.seal(t, spikes)
 
         self.t_cur = t
-        return spikes + self._notifications(self.finish_routes, FLAG_FINISH, t)
+        return spikes
 
     # -- speculative rollback -------------------------------------------------
 

@@ -541,6 +541,6 @@ def load_workload(path) -> Network:
     with open(path, encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise WorkloadError(f"not valid JSON: {exc}") from exc
     return network_from_dict(doc)

@@ -54,7 +54,6 @@ class DepPacket:
     dst_core: int
     timestep: int
     flag: int  # FLAG_START or FLAG_FINISH
-    dep_id: int
     kind: str = field(default=DEP, init=False)
 
 

@@ -318,7 +318,7 @@ class TestCriterion10NocProperties:
                         mesh.inject(p, at)
                         injected += 1
                     f = DepPacket(src_core=core_at(s, 4), dst_core=core_at(d, 4),
-                                  timestep=t, flag=FLAG_FINISH, dep_id=0)
+                                  timestep=t, flag=FLAG_FINISH)
                     mesh.inject(f, at)
                     injected += 1
             for _ in range(3):

@@ -271,6 +271,25 @@ def test_malformed_program_is_a_compile_error(tmp_path, capsys, path, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv_of,code", [
+    (lambda bad, out: ["run", "--program", bad, "--out", out], EXIT_COMPILE),
+    (lambda bad, out: ["verify", "--workload", bad], EXIT_BAD_INPUT),
+    (lambda bad, out: ["compile", "--workload", bad, "--out", out], EXIT_BAD_INPUT),
+    (lambda bad, out: ["report", "--results", bad], EXIT_BAD_INPUT),
+    (lambda bad, out: ["run", "--program", str(FIXTURES / "tiny_program.json"),
+                       "--config", bad, "--out", out], EXIT_BAD_INPUT),
+], ids=["run-program", "verify-workload", "compile-workload", "report-results",
+        "run-config"])
+def test_file_that_is_not_utf8_fails_like_invalid_json(tmp_path, capsys,
+                                                       argv_of, code):
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_bytes(b"\xff\xfe")
+    assert main(argv_of(str(bad), str(out))) == code
+    err = capsys.readouterr().err
+    assert err.startswith("snnmesh: error[") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_compile_capacity_error_exit_code(tmp_path):
     code = main(["compile", "--workload", str(FIXTURES / "tiny_workload.json"),
                  "--grid", "2x2", "--max-neurons-per-core", "5",
@@ -409,6 +428,43 @@ def test_sweep_mode_axis(tmp_path):
     rows = list(csv.DictReader(results.open()))
     assert sorted(r["mode"] for r in rows) == ["depasync", "se", "sync"]
     assert len({r["raster_sha256"] for r in rows}) == 1
+
+
+def test_mode_axis_report_equals_the_m4_report(tmp_path):
+    # the mode axis runs at the default m=4; its sync baseline is the row
+    # whose value is "sync", not a row with each mode's own value
+    cells = {}
+    for axis in ("mode=sync,se,depasync", "m=4"):
+        results, summary = tmp_path / "results.csv", tmp_path / "summary.json"
+        assert main(["sweep", "--workload", str(FIXTURES / "tiny_workload.json"),
+                     "--axis", axis, "--grid", "2x2", "--out", str(results)]) == EXIT_OK
+        assert main(["report", "--results", str(results),
+                     "--out", str(summary)]) == EXIT_OK
+        cells[axis] = {cell["mode"]: {k: v for k, v in cell.items()
+                                      if k not in ("axis", "value")}
+                       for cell in json.loads(summary.read_text()).values()}
+    assert cells["mode=sync,se,depasync"] == cells["m=4"]
+    assert cells["m=4"]["depasync"]["harmonic_speedup"] > 0
+    assert cells["m=4"]["se"]["harmonic_energy_efficiency"] > 0
+
+
+@pytest.mark.parametrize("horizon,env", [([], {}), ([], {"SNNMESH_T_MAX": "5"}),
+                                         (["--t-max", "5"], {})],
+                         ids=["default", "env", "flag"])
+def test_rate_sweep_regenerates_with_the_merged_horizon(tmp_path, monkeypatch,
+                                                        horizon, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    out = tmp_path / "r.csv"
+    code = main(["sweep", "--axis", "rate=0.5", "--neurons", "10", "--synapses", "5",
+                 "--grid", "2x2", "--modes", "sync", "--out", str(out), *horizon])
+    assert code == EXIT_OK
+    spikes = int(next(csv.DictReader(out.open()))["spikes"])
+    # the merged config's horizon, else the generator's default one
+    from snnmesh.model import gen_synthetic, rate_knobs_for_level, reference_run
+    net = gen_synthetic(10, 5, rate_knobs=rate_knobs_for_level(0.5), seed=0,
+                        **({"t_max": 5} if horizon or env else {}))
+    assert spikes == len(reference_run(net))
 
 
 def test_sweep_distinct_seeds_enforced(tmp_path):

@@ -147,16 +147,6 @@ class TestExtractDeps:
         with pytest.raises(CompileError, match="core 0"):
             extract_deps(cores, Capacity(max_deps=2))
 
-    def test_reverse_indices_point_at_own_row(self):
-        net = gen_synthetic(30, 250, seed=14, t_max=4)
-        cores = partition(net, 5)
-        g = extract_deps(cores)
-        for c in range(5):
-            for b, dep_id in g.finish_routes(c):
-                assert g.pre[b][dep_id] == c
-            for a, dep_id in g.start_routes(c):
-                assert g.post[a][dep_id] == c
-
 
 class TestMapping:
     def test_plain_row_major(self):

@@ -1,87 +1,116 @@
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from snnmesh.core import (
-    DependencyTables,
     InputStore,
+    NeuromorphicCore,
     ProtocolFault,
     SpeculativeStore,
-    advance_condition,
     input_sum,
 )
-from snnmesh.noc import DEP, FLAG_FINISH, FLAG_START, SpikePacket
+from snnmesh.engine import DependencyDriven, SimConfig
+from snnmesh.noc import DEP, FLAG_FINISH, FLAG_START, SPIKE, DepPacket, SpikePacket
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def bare_core(pre=(), post=(), cid=0):
+    """A core without neurons whose pre- and post-dependencies are the
+    given core ids."""
+    image = SimpleNamespace(cid=cid, neuron_ids=(), v0=np.zeros(0, dtype=np.int64),
+                            pre=tuple(pre), post=tuple(post))
+    return NeuromorphicCore(image, InputStore(0, 1), t_max=100, c_update=1, c_spike=1)
+
+
+def admits(core, m):
+    return DependencyDriven(SimConfig(m=m), t_max=100).admits(core)
+
+
+def dep(src, dst, flag, t):
+    return DepPacket(src_core=src, dst_core=dst, timestep=t, flag=flag)
+
+
 class TestAdvanceCondition:
+    """``DependencyDriven.admits``: may the core begin timestep t_cur + 1?"""
+
     def test_head_core_blocked_by_forward_window(self):
         # No pre-deps; both post-deps have only started t=1; with the core
         # already done with t=2 and a window of 2, starting t=3 is refused.
-        tables = DependencyTables(n_pre=0, n_post=2)
-        tables.post_start = [1, 1]
-        assert advance_condition(tables, t_cur=2, m=2) is False
+        core = bare_core(post=(1, 2))
+        core.post_start.update({1: 1, 2: 1})
+        core.t_cur = 2
+        assert admits(core, m=2) is False
 
     def test_tail_core_released_by_finishes(self):
         # Pre-deps finished (1, 2); the core is done with t=1; it may proceed.
-        tables = DependencyTables(n_pre=2, n_post=0)
-        tables.pre_finish = [1, 2]
-        assert advance_condition(tables, t_cur=1, m=2) is True
+        core = bare_core(pre=(1, 2))
+        core.pre_finish.update({1: 1, 2: 2})
+        core.t_cur = 1
+        assert admits(core, m=2) is True
 
     def test_no_dependencies_always_true(self):
-        tables = DependencyTables(0, 0)
+        core = bare_core()
         for t_cur in (-1, 0, 5, 99):
+            core.t_cur = t_cur
             for m in (1, 2, 8):
-                assert advance_condition(tables, t_cur, m) is True
+                assert admits(core, m) is True
 
     def test_initial_tables_admit_t0_for_any_window(self):
-        tables = DependencyTables(3, 3)
+        core = bare_core(pre=(1, 2, 3), post=(4, 5, 6))
         for m in (1, 2, 4, 16):
-            assert advance_condition(tables, t_cur=-1, m=m) is True
+            assert admits(core, m) is True
 
     def test_pre_condition_requires_all(self):
-        tables = DependencyTables(2, 0)
-        tables.pre_finish = [3, 2]
-        assert advance_condition(tables, t_cur=3, m=4) is False
-        tables.pre_finish = [3, 3]
-        assert advance_condition(tables, t_cur=3, m=4) is True
+        core = bare_core(pre=(1, 2))
+        core.t_cur = 3
+        core.pre_finish.update({1: 3, 2: 2})
+        assert admits(core, m=4) is False
+        core.pre_finish[2] = 3
+        assert admits(core, m=4) is True
 
 
 class TestDependencyTables:
+    """``NeuromorphicCore.on_dep`` keeps the last FINISH per pre-dependency
+    and the last START per post-dependency, keyed by the sender."""
+
     def test_finish_updates_pre_table(self):
-        tables = DependencyTables(2, 0)
-        tables.pre_finish = [-1, 2]
-        tables.update(FLAG_FINISH, 0, 1)
-        assert tables.pre_finish == [1, 2]
+        core = bare_core(pre=(1, 2))
+        core.pre_finish[2] = 2
+        core.on_dep(dep(1, 0, FLAG_FINISH, 1))
+        assert core.pre_finish == {1: 1, 2: 2}
 
     def test_stale_update_is_ignored(self):
-        tables = DependencyTables(1, 0)
-        tables.pre_finish = [1]
-        tables.update(FLAG_FINISH, 0, 0)
-        assert tables.pre_finish == [1]
+        core = bare_core(pre=(1,))
+        core.pre_finish[1] = 1
+        core.on_dep(dep(1, 0, FLAG_FINISH, 0))
+        assert core.pre_finish == {1: 1}
 
     def test_start_updates_post_table(self):
-        tables = DependencyTables(0, 2)
-        tables.post_start = [1, 1]
-        tables.update(FLAG_START, 1, 2)
-        assert tables.post_start == [1, 2]
+        core = bare_core(post=(1, 2))
+        core.post_start.update({1: 1, 2: 1})
+        core.on_dep(dep(2, 0, FLAG_START, 2))
+        assert core.post_start == {1: 1, 2: 2}
 
     def test_tables_never_decrease(self):
-        tables = DependencyTables(1, 1)
-        seq = [3, 1, 4, 2, 7, 5]
+        core = bare_core(pre=(1,), post=(2,))
         hi = -1
-        for t in seq:
-            tables.update(FLAG_FINISH, 0, t)
+        for t in [3, 1, 4, 2, 7, 5]:
+            core.on_dep(dep(1, 0, FLAG_FINISH, t))
             hi = max(hi, t)
-            assert tables.pre_finish[0] == hi
+            assert core.pre_finish[1] == hi
 
-    def test_out_of_range_dep_id_is_a_protocol_fault(self):
-        tables = DependencyTables(1, 1)
-        with pytest.raises(ProtocolFault):
-            tables.update(FLAG_FINISH, 5, 0)
+    def test_notification_from_non_dependency_is_a_protocol_fault(self):
+        # core 1 is only a pre-dependency and core 2 only a post-dependency
+        core = bare_core(pre=(1,), post=(2,))
+        for src, flag in [(5, FLAG_FINISH), (2, FLAG_FINISH),
+                          (5, FLAG_START), (1, FLAG_START)]:
+            with pytest.raises(ProtocolFault):
+                core.on_dep(dep(src, 0, flag, 0))
+        assert core.pre_finish == {1: -1} and core.post_start == {2: 0}
 
 
 def read(store, t):
@@ -166,49 +195,57 @@ class TestInputStore:
 
 
 class TestPacketEmission:
-    """Direct checks of what a core injects at timestep start and finish."""
+    """Direct checks of what a core injects at timestep start and finish,
+    its spikes and the dependency-driven protocol's notifications."""
 
     def _cores(self):
         from conftest import build_diamond_trace_program
-        from snnmesh.engine import SimConfig, new_cores
+        from snnmesh.engine import new_cores
 
         _net, prog = build_diamond_trace_program()
         cfg = SimConfig(grid=(2, 2), mode="depasync", m=2, c_update=10,
                         c_spike=20)
-        return prog, new_cores(prog, cfg, t_max=prog.t_max)
+        return (new_cores(prog, cfg, t_max=prog.t_max),
+                DependencyDriven(cfg, prog.t_max))
 
     def test_start_notifications_go_to_pre_dependencies(self):
-        prog, cores = self._cores()
-        _cost, starts = cores[3].begin(cycle=0)
-        assert sorted(p.dst_core for p in starts) == [1, 2]
+        cores, protocol = self._cores()
+        cores[3].begin(cycle=0)
+        starts = protocol.after_begin(cores[3])
+        assert [p.dst_core for p in starts] == list(cores[3].image.pre) == [1, 2]
         for p in starts:
             assert p.kind == DEP
             assert p.flag == FLAG_START
             assert p.timestep == 0
-            # the carried dep id addresses this core's row in the
-            # receiver's post table
-            assert prog.dep_graph.post[p.dst_core][p.dep_id] == 3
+            assert p.src_core == 3
+            cores[p.dst_core].on_dep(p)  # the sender is a post-dependency there
+            assert cores[p.dst_core].post_start[3] == 0
+        assert cores[3].counters["scheduler_events"] == 2
 
     def test_finish_notifications_go_to_post_dependencies(self):
-        prog, cores = self._cores()
+        cores, protocol = self._cores()
         cores[1].begin(cycle=0)
-        packets = cores[1].finish(cycle=10)
-        finishes = [p for p in packets if p.kind == DEP]
-        assert [p.dst_core for p in finishes] == [3]
+        assert all(p.kind == SPIKE for p in cores[1].finish(cycle=10))
+        finishes = protocol.after_finish(cores[1])
+        assert [p.dst_core for p in finishes] == list(cores[1].image.post) == [3]
         assert finishes[0].flag == FLAG_FINISH
-        assert prog.dep_graph.pre[3][finishes[0].dep_id] == 1
+        assert finishes[0].src_core == 1
+        assert finishes[0].timestep == 0
+        cores[3].on_dep(finishes[0])
+        assert cores[3].pre_finish == {1: 0, 2: -1}
 
     def test_core_without_dependencies_emits_nothing(self):
-        _prog, cores = self._cores()
-        _cost, starts = cores[0].begin(cycle=0)  # no pre-dependencies
-        assert starts == []
+        cores, protocol = self._cores()
+        cores[0].begin(cycle=0)  # no pre-dependencies
+        assert protocol.after_begin(cores[0]) == []
         # the sink core has no post-dependencies and nothing fires at t=0
         cores[3].begin(cycle=0)
         assert cores[3].finish(cycle=10) == []
+        assert protocol.after_finish(cores[3]) == []
 
     def test_one_spike_packet_per_remote_fanout_synapse(self):
         from snnmesh.compiler import compile_network
-        from snnmesh.engine import SimConfig, new_cores
+        from snnmesh.engine import new_cores
         from snnmesh.fixedpoint import fx
         from snnmesh.model import Network, NeuronParams, Synapse
 
@@ -224,13 +261,12 @@ class TestPacketEmission:
         prog = compile_network(net, (3, 1), assignment=[0, 1, 1, 2])
         cfg = SimConfig(grid=(3, 1), mode="depasync", c_update=1, c_spike=1)
         cores = new_cores(prog, cfg, t_max=2)
-        earliest, _starts = cores[0].begin(cycle=0)
+        earliest = cores[0].begin(cycle=0)
         assert earliest == 1 * 1  # the update alone
         cost = cores[0].evaluate()  # completion cycle of a step begun at 0
         assert cost == 1 * 1 + 1 * 3  # update plus three emitted spikes
-        packets = cores[0].finish(cycle=cost)
-        spikes = [pk for pk in packets if pk.kind == "SPIKE"]
-        assert len(spikes) == 3
+        spikes = cores[0].finish(cycle=cost)
+        assert [pk.kind for pk in spikes] == [SPIKE] * 3
         assert sorted(pk.dst_core for pk in spikes) == [1, 1, 2]
 
 
@@ -241,7 +277,7 @@ class TestDeferredEvaluation:
     def test_cancelled_step_is_never_computed(self, monkeypatch):
         from snnmesh import core as core_module
         from snnmesh.compiler import compile_network
-        from snnmesh.engine import SimConfig, new_cores
+        from snnmesh.engine import new_cores
         from snnmesh.fixedpoint import fx
         from snnmesh.model import Network, NeuronParams, Synapse
 
@@ -263,7 +299,7 @@ class TestDeferredEvaluation:
         sink = new_cores(prog, cfg, t_max=3)[1]
         late = SpikePacket(0, 1, timestep=0, synapse_id=0, delay=1)
 
-        assert sink.begin(cycle=0)[0] == 5
+        assert sink.begin(cycle=0) == 5
         assert calls == []
         sink.finish(cycle=5)  # evaluates t=0
         assert calls == [1]
@@ -309,7 +345,7 @@ class TestBenchAttribution:
     def test_traced_core_methods_reached_in_their_modes(self, run_bench, monkeypatch):
         from snnmesh.compiler import load_program
         from snnmesh.core import NeuromorphicCore
-        from snnmesh.engine import SimConfig, run
+        from snnmesh.engine import run
 
         traced = {attr: name for owner, attr, name in run_bench.TRACE_POINTS
                   if owner is NeuromorphicCore}

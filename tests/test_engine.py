@@ -480,7 +480,7 @@ class TestSafetyCounter:
     def test_window_blind_admission_counts_violations(self, layered, monkeypatch,
                                                       m, violations):
         def pre_only(self, core):
-            return all(t >= core.t_cur for t in core.tables.pre_finish)
+            return all(t >= core.t_cur for t in core.pre_finish.values())
 
         monkeypatch.setattr(DependencyDriven, "admits", pre_only)
         ref, prog = layered

@@ -38,14 +38,14 @@ def spike(src_xy, dst_xy, t=0, syn=0, delay=1, w=4):
                        timestep=t, synapse_id=syn, delay=delay)
 
 
-def finish(src_xy, dst_xy, t=0, dep_id=0, w=4):
+def finish(src_xy, dst_xy, t=0, w=4):
     return DepPacket(src_core=core_at(src_xy, w), dst_core=core_at(dst_xy, w),
-                     timestep=t, flag=FLAG_FINISH, dep_id=dep_id)
+                     timestep=t, flag=FLAG_FINISH)
 
 
-def start(src_xy, dst_xy, t=0, dep_id=0, w=4):
+def start(src_xy, dst_xy, t=0, w=4):
     return DepPacket(src_core=core_at(src_xy, w), dst_core=core_at(dst_xy, w),
-                     timestep=t, flag=FLAG_START, dep_id=dep_id)
+                     timestep=t, flag=FLAG_START)
 
 
 class TestRouteXY:

@@ -58,7 +58,7 @@ def _packet(i, kind, src, dst, t):
         return SpikePacket(src_core=src, dst_core=dst, timestep=t,
                            synapse_id=i, delay=1)
     flag = FLAG_START if kind == "START" else FLAG_FINISH
-    return DepPacket(src_core=src, dst_core=dst, timestep=t, flag=flag, dep_id=i)
+    return DepPacket(src_core=src, dst_core=dst, timestep=t, flag=flag)
 
 
 def _drive(noc, injections, limit=100_000):
