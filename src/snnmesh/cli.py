@@ -75,14 +75,6 @@ def _check_outputs(*paths) -> None:
             raise OSError(f"cannot write {path}: its directory does not exist")
 
 
-def _atomic_json(path: str, doc) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
-
-
 def env_overrides(environ=None) -> dict:
     """SimConfig keys taken from SNNMESH_<KEY> environment variables."""
     environ = os.environ if environ is None else environ
@@ -97,7 +89,10 @@ def build_config(args, defaults: dict | None = None) -> SimConfig:
     doc: dict = dict(defaults or {})
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as f:
-            loaded = json.load(f)
+            try:
+                loaded = json.load(f)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"{args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.config} must hold a JSON object of "
                               f"config keys, got {type(loaded).__name__}")
@@ -180,8 +175,7 @@ def cmd_run(args) -> int:
     if args.trace_file:
         cfg.trace = True  # the trace CSV is built from the report's rows
     report = run(prog, cfg)
-    metrics.check_report(report)
-    _atomic_json(args.out, report.to_dict())
+    metrics.export_report(report, args.out)
     if args.trace_file:
         metrics.export_trace_csv(report, args.trace_file)
     print(f"mode={report.mode} total_cycles={report.total_cycles} "
@@ -451,12 +445,13 @@ def summarize_results(rows: list[dict]) -> dict:
 
 def cmd_report(args) -> int:
     _check_outputs(args.out)
-    with open(args.results, encoding="utf-8", newline="") as f:
-        rows = list(csv.DictReader(f))
-    if not rows:
-        return _fail("empty-results", f"{args.results} holds no rows",
-                     EXIT_BAD_INPUT)
     try:
+        # utf-8-sig: spreadsheet programs save CSV with a byte-order mark
+        with open(args.results, encoding="utf-8-sig", newline="") as f:
+            rows = list(csv.DictReader(f))
+        if not rows:
+            return _fail("empty-results", f"{args.results} holds no rows",
+                         EXIT_BAD_INPUT)
         for r in rows:
             r["value"] = _coerce(r["value"])
             r["seed"] = int(r["seed"])
@@ -474,7 +469,7 @@ def cmd_report(args) -> int:
               f"{cell['harmonic_energy_efficiency']:10.3f} "
               f"{cell['mean_rollback_share']:8.3f}")
     if args.out:
-        _atomic_json(args.out, summary)
+        metrics.write_json(args.out, summary)
     return EXIT_OK
 
 

@@ -539,7 +539,8 @@ def save_program(prog: CompiledProgram, path) -> None:
 def load_program(path) -> CompiledProgram:
     with open(path, encoding="utf-8") as f:
         try:
-            doc = json.load(f)
+            return program_from_dict(json.load(f))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CompileError(f"not valid JSON: {exc}") from exc
-    return program_from_dict(doc)
+            raise CompileError(f"{path}: not valid JSON: {exc}") from exc
+        except CompileError as exc:
+            raise CompileError(f"{path}: {exc}") from exc

@@ -20,9 +20,11 @@ import numpy as np
 from .model import lif_clamp_free, lif_step_arrays
 from .noc import FLAG_FINISH, DepPacket, SpikePacket
 
-# The work counters every core keeps, in report order.
+# The work counters every core keeps, in report order. Each reception is
+# one synapse accumulation and one buffer write, so ``synapse_acc`` counts
+# both; the report writes it under both keys.
 COUNTERS = ("neuron_updates", "rollback_updates", "synapse_acc", "buffer_reads",
-            "buffer_writes", "scheduler_events", "saturations")
+            "scheduler_events", "saturations")
 
 
 class ProtocolFault(RuntimeError):
@@ -57,11 +59,10 @@ class InputStore:
     live input on the chip, so it is counted in ``violations`` and dropped.
     """
 
-    __slots__ = ("n_local", "window", "recv", "consumed", "violations")
+    __slots__ = ("window", "recv", "consumed", "violations")
     rolls_back = False  # may a reception cancel a timestep already read?
 
-    def __init__(self, n_local: int, window: int | None):
-        self.n_local = n_local
+    def __init__(self, window: int | None):
         self.window = window
         self.recv: dict[int, list[tuple[int, int, int]]] = {}
         self.consumed = -1  # highest timestep whose input has been read
@@ -104,8 +105,8 @@ class SpeculativeStore(InputStore):
     __slots__ = ("checkpoints", "sent")
     rolls_back = True
 
-    def __init__(self, n_local: int):
-        super().__init__(n_local, None)
+    def __init__(self):
+        super().__init__(None)
         # a core's states are never written in place: a checkpoint keeps a
         # reference. Only a timestep read can be rolled back to, so the
         # checkpoints are those taken since the last epoch seal.
@@ -228,7 +229,6 @@ class NeuromorphicCore:
         if pkt.anti:
             w = -w
         self.counters["synapse_acc"] += 1
-        self.counters["buffer_writes"] += 1
         return self.inputs.receive(pkt.timestep + pkt.delay, tgt, w)
 
     # -- timestep execution --------------------------------------------------
@@ -306,7 +306,6 @@ class NeuromorphicCore:
         for i in fired:
             for tgt, w, delay in fanout_local[i]:
                 self.counters["synapse_acc"] += 1
-                self.counters["buffer_writes"] += 1
                 self.inputs.receive(t + delay, tgt, w, t)
             for dst_core, syn_id, delay in fanout_remote[i]:
                 spikes.append(SpikePacket(cid, dst_core, t, syn_id, delay))

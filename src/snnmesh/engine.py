@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import json
 import numbers
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 from . import metrics
 from .compiler import CompiledProgram
@@ -53,8 +53,8 @@ class Protocol:
         self.cfg, self.t_max = cfg, t_max
 
     @staticmethod
-    def new_inputs(cfg: SimConfig, max_delay: int, image):
-        return InputStore(len(image.neuron_ids), max_delay + cfg.m - 1)
+    def new_inputs(cfg: SimConfig, max_delay: int):
+        return InputStore(max_delay + cfg.m - 1)
 
     def admits(self, core: NeuromorphicCore) -> bool:
         raise NotImplementedError
@@ -103,8 +103,8 @@ class Speculative(Protocol):
         self.epoch_end = min(cfg.period, t_max)
 
     @staticmethod
-    def new_inputs(cfg, max_delay, image):
-        return SpeculativeStore(len(image.neuron_ids))
+    def new_inputs(cfg, max_delay):
+        return SpeculativeStore()
 
     def admits(self, core):
         return core.t_cur + 1 < self.epoch_end
@@ -292,27 +292,19 @@ class SimReport:
     dep_log: list[tuple[int, int, int, int, int]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "total_cycles": self.total_cycles,
-            "mode": self.mode,
-            "config": self.config,
-            "cores": self.cores,
-            "raster": [list(p) for p in self.raster],
-            "noc": self.noc,
-            "counts": self.counts,
-            "energy": self.energy,
-            "violations": self.violations,
-            "rollbacks": self.rollbacks,
-            "max_edge_skew": self.max_edge_skew,
-            "trace": [list(r) for r in self.trace],
-        }
+        """Every field but ``dep_log``, with raster and trace rows as lists."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "dep_log"}
+        doc["raster"] = [list(p) for p in self.raster]
+        doc["trace"] = [list(r) for r in self.trace]
+        return doc
 
 
 def new_cores(program: CompiledProgram, cfg: SimConfig,
               t_max: int) -> list[NeuromorphicCore]:
     """Fresh run state for ``cfg`` over the program's shared runtime image."""
     protocol = PROTOCOLS[cfg.mode]
-    return [NeuromorphicCore(image, protocol.new_inputs(cfg, program.max_delay, image),
+    return [NeuromorphicCore(image, protocol.new_inputs(cfg, program.max_delay),
                              t_max, cfg.c_update, cfg.c_spike)
             for image in program.image]
 
@@ -468,6 +460,7 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
             "id": core.cid, "busy": core.busy_cycles,
             "rollback": core.rollback_cycles, "wait": wait,
         })
+    counts["buffer_writes"] = counts["synapse_acc"]
     counts["noc_hops"] = mesh.hops
     counts["spikes"] = len(raster_pairs)
 

@@ -30,10 +30,9 @@ def sat(x: int) -> int:
     return FX_MAX if x > FX_MAX else FX_MIN if x < FX_MIN else x
 
 
-def fx(value: float | int | str) -> int:
-    """Convert a real value to Q16.16 (nearest representable)."""
-    if isinstance(value, str):
-        return from_str(value)
+def fx(value: float | int) -> int:
+    """Convert a real value to Q16.16 (nearest representable); ``from_str``
+    parses a decimal string."""
     return sat(int(round(value * SCALE)))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 
@@ -65,11 +66,8 @@ def energy_total(counts: dict, costs: EnergyCostTable, n_cores: int,
     for category, count_key in _COUNT_KEYS.items():
         out[category] = counts.get(count_key, 0) * getattr(costs, category)
     out["static"] = costs.static_per_core_cycle * n_cores * total_cycles
-    out["total"] = (
-        out["neuron_update"] + out["synapse_acc"] + out["buffer_read"]
-        + out["buffer_write"] + out["scheduler_event"] + out["noc_hop"]
-        + out["static"]
-    )
+    # one fixed float order: _COUNT_KEYS, then static
+    out["total"] = sum(out.values())
     return out
 
 
@@ -87,12 +85,25 @@ def check_report(report) -> None:
             )
 
 
+def write_json(path, doc) -> None:
+    """Write ``doc`` as JSON with stable keys to a temporary file renamed
+    over ``path``, so ``path`` is either the whole document or untouched;
+    a failed write leaves no temporary file behind."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            json.dump(doc, f, indent=1, sort_keys=True)
+            f.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def export_report(report, path) -> None:
-    """Machine-readable report file (JSON, stable keys)."""
+    """Machine-readable report file (JSON, stable keys), checked first."""
     check_report(report)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(report.to_dict(), f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(path, report.to_dict())
 
 
 def trace_rows_with_waits(report) -> list[tuple[int, int, int, int, str]]:

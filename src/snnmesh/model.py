@@ -382,10 +382,8 @@ def gen_synthetic(
         if events:
             inputs[i] = events
 
-    net = Network(neurons=neurons, synapses=synapses, inputs=inputs,
-                  t_max=t_max, max_delay=max_delay)
-    net.validate()
-    return net
+    return Network(neurons=neurons, synapses=synapses, inputs=inputs,
+                   t_max=t_max, max_delay=max_delay)
 
 
 def gen_layered(
@@ -449,10 +447,8 @@ def gen_layered(
         if events:
             inputs[i] = events
 
-    net = Network(neurons=neurons, synapses=synapses, inputs=inputs,
-                  t_max=t_max, max_delay=max_delay, layers=list(layer_sizes))
-    net.validate()
-    return net
+    return Network(neurons=neurons, synapses=synapses, inputs=inputs,
+                   t_max=t_max, max_delay=max_delay, layers=list(layer_sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +536,8 @@ def save_workload(net: Network, path) -> None:
 def load_workload(path) -> Network:
     with open(path, encoding="utf-8") as f:
         try:
-            doc = json.load(f)
+            return network_from_dict(json.load(f))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise WorkloadError(f"not valid JSON: {exc}") from exc
-    return network_from_dict(doc)
+            raise WorkloadError(f"{path}: not valid JSON: {exc}") from exc
+        except WorkloadError as exc:
+            raise WorkloadError(f"{path}: {exc}") from exc

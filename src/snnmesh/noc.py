@@ -144,7 +144,6 @@ class MeshNoc:
                  n_vc: int = 4, cycles_per_hop: int = 2, fifo_depth: int = 4,
                  inter_cluster_slowdown: int = 1, cluster_size: int = 2):
         w, h = grid
-        self.grid = grid
         self.placement = placement
         self.n_cores = len(placement)
         self.n_vc = n_vc

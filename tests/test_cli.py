@@ -133,12 +133,14 @@ def test_run_trace_in_missing_directory_fails_before_the_run(tmp_path, capsys,
     assert not (tmp_path / "r.json").exists()
 
 
-def test_bad_workload_exit_code(tmp_path):
+def test_bad_workload_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     code = main(["compile", "--workload", str(bad), "--out",
                  str(tmp_path / "p.json")])
     assert code == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith(
+        f"snnmesh: error[bad-input] {bad}: malformed workload document")
 
 
 def test_zero_fifo_depth_is_bad_input_not_a_hang(tmp_path, capsys):
@@ -271,22 +273,35 @@ def test_malformed_program_is_a_compile_error(tmp_path, capsys, path, value):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv_of,code", [
-    (lambda bad, out: ["run", "--program", bad, "--out", out], EXIT_COMPILE),
-    (lambda bad, out: ["verify", "--workload", bad], EXIT_BAD_INPUT),
-    (lambda bad, out: ["compile", "--workload", bad, "--out", out], EXIT_BAD_INPUT),
-    (lambda bad, out: ["report", "--results", bad], EXIT_BAD_INPUT),
-    (lambda bad, out: ["run", "--program", str(FIXTURES / "tiny_program.json"),
-                       "--config", bad, "--out", out], EXIT_BAD_INPUT),
-], ids=["run-program", "verify-workload", "compile-workload", "report-results",
-        "run-config"])
+_BAD_FILE_CASES = {
+    "run-program": (lambda bad, out: ["run", "--program", bad, "--out", out],
+                    EXIT_COMPILE),
+    "verify-workload": (lambda bad, out: ["verify", "--workload", bad],
+                        EXIT_BAD_INPUT),
+    "compile-workload": (lambda bad, out: ["compile", "--workload", bad,
+                                           "--out", out], EXIT_BAD_INPUT),
+    "report-results": (lambda bad, out: ["report", "--results", bad],
+                       EXIT_BAD_INPUT),
+    "run-config": (lambda bad, out: ["run", "--program",
+                                     str(FIXTURES / "tiny_program.json"),
+                                     "--config", bad, "--out", out],
+                   EXIT_BAD_INPUT),
+}
+
+
+@pytest.mark.parametrize("argv_of,code,content", [
+    pytest.param(*case, content, id=name + suffix)
+    for content, suffix in [(b"\xff\xfe", ""), (b"{", "-invalid-json")]
+    for name, case in _BAD_FILE_CASES.items()
+])
 def test_file_that_is_not_utf8_fails_like_invalid_json(tmp_path, capsys,
-                                                       argv_of, code):
+                                                       argv_of, code, content):
     bad, out = tmp_path / "bad.json", tmp_path / "out.json"
-    bad.write_bytes(b"\xff\xfe")
+    bad.write_bytes(content)
     assert main(argv_of(str(bad), str(out))) == code
     err = capsys.readouterr().err
     assert err.startswith("snnmesh: error[") and err.count("\n") == 1
+    assert err.split("] ", 1)[1].startswith(str(bad))  # names the file first
     assert not out.exists()
 
 
@@ -580,6 +595,28 @@ def test_report_on_committed_fixture(tmp_path, capsys):
     assert doc["m|2|sync"]["harmonic_speedup"] == 0.0  # baseline vs itself
     out = capsys.readouterr().out
     assert "depasync" in out
+
+
+def test_report_reads_results_saved_with_a_byte_order_mark(tmp_path, capsys):
+    plain = FIXTURES / "results.csv"
+    assert main(["report", "--results", str(plain)]) == EXIT_OK
+    want = capsys.readouterr().out
+    marked = tmp_path / "results.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert main(["report", "--results", str(marked)]) == EXIT_OK
+    assert capsys.readouterr().out == want
+
+
+def test_run_report_file_is_the_export_report_file(tmp_path):
+    from snnmesh import engine, metrics
+
+    prog = FIXTURES / "tiny_program.json"
+    out = tmp_path / "run.json"
+    assert main(["run", "--program", str(prog), "--out", str(out)]) == EXIT_OK
+    cfg = engine.SimConfig.from_dict(json.loads(out.read_text())["config"])
+    exported = tmp_path / "exported.json"
+    metrics.export_report(engine.run(compiler.load_program(prog), cfg), exported)
+    assert out.read_bytes() == exported.read_bytes()
 
 
 def test_report_empty_results(tmp_path):

@@ -23,7 +23,7 @@ def bare_core(pre=(), post=(), cid=0):
     given core ids."""
     image = SimpleNamespace(cid=cid, neuron_ids=(), v0=np.zeros(0, dtype=np.int64),
                             pre=tuple(pre), post=tuple(post))
-    return NeuromorphicCore(image, InputStore(0, 1), t_max=100, c_update=1, c_spike=1)
+    return NeuromorphicCore(image, InputStore(1), t_max=100, c_update=1, c_spike=1)
 
 
 def admits(core, m):
@@ -113,9 +113,10 @@ class TestDependencyTables:
         assert core.pre_finish == {1: -1} and core.post_start == {2: 0}
 
 
-def read(store, t):
-    """What a core does with its input store over one timestep."""
-    row = input_sum(store.take(t, None), store.n_local).tolist()
+def read(store, t, n_local=1):
+    """What a core of ``n_local`` neurons does with its input store over one
+    timestep."""
+    row = input_sum(store.take(t, None), n_local).tolist()
     store.seal(t, [])
     return row
 
@@ -125,30 +126,30 @@ class TestInputStore:
     ``window`` is max_delay + m - 1 and ``consumed`` the last timestep read."""
 
     def test_receive_then_take(self):
-        store = InputStore(2, window=4)
+        store = InputStore(window=4)
         store.receive(0, 1, 10)
         store.receive(2, 0, 7)
-        assert read(store, 0) == [0, 10]
-        assert read(store, 1) == [0, 0]
-        assert read(store, 2) == [7, 0]
+        assert read(store, 0, 2) == [0, 10]
+        assert read(store, 1, 2) == [0, 0]
+        assert read(store, 2, 2) == [7, 0]
         assert store.violations == 0
 
     def test_write_before_read_is_safe(self):
-        store = InputStore(1, window=4)
+        store = InputStore(window=4)
         read(store, 0)
         store.receive(1, 0, 5)  # t=1 not read yet
         assert store.violations == 0
         assert read(store, 1) == [5]
 
     def test_late_write_after_read_is_a_violation(self):
-        store = InputStore(1, window=4)
+        store = InputStore(window=4)
         store.take(0, None)
         store.receive(0, 0, 5)
         assert store.violations == 1
         assert not store.recv  # dropped, not kept for later
 
     def test_write_at_window_edge_after_read_is_kept(self):
-        store = InputStore(1, window=2)
+        store = InputStore(window=2)
         store.take(0, None)       # reading t=0
         store.receive(2, 0, 9)    # 0 + window: the furthest safe timestep
         assert store.violations == 0
@@ -157,13 +158,13 @@ class TestInputStore:
         assert read(store, 2) == [9]
 
     def test_write_beyond_window_is_a_violation(self):
-        store = InputStore(1, window=2)
+        store = InputStore(window=2)
         store.receive(2, 0, 1)  # t=0 unread: only t=0 and t=1 fit
         store.receive(5, 0, 1)
         assert store.violations == 2
 
     def test_future_write_survives_a_seal(self):
-        store = InputStore(1, window=4)
+        store = InputStore(window=4)
         store.receive(2, 0, 4)
         read(store, 0)
         read(store, 1)
@@ -174,7 +175,7 @@ class TestInputStore:
         # few receptions for many neurons and many for few take different
         # summing paths; both give the exact int64 sums
         rng = np.random.default_rng(n_receptions)
-        store = InputStore(16, window=1)
+        store = InputStore(window=1)
         want = [0] * 16
         for tgt, w in zip(rng.integers(0, 16, n_receptions).tolist(),
                           rng.integers(-(1 << 31), 1 << 31, n_receptions).tolist()):
@@ -185,7 +186,7 @@ class TestInputStore:
         assert acc.tolist() == want
 
     def test_speculative_store_has_no_window(self):
-        store = SpeculativeStore(1)
+        store = SpeculativeStore()
         state = (np.zeros(1, dtype=np.int64), (0, 0))
         assert store.receive(9, 0, 1) is None  # far ahead: kept
         store.take(0, state)

@@ -94,6 +94,16 @@ class TestReportExport:
             export_report(broken, tmp_path / "x.json")
         broken.energy = good_energy
 
+    def test_failed_write_leaves_no_file(self, small_report, tmp_path,
+                                         monkeypatch):
+        def boom(*_args, **_kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", boom)
+        with pytest.raises(OSError, match="disk full"):
+            export_report(small_report, tmp_path / "report.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_energy_matches_independent_recomputation(self, small_report):
         costs = EnergyCostTable()
         expected = (
