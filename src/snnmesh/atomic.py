@@ -1,0 +1,22 @@
+"""One atomic file writer for every file snnmesh writes."""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+
+
+@contextmanager
+def atomic_open(path, newline: str | None = None):
+    """Open a temporary file next to ``path`` for UTF-8 text; when the block
+    ends without an exception the file is renamed over ``path``. So ``path``
+    holds either the whole new text or what it held before, and a failed
+    write leaves no temporary file behind."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)

@@ -16,6 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import metrics
+from .atomic import atomic_open
 from .compiler import (
     Capacity,
     CompileError,
@@ -378,12 +379,10 @@ def cmd_sweep(args) -> int:
     else:
         results = [_run_task(t, programs) for t in tasks]
     rows = [{**meta, **results[i]} for i, meta in plan]
-    tmp = f"{args.out}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as f:
+    with atomic_open(args.out, newline="") as f:
         writer = csv.DictWriter(f, fieldnames=_RESULT_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
-    os.replace(tmp, args.out)
     print(f"wrote {args.out}: {len(rows)} rows")
     return EXIT_OK
 

@@ -12,6 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .atomic import atomic_open
 from .fixedpoint import from_str, to_str
 from .model import (
     Network,
@@ -417,20 +418,16 @@ def _core_to_dict(c: LogicCore) -> dict:
     }
 
 
-def _program_rest_to_dict(prog: CompiledProgram) -> dict:
-    """Every key of the program document except ``cores``."""
+def program_to_dict(prog: CompiledProgram) -> dict:
+    """The program document; ``save_program`` writes it without building it."""
     return {
+        "cores": [_core_to_dict(c) for c in prog.cores],
         "grid": list(prog.grid),
         "t_max": prog.t_max,
         "max_delay": prog.max_delay,
         "placement": [list(xy) for xy in prog.placement],
         **neurons_and_inputs_to_dict(prog.neurons, prog.inputs),
     }
-
-
-def program_to_dict(prog: CompiledProgram) -> dict:
-    return {"cores": [_core_to_dict(c) for c in prog.cores],
-            **_program_rest_to_dict(prog)}
 
 
 def _check_program(cores: list[LogicCore], coords: list[tuple[int, int]],
@@ -476,6 +473,8 @@ def _check_program(cores: list[LogicCore], coords: list[tuple[int, int]],
                 raise CompileError(f"core {c.id}: incoming synapse target "
                                    f"{target!r} outside its {n_local} neurons")
     w, h = grid
+    if type(w) is not int or type(h) is not int:
+        raise CompileError(f"grid {list(grid)!r} must be two ints")
     if (len(coords) != n_cores or len(set(coords)) != n_cores
             or not all(index(x, w) and index(y, h) for x, y in coords)):
         raise CompileError(f"placement must give each of the {n_cores} cores "
@@ -515,25 +514,45 @@ def program_from_dict(doc: dict) -> CompiledProgram:
         raise CompileError(f"malformed program document: {exc}") from exc
 
 
+def _core_record(c: LogicCore) -> str:
+    fanout = ", ".join(
+        '"%d": [%s]' % (local, ", ".join(
+            '{"delay": %d, "dst_core": %d, "synapse_id": %d}' % (delay, dst, syn)
+            for dst, syn, delay in entries))
+        for local, entries in sorted(c.fanout.items(), key=lambda kv: str(kv[0])))
+    in_synapses = ", ".join('{"target": %d, "weight": "%s"}' % (tgt, to_str(w))
+                            for tgt, w in c.in_synapses)
+    neuron_ids = ", ".join("%d" % nid for nid in c.neuron_ids)
+    return ('{"fanout": {%s}, "id": %d, "in_synapses": [%s], "neuron_ids": [%s]}'
+            % (fanout, c.id, in_synapses, neuron_ids))
+
+
 def save_program(prog: CompiledProgram, path) -> None:
     """Write ``json.dumps(program_to_dict(prog), sort_keys=True)`` and a
-    newline, encoding one core at a time.
+    newline, byte for byte, one record at a time and atomically.
 
-    Compact ``dumps`` runs the C encoder (indented output never does), and
-    encoding per core keeps the whole document from sitting in memory as
-    one string. ``cores`` sorts before every other key, so it opens the
-    frame and the rest of the document follows it.
+    The text is formatted directly: keys in sorted order (fanout keys sorted
+    as strings, so "10" precedes "2"), ``%d`` for the indices, which
+    ``Network.validate`` and ``_check_program`` hold to ints, and quoted
+    ``to_str`` decimals, which need no escaping. No dict is built.
     """
-    rest = json.dumps(_program_rest_to_dict(prog), sort_keys=True)
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         f.write('{"cores": [')
         for i, c in enumerate(prog.cores):
             if i:
                 f.write(", ")
-            f.write(json.dumps(_core_to_dict(c), sort_keys=True))
-        f.write("], ")
-        f.write(rest[1:])
-        f.write("\n")
+            f.write(_core_record(c))
+        f.write('], "grid": [%s], "inputs": [' % ", ".join("%d" % x for x in prog.grid))
+        f.write(", ".join(
+            '{"current": "%s", "neuron": %d, "timestep": %d}' % (to_str(cur), nid, t)
+            for nid in sorted(prog.inputs) for t, cur in prog.inputs[nid]))
+        f.write('], "max_delay": %d, "neurons": [' % prog.max_delay)
+        f.write(", ".join(
+            '{"g_l": "%s", "tau_m": "%s", "v0": "%s", "v_rst": "%s", "v_th": "%s"}'
+            % (to_str(p.g_l), to_str(p.tau_m), to_str(v0), to_str(p.v_rst), to_str(p.v_th))
+            for p, v0 in prog.neurons))
+        f.write('], "placement": [%s], "t_max": %d}\n' % (
+            ", ".join("[%d, %d]" % xy for xy in prog.placement), prog.t_max))
 
 
 def load_program(path) -> CompiledProgram:

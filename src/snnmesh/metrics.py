@@ -10,8 +10,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from dataclasses import asdict, dataclass
+
+from .atomic import atomic_open
 
 
 class MetricsError(ValueError):
@@ -86,18 +87,10 @@ def check_report(report) -> None:
 
 
 def write_json(path, doc) -> None:
-    """Write ``doc`` as JSON with stable keys to a temporary file renamed
-    over ``path``, so ``path`` is either the whole document or untouched;
-    a failed write leaves no temporary file behind."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=1, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    """Write ``doc`` as JSON with stable keys, atomically."""
+    with atomic_open(path) as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
+        f.write("\n")
 
 
 def export_report(report, path) -> None:
@@ -129,7 +122,7 @@ def trace_rows_with_waits(report) -> list[tuple[int, int, int, int, str]]:
 
 def export_trace_csv(report, path) -> None:
     rows = trace_rows_with_waits(report)
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_open(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["cycle_start", "cycle_end", "core", "timestep", "kind"])
         writer.writerows(rows)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .fixedpoint import FRAC_BITS, FX_MAX, FX_MIN, fx, from_str, to_str
 
 
@@ -19,7 +20,7 @@ class WorkloadError(ValueError):
     """Raised for malformed networks or workload files."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeuronParams:
     """LIF parameters, all Q16.16: membrane time constant, reset potential,
     leak conductance, firing threshold."""
@@ -38,12 +39,17 @@ class NeuronParams:
             raise WorkloadError("v_th must be > v_rst")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Synapse:
     src: int
     dst: int
     weight: int
     delay: int
+
+    def __post_init__(self) -> None:
+        # checked once here, not on every validate: a synapse cannot change
+        if not type(self.src) is type(self.dst) is type(self.delay) is int:
+            _check_ints(f"synapse {self}", src=self.src, dst=self.dst, delay=self.delay)
 
 
 @dataclass
@@ -68,6 +74,10 @@ class Network:
         return len(self.neurons)
 
     def validate(self) -> None:
+        """Raise WorkloadError unless every index field is an int in range
+        (``Synapse`` checks its own types): a float or a bool would pass the
+        range checks and later fail, or be read as another neuron, in the
+        compiler or the simulator."""
         n = len(self.neurons)
         _check_horizon(self.t_max, self.max_delay)
         for s in self.synapses:
@@ -76,19 +86,31 @@ class Network:
             if not (1 <= s.delay <= self.max_delay):
                 raise WorkloadError(f"synapse {s} has delay outside [1, {self.max_delay}]")
         for nid, events in self.inputs.items():
-            if not (0 <= nid < n):
+            if type(nid) is not int or not (0 <= nid < n):
+                _check_ints("input schedule", neuron=nid)
                 raise WorkloadError(f"input schedule references unknown neuron {nid}")
             for t, _cur in events:
-                if not (0 <= t < self.t_max):
+                if type(t) is not int or not (0 <= t < self.t_max):
+                    _check_ints(f"input for neuron {nid}", timestep=t)
                     raise WorkloadError(f"input for neuron {nid} at t={t} outside [0, {self.t_max})")
         if self.layers is not None:
+            _check_ints("workload", **{f"layers[{i}]": sz for i, sz in enumerate(self.layers)})
             if sum(self.layers) != n:
                 raise WorkloadError("layer sizes do not sum to the neuron count")
             if any(sz <= 0 for sz in self.layers):
                 raise WorkloadError("layer sizes must be positive")
 
 
+def _check_ints(where: str, **fields) -> None:
+    """Raise WorkloadError naming the first of ``fields`` that is not an
+    int; ``bool`` is not one."""
+    for name, value in fields.items():
+        if type(value) is not int:
+            raise WorkloadError(f"{where}: {name} must be an int, got {value!r}")
+
+
 def _check_horizon(t_max: int, max_delay: int) -> None:
+    _check_ints("workload", t_max=t_max, max_delay=max_delay)
     if t_max < 0:
         raise WorkloadError("t_max must be >= 0")
     if max_delay < 1:
@@ -316,6 +338,44 @@ _V_TH = 16.0
 _BASE_KNOBS: RateKnobs = (2.0, 4.0, 0.0, 4.0)
 
 
+#: the most draws ``random_floats`` is asked for at once
+_BLOCK = 1 << 16
+
+
+def random_floats(rng: random.Random, k: int) -> np.ndarray:
+    """The next ``k`` values of ``rng.random()`` as a float64 array, exactly,
+    leaving ``rng`` where ``k`` calls of ``random()`` would.
+
+    CPython's ``random()`` is MT19937's genrand_res53 (Matsumoto & Nishimura
+    1998): two consecutive 32-bit outputs a, b give
+    ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``. ``getrandbits(64 * k)`` returns
+    the next ``2 * k`` outputs as the little-endian 32-bit words of one int.
+    The numerator is below 2**53, so the float arithmetic is exact."""
+    words = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u4")
+    # in place, so that a block holds few temporary arrays at once
+    x = (words[0::2] >> 5).astype(np.float64)
+    x *= 2.0**26
+    x += words[1::2] >> 6
+    x *= 2.0**-53
+    return x
+
+
+def _poisson_inputs(rng: random.Random, neuron_ids: range, t_max: int,
+                    rate: float, amp: int) -> dict[int, list[tuple[int, int]]]:
+    """Each neuron of ``neuron_ids``, in order, drawing its input events
+    ``[(t, amp) for t in range(t_max) if rng.random() < rate]``; the draws
+    are taken in blocks of at most ``_BLOCK``. A neuron without events gets
+    no entry."""
+    inputs: dict[int, list[tuple[int, int]]] = {}
+    total = len(neuron_ids) * t_max
+    for lo in range(0, total, _BLOCK):
+        hits = np.flatnonzero(random_floats(rng, min(_BLOCK, total - lo)) < rate)
+        for flat in (hits + lo).tolist():
+            i, t = divmod(flat, t_max)
+            inputs.setdefault(neuron_ids[i], []).append((t, amp))
+    return inputs
+
+
 def rate_knobs_for_level(level: float) -> RateKnobs:
     """Map a scalar in [0, 1] to parameter ranges with monotone firing rate."""
     if not (0.0 <= level <= 1.0):
@@ -359,13 +419,19 @@ def gen_synthetic(
     rng = random.Random(seed)
     v_th = fx(_V_TH)
 
+    # per neuron, in order: uniform(tau_lo, tau_hi), uniform(vr_lo, vr_hi),
+    # random() < frac_inhibitory; uniform(a, b) is a + (b - a) * random()
     neurons = []
     inhibitory = []
-    for i in range(n_neurons):
-        tau = fx(rng.uniform(tau_lo, tau_hi))
-        vr = fx(min(rng.uniform(vr_lo, vr_hi), _V_TH - 2.0))
-        neurons.append((NeuronParams(tau_m=tau, v_rst=vr, g_l=fx(1.0), v_th=v_th), vr))
-        inhibitory.append(rng.random() < frac_inhibitory)
+    per_block = _BLOCK // 3
+    for lo in range(0, n_neurons, per_block):
+        u = random_floats(rng, 3 * min(per_block, n_neurons - lo)).reshape(-1, 3)
+        taus = tau_lo + (tau_hi - tau_lo) * u[:, 0]
+        vrs = np.minimum(vr_lo + (vr_hi - vr_lo) * u[:, 1], _V_TH - 2.0)
+        for tau, vr in zip(taus.tolist(), vrs.tolist()):
+            vr = fx(vr)
+            neurons.append((NeuronParams(tau_m=fx(tau), v_rst=vr, g_l=fx(1.0), v_th=v_th), vr))
+        inhibitory.extend((u[:, 2] < frac_inhibitory).tolist())
 
     synapses = []
     for _ in range(n_synapses):
@@ -375,13 +441,7 @@ def gen_synthetic(
         w = -mag if inhibitory[src] else mag
         synapses.append(Synapse(src=src, dst=dst, weight=w, delay=rng.randint(1, max_delay)))
 
-    amp = fx(input_amp)
-    inputs: dict[int, list[tuple[int, int]]] = {}
-    for i in range(n_neurons):
-        events = [(t, amp) for t in range(t_max) if rng.random() < input_rate]
-        if events:
-            inputs[i] = events
-
+    inputs = _poisson_inputs(rng, range(n_neurons), t_max, input_rate, fx(input_amp))
     return Network(neurons=neurons, synapses=synapses, inputs=inputs,
                    t_max=t_max, max_delay=max_delay)
 
@@ -435,17 +495,11 @@ def gen_layered(
                 synapses.append(Synapse(src=src, dst=dst, weight=w,
                                         delay=rng.randint(1, max_delay)))
 
-    amp = fx(input_amp)
-    bg_amp = fx(background_amp)
-    inputs: dict[int, list[tuple[int, int]]] = {}
-    for i in range(layer_sizes[0]):
-        events = [(t, amp) for t in range(t_max) if rng.random() < input_rate]
-        if events:
-            inputs[i] = events
-    for i in range(layer_sizes[0], n_total):
-        events = [(t, bg_amp) for t in range(t_max) if rng.random() < background_rate]
-        if events:
-            inputs[i] = events
+    inputs = {  # in this order: the input layer draws first
+        **_poisson_inputs(rng, range(layer_sizes[0]), t_max, input_rate, fx(input_amp)),
+        **_poisson_inputs(rng, range(layer_sizes[0], n_total), t_max, background_rate,
+                          fx(background_amp)),
+    }
 
     return Network(neurons=neurons, synapses=synapses, inputs=inputs,
                    t_max=t_max, max_delay=max_delay, layers=list(layer_sizes))
@@ -484,7 +538,10 @@ def neurons_and_inputs_from_dict(doc: dict):
     ]
     inputs: dict[int, list[tuple[int, int]]] = {}
     for ev in doc["inputs"]:
-        inputs.setdefault(ev["neuron"], []).append((ev["timestep"], from_str(ev["current"])))
+        nid = ev["neuron"]
+        if type(nid) is not int:  # 0.0 or false would join neuron 0's events
+            raise TypeError(f"input neuron must be an int, got {nid!r}")
+        inputs.setdefault(nid, []).append((ev["timestep"], from_str(ev["current"])))
     return neurons, inputs
 
 
@@ -528,7 +585,7 @@ def network_from_dict(doc: dict) -> Network:
 
 
 def save_workload(net: Network, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         json.dump(network_to_dict(net), f, indent=1, sort_keys=True)
         f.write("\n")
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from snnmesh import cli, compiler
+from snnmesh import atomic, cli, compiler, metrics, model
 from snnmesh.cli import (
     EXIT_BAD_INPUT,
     EXIT_COMPILE,
@@ -250,12 +250,13 @@ _ENTRY = ("cores", 0, "fanout", "0", 0)
     (("inputs", 0, "timestep"), -3),
     (("t_max",), -5),
     (("max_delay",), 2.5),
+    (("grid",), [2.0, 2]),
 ], ids=["dst_core-99", "dst_core-float", "synapse_id-99999", "delay-0",
         "delay-50", "fanout-key-past-slice", "neuron_id-past-table",
         "neuron_id-twice", "in_synapses-target-9999", "core-id-twice",
         "placement-short", "placement-shared", "placement-off-grid",
         "input-neuron-9999", "input-timestep-negative", "t_max-negative",
-        "max_delay-float"])
+        "max_delay-float", "grid-float"])
 def test_malformed_program_is_a_compile_error(tmp_path, capsys, path, value):
     doc = json.loads((FIXTURES / "tiny_program.json").read_text(encoding="utf-8"))
     *parents, key = path
@@ -271,6 +272,44 @@ def test_malformed_program_is_a_compile_error(tmp_path, capsys, path, value):
     assert code == EXIT_COMPILE
     assert err.startswith("snnmesh: error[compile] ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("synapses", 0, "delay"), 1.0, "delay"),
+    (("inputs", 0, "timestep"), 1.0, "timestep"),
+    (("t_max",), 24.0, "t_max"),
+    (("max_delay",), 2.0, "max_delay"),
+    (("synapses", 0, "src"), 42.0, "src"),
+    (("synapses", 0, "delay"), 1.5, "delay"),
+    (("synapses", 0, "delay"), True, "delay"),
+    (("inputs", 0, "neuron"), 0.0, "neuron"),
+    (("synapses", 0, "src"), True, "src"),
+    (("inputs", 1, "neuron"), 0.0, "neuron"),  # after an event of neuron 0
+], ids=["delay-1.0", "timestep-1.0", "t_max-24.0", "max_delay-2.0", "src-42.0",
+        "delay-1.5", "delay-true", "neuron-0.0", "src-true", "neuron-0.0-second"])
+@pytest.mark.parametrize("command", ["compile", "verify"])
+def test_non_integer_workload_index_is_bad_input(tmp_path, capsys, path, value,
+                                                 field, command):
+    """A float or a bool where the workload holds an index passes a range
+    check; each must be rejected on load, naming the field, before a
+    program is written."""
+    doc = json.loads((FIXTURES / "tiny_workload.json").read_text(encoding="utf-8"))
+    *parents, key = path
+    node = doc
+    for k in parents:
+        node = node[k]
+    node[key] = value
+    workload, prog = tmp_path / "w.json", tmp_path / "p.json"
+    workload.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["--workload", str(workload), "--grid", "2x2"]
+    if command == "compile":
+        argv += ["--out", str(prog)]
+    assert main([command] + argv) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"snnmesh: error[bad-input] {workload}: ")
+    assert f"{field} must be an int, got {value!r}" in err
+    assert err.count("\n") == 1
+    assert not prog.exists()
 
 
 _BAD_FILE_CASES = {
@@ -573,6 +612,81 @@ def test_sweep_copied_rows_match_in_parallel(tmp_path):
     assert main(base + ["--jobs", "2", "--out", str(parallel)]) == EXIT_OK
     assert serial.read_text() == parallel.read_text()
     assert len(serial.read_text().splitlines()) == 1 + 2 * 2 * 2 * 2
+
+
+def test_python_dash_m_snnmesh_passes_the_exit_code_through(tmp_path):
+    missing = tmp_path / "missing.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "snnmesh", "run", "--program", str(missing),
+         "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_MISSING_FILE
+    assert proc.stderr.startswith("snnmesh: error[missing-file] ")
+
+
+class _FailsOnSecondWrite:
+    """A text file whose second ``write`` raises, so the first has already
+    put part of the text into it."""
+
+    def __init__(self, f):
+        self._f, self._writes = f, 0
+
+    def write(self, text):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError("disk full")
+        return self._f.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._f.__exit__(*exc)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+
+def _write_sweep(path):
+    args = cli.make_parser().parse_args([
+        "sweep", "--workload", str(FIXTURES / "tiny_workload.json"), "--axis", "m=2",
+        "--modes", "sync", "--grid", "2x2", "--out", str(path)])
+    args.func(args)
+
+
+def _small_report():
+    from snnmesh import engine
+
+    prog = compiler.load_program(FIXTURES / "tiny_program.json")
+    return engine.run(prog, engine.SimConfig(grid=(2, 2), mode="sync", trace=True))
+
+
+_WRITERS = {
+    "save_program": lambda path: compiler.save_program(
+        compiler.load_program(FIXTURES / "tiny_program.json"), path),
+    "save_workload": lambda path: model.save_workload(
+        model.load_workload(FIXTURES / "tiny_workload.json"), path),
+    "write_json": lambda path: metrics.write_json(path, {"a": [1, 2, 3], "b": "c"}),
+    "export_trace_csv": lambda path: metrics.export_trace_csv(_small_report(), path),
+    "sweep": _write_sweep,
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_failed_write_keeps_the_old_file_and_no_temporary(tmp_path, monkeypatch,
+                                                          writer):
+    """Every file is written through ``atomic.atomic_open``: a write that
+    fails half way leaves the target as it was and removes its temporary."""
+    target = tmp_path / "out.txt"
+    target.write_text("old\n", encoding="utf-8")
+    real_open = open
+    monkeypatch.setattr(atomic, "open", raising=False,
+                        value=lambda *a, **k: _FailsOnSecondWrite(real_open(*a, **k)))
+    with pytest.raises(OSError, match="disk full"):
+        _WRITERS[writer](target)
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
 
 def test_console_entry_point_smoke():

@@ -281,12 +281,39 @@ class TestProgramFile:
             assert back.placement == prog.placement
 
     def test_saved_file_is_compact_sorted_json(self, tmp_path):
-        net = gen_synthetic(40, 300, seed=4, t_max=6, input_rate=0.2)
-        prog = compile_network(net, (2, 2))
+        """``save_program`` formats the text itself; it must write the bytes
+        ``json.dumps`` writes for the reference document."""
+        wide = compile_network(
+            gen_synthetic(60, 900, frac_inhibitory=0.5, seed=4, t_max=6, input_rate=0.2),
+            (2, 2))
+        # 15 neurons per core: fanout key "10" sorts before "2" as a string
+        assert any(10 in c.fanout and 2 in c.fanout for c in wide.cores)
+        assert any(w < 0 for c in wide.cores for _t, w in c.in_synapses)
+        sparse = compile_network(gen_synthetic(3, 4, seed=1, t_max=5), (2, 2))
+        assert not sparse.cores[3].neuron_ids  # a core with no neurons
+        silent = compile_network(gen_synthetic(30, 100, seed=2, t_max=5, input_rate=0.0),
+                                 (2, 2))
+        assert not silent.inputs
+        layered = gen_layered([24, 24, 12], fanin=6, seed=3, t_max=8, max_delay=3)
+        progs = [compile_network(gen_synthetic(40, 300, seed=4, t_max=6, input_rate=0.2),
+                                 (2, 2)),
+                 wide, sparse, silent,
+                 compile_network(layered, (2, 2), mapping="hilbert"),
+                 compile_network(layered, (2, 2),
+                                 assignment=exchanged_assignment(layered, 4, 0.5, seed=1)),
+                 load_program(FIXTURES / "tiny_program.json"),
+                 load_program(FIXTURES / "tiny_program_legacy.json")]
         path = tmp_path / "p.json"
-        save_program(prog, path)
-        expected = json.dumps(program_to_dict(prog), sort_keys=True) + "\n"
-        assert path.read_text(encoding="utf-8") == expected
+        for prog in progs:
+            save_program(prog, path)
+            got = path.read_text(encoding="utf-8")
+            expected = json.dumps(program_to_dict(prog), sort_keys=True) + "\n"
+            if got != expected:  # pytest's diff of one long line takes minutes
+                at = next(i for i, (a, b) in enumerate(zip(got + "\0", expected + "\1"))
+                          if a != b)
+                lo = max(at - 40, 0)
+                pytest.fail(f"first difference at {at}: "
+                            f"{got[lo:at + 40]!r} != {expected[lo:at + 40]!r}")
 
     def test_indented_fixture_equals_its_compact_resave(self, tmp_path):
         fixture = FIXTURES / "tiny_program.json"

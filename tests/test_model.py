@@ -1,11 +1,16 @@
 import hashlib
 import json
+import random
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import generator_reference
 from lif_reference import lif_step
+from snnmesh import model
 from snnmesh.fixedpoint import fx
 from snnmesh.model import (
     Network,
@@ -19,6 +24,7 @@ from snnmesh.model import (
     load_workload,
     network_from_dict,
     network_to_dict,
+    random_floats,
     rate_knobs_for_level,
     reference_run,
     save_workload,
@@ -323,6 +329,93 @@ class TestGenerators:
         raster = reference_run(net)
         deep = [nid for nid, _t in raster if nid >= 50]
         assert deep, "no spikes reached the last layer"
+
+
+def _generated(module, name, *args, **kwargs):
+    """``module.<name>(*args, **kwargs)`` and the final state of every
+    ``random.Random`` it made."""
+    made = []
+
+    def recording(seed):
+        made.append(random.Random(seed))
+        return made[-1]
+
+    with mock.patch.object(module, "random", SimpleNamespace(Random=recording)):
+        net = getattr(module, name)(*args, **kwargs)
+    return net, [rng.getstate() for rng in made]
+
+
+def _assert_same_as_reference(name, *args, **kwargs):
+    net, states = _generated(model, name, *args, **kwargs)
+    ref, ref_states = _generated(generator_reference, name, *args, **kwargs)
+    assert net == ref
+    assert list(net.inputs) == list(ref.inputs)
+    assert states == ref_states
+
+
+_BLOCK_EDGES = [2**16 - 1, 2**16, 2**16 + 1]
+_RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_KNOBS = st.one_of(st.none(), st.builds(rate_knobs_for_level, st.floats(0.0, 1.0)))
+
+
+@st.composite
+def _synthetic_args(draw):
+    n, t_max = draw(st.one_of(
+        st.tuples(st.integers(0, 40), st.sampled_from([0, 1, 2, 7, 30])),
+        # per-neuron draws and input draws across a block edge
+        st.tuples(st.sampled_from([2**16 // 3, 2**16 // 3 + 1]), st.sampled_from([0, 1, 3, 4])),
+        st.tuples(st.integers(0, 2), st.sampled_from(_BLOCK_EDGES)),
+    ))
+    return dict(n_neurons=n, n_synapses=draw(st.integers(0, min(n * n, 200))),
+                frac_inhibitory=draw(_RATES), rate_knobs=draw(_KNOBS),
+                seed=draw(st.integers(0, 2**32)), t_max=t_max,
+                max_delay=draw(st.integers(1, 4)), input_rate=draw(_RATES))
+
+
+@st.composite
+def _layered_args(draw):
+    t_max = draw(st.one_of(st.sampled_from([0, 1, 2, 9]), st.sampled_from(_BLOCK_EDGES)))
+    top = 12 if t_max < 2**16 else 1
+    sizes = draw(st.lists(st.integers(1, top), min_size=2, max_size=4))
+    return dict(layer_sizes=sizes, fanin=draw(st.integers(1, min(sizes[:-1]))),
+                seed=draw(st.integers(0, 2**32)), t_max=t_max,
+                max_delay=draw(st.integers(1, 3)), input_rate=draw(_RATES),
+                background_rate=draw(_RATES))
+
+
+class TestBulkDraws:
+    """The generators draw their uniforms in bulk; the reference draws one
+    ``rng.random()`` at a time, as the generators once did."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64), k=st.integers(0, 300), before=st.integers(0, 3))
+    def test_random_floats_are_the_next_random_calls(self, seed, k, before):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(before):  # odd offsets into the 32-bit output stream
+            rng.getrandbits(32), ref.getrandbits(32)
+        got = random_floats(rng, k)
+        assert got.dtype == np.float64
+        assert got.tolist() == [ref.random() for _ in range(k)]
+        assert rng.getstate() == ref.getstate()
+
+    @settings(max_examples=40, deadline=None)
+    @given(args=_synthetic_args())
+    def test_gen_synthetic_equals_reference(self, args):
+        _assert_same_as_reference("gen_synthetic", **args)
+
+    @settings(max_examples=40, deadline=None)
+    @given(args=_layered_args())
+    def test_gen_layered_equals_reference(self, args):
+        _assert_same_as_reference("gen_layered", **args)
+
+    @pytest.mark.parametrize("name", sorted(BENCH_PINS))
+    def test_bench_shapes_equal_reference(self, name):
+        make, _n_spikes, _digest = BENCH_PINS[name]
+        net = make()
+        with mock.patch.dict(globals(), gen_synthetic=generator_reference.gen_synthetic,
+                             gen_layered=generator_reference.gen_layered):
+            ref = make()
+        assert network_to_dict(net) == network_to_dict(ref)
 
 
 class TestWorkloadFile:
