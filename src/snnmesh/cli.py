@@ -133,12 +133,12 @@ def cmd_gen(args) -> int:
         knobs = rate_knobs_for_level(args.rate) if args.rate is not None else None
         net = gen_synthetic(
             args.neurons, args.synapses, frac_inhibitory=args.frac_inhibitory,
-            rate_knobs=knobs, seed=args.seed or 0, t_max=args.t_max,
+            rate_knobs=knobs, seed=args.seed, t_max=args.t_max,
             max_delay=args.max_delay, **rate,
         )
     else:
         layers = _numbers(int, args.layers, "--layers")
-        net = gen_layered(layers, fanin=args.fanin, seed=args.seed or 0,
+        net = gen_layered(layers, fanin=args.fanin, seed=args.seed,
                           t_max=args.t_max, max_delay=args.max_delay, **rate)
     save_workload(net, args.out)
     print(f"wrote {args.out}: {net.n_neurons} neurons, "
@@ -195,8 +195,7 @@ def verify_workload(net, base_cfg: SimConfig):
         horizon = base_cfg.t_max
         ref = SpikeRaster([(n, t) for n, t in ref if t < horizon], t_max=net.t_max)
     prog = compile_network(net, base_cfg.grid)
-    details = {"reference_spikes": len(ref), "modes": {}, "reference": ref,
-               "reports": {}}
+    details = {"reference_spikes": len(ref), "modes": {}, "reports": {}}
     ok = True
     for mode in PROTOCOLS:
         cfg = SimConfig.from_dict({**base_cfg.to_dict(), "mode": mode})
@@ -534,8 +533,8 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("--grid", default="4x4")
     c.add_argument("--mapping", choices=["plain", "hilbert"], default="plain")
     c.add_argument("--cores", type=int, help="logic cores (default: all cells)")
-    c.add_argument("--max-neurons-per-core", type=int, default=4096)
-    c.add_argument("--max-synapses-per-core", type=int, default=262144)
+    c.add_argument("--max-neurons-per-core", type=int, default=Capacity.max_neurons)
+    c.add_argument("--max-synapses-per-core", type=int, default=Capacity.max_synapses)
     c.add_argument("--exchange-frac", type=float, default=0.0,
                    help="swap this fraction of core 0's neurons outward "
                         "(manufactures dependency cycles)")

@@ -23,8 +23,6 @@ from .model import (
     neurons_and_inputs_to_dict,
 )
 
-MAX_DEPS_PER_CORE = 512
-
 
 class CompileError(ValueError):
     """Raised when a network cannot be compiled under the given limits."""
@@ -34,7 +32,12 @@ class CompileError(ValueError):
 class Capacity:
     max_neurons: int = 4096
     max_synapses: int = 262144
-    max_deps: int = MAX_DEPS_PER_CORE
+    max_deps: int = 512
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 1:
+                raise CompileError(f"capacity {name} must be >= 1, got {value}")
 
 
 @dataclass

@@ -8,16 +8,16 @@ coordination protocol (``engine.PROTOCOLS``).
 A timestep is begun, evaluated and finished. ``begin`` reads its input and
 returns its earliest completion, the update cost alone; ``evaluate`` computes
 the step and its true completion; ``finish`` commits it. The engine evaluates
-a step when its earliest completion comes, so a rollback that cancels it
-before then cancels a step that was never computed. Nothing a begun step
-reads can change without cancelling it, which makes the late evaluation
-exact."""
+a step when its earliest completion comes, unless its protocol did so at
+once, so a rollback that cancels it before then cancels a step that was never
+computed. Nothing a begun step reads can change without cancelling it, which
+makes the late evaluation exact."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import lif_clamp_free, lif_step_arrays
+from .model import lif_step_arrays
 from .noc import FLAG_FINISH, DepPacket, SpikePacket
 
 # The work counters every core keeps, in report order. Each reception is
@@ -60,7 +60,6 @@ class InputStore:
     """
 
     __slots__ = ("window", "recv", "consumed", "violations")
-    rolls_back = False  # may a reception cancel a timestep already read?
 
     def __init__(self, window: int | None):
         self.window = window
@@ -103,7 +102,6 @@ class SpeculativeStore(InputStore):
     """
 
     __slots__ = ("checkpoints", "sent")
-    rolls_back = True
 
     def __init__(self):
         super().__init__(None)
@@ -235,26 +233,12 @@ class NeuromorphicCore:
 
     def begin(self, cycle: int) -> int:
         """Start timestep t_cur + 1: read its input. Returns its earliest
-        cost in cycles, the update cost alone.
-
-        ``evaluate`` computes the step. A step that a rollback may cancel is
-        evaluated here when the range proof cannot show it clamp-free, so
-        that ``saturations`` counts its clamps even if it is cancelled; a
-        step the proof clears has none to count."""
-        img = self.image
+        cost in cycles, the update cost alone; ``evaluate`` computes the
+        step."""
         t = self.t_cur + 1
         rows = self.inputs.take(t, (self.v, self.v_range))
         self.counters["buffer_reads"] += self.n_local
         self.computing = (t, cycle, rows, None)
-        if self.inputs.rolls_back and self.n_local:
-            neg, pos = img.external_span[t]
-            for _tgt, w, _sender in rows:
-                if w < 0:
-                    neg += w
-                else:
-                    pos += w
-            if not lif_clamp_free(neg, pos, *self.v_range, img.lif_bounds):
-                self.evaluate()
         return max(1, self.c_update * self.n_local)
 
     def evaluate(self) -> int:

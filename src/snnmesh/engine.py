@@ -29,6 +29,7 @@ from .core import (
     ProtocolFault,
     SpeculativeStore,
 )
+from .model import lif_clamp_free
 from .noc import DEP, FLAG_FINISH, FLAG_START, SPIKE, DepPacket, MeshNoc
 
 
@@ -47,7 +48,8 @@ class Protocol:
     per simulated cycle, ``check_edge`` for every dependency edge of a
     changed core under ``debug``. ``after_begin`` and ``after_finish`` are
     called right after a core begins or commits a timestep and return the
-    control packets to inject."""
+    control packets to inject; ``after_begin`` may also evaluate the begun
+    step."""
 
     def __init__(self, cfg: SimConfig, t_max: int):
         self.cfg, self.t_max = cfg, t_max
@@ -108,6 +110,22 @@ class Speculative(Protocol):
 
     def admits(self, core):
         return core.t_cur + 1 < self.epoch_end
+
+    def after_begin(self, core):
+        """Evaluate the begun step at once when the range proof cannot show
+        it clamp-free, so that ``saturations`` counts its clamps even if a
+        rollback cancels it; a step the proof clears has none to count."""
+        if core.n_local:
+            t, _cycle, rows, _step = core.computing
+            neg, pos = core.image.external_span[t]
+            for _tgt, w, _sender in rows:
+                if w < 0:
+                    neg += w
+                else:
+                    pos += w
+            if not lif_clamp_free(neg, pos, *core.v_range, core.image.lif_bounds):
+                core.evaluate()
+        return []
 
     def gate(self, cores, mesh):
         if (self.epoch_end < self.t_max and mesh.injected == mesh.delivered
@@ -312,21 +330,15 @@ def new_cores(program: CompiledProgram, cfg: SimConfig,
 def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
     """Execute one simulation; deterministic in (program, cfg)."""
     cfg.validate()
-    w, h = cfg.grid
-    if program.n_cores > w * h:
-        raise ConfigError(f"{program.n_cores} cores exceed the {w}x{h} grid")
-    for x, y in program.placement:
-        if not (0 <= x < w and 0 <= y < h):
-            raise ConfigError(f"placement ({x},{y}) outside the {w}x{h} grid")
-
-    t_max = program.t_max if cfg.t_max is None else min(cfg.t_max, program.t_max)
-    protocol = PROTOCOLS[cfg.mode](cfg, t_max)
-    cores = new_cores(program, cfg, t_max)
-    n_cores = len(cores)
+    # the mesh checks that every placement cell lies on the grid
     mesh = MeshNoc(cfg.grid, program.placement, n_vc=cfg.n_vc,
                    cycles_per_hop=cfg.cycles_per_hop, fifo_depth=cfg.fifo_depth,
                    inter_cluster_slowdown=cfg.inter_cluster_slowdown,
                    cluster_size=cfg.cluster_size)
+    t_max = program.t_max if cfg.t_max is None else min(cfg.t_max, program.t_max)
+    protocol = PROTOCOLS[cfg.mode](cfg, t_max)
+    cores = new_cores(program, cfg, t_max)
+    n_cores = len(cores)
 
     completions: list[tuple[int, int, int, int]] = []  # (cycle, seq, cid, gen)
     seq = 0

@@ -153,9 +153,6 @@ class SpikeRaster:
     def __eq__(self, other) -> bool:
         return isinstance(other, SpikeRaster) and self._pairs == other._pairs
 
-    def __hash__(self) -> int:
-        return hash(self._pairs)
-
     def __len__(self) -> int:
         return len(self._pairs)
 

@@ -24,6 +24,14 @@ from snnmesh.cli import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def child_env() -> dict:
+    """This environment with the package's ``src`` first on PYTHONPATH, so
+    a child ``python`` imports the checkout's snnmesh, installed or not."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_gen_synthetic_writes_workload(tmp_path):
     out = tmp_path / "w.json"
     code = main(["gen", "--kind", "synthetic", "--neurons", "30",
@@ -312,6 +320,32 @@ def test_non_integer_workload_index_is_bad_input(tmp_path, capsys, path, value,
     assert not prog.exists()
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("synapses", 0, "delay"), 3, "has delay outside [1, 2]"),
+    (("inputs", 0, "neuron"), 48, "references unknown neuron 48"),
+    (("inputs", 0, "timestep"), 24, "at t=24 outside [0, 24)"),
+    (("layers",), [40, 7], "layer sizes do not sum to the neuron count"),
+    (("layers",), [48, 0], "layer sizes must be positive"),
+], ids=["delay-above-max", "neuron-out-of-range", "timestep-at-t_max",
+        "layers-sum", "layer-of-size-0"])
+def test_out_of_range_workload_field_is_bad_input(tmp_path, capsys, path, value,
+                                                  message):
+    doc = json.loads((FIXTURES / "tiny_workload.json").read_text(encoding="utf-8"))
+    *parents, key = path
+    node = doc
+    for k in parents:
+        node = node[k]
+    node[key] = value
+    workload, prog = tmp_path / "w.json", tmp_path / "p.json"
+    workload.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["compile", "--workload", str(workload), "--grid", "2x2",
+                 "--out", str(prog)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"snnmesh: error[bad-input] {workload}: ")
+    assert message in err and err.count("\n") == 1
+    assert not prog.exists()
+
+
 _BAD_FILE_CASES = {
     "run-program": (lambda bad, out: ["run", "--program", bad, "--out", out],
                     EXIT_COMPILE),
@@ -349,6 +383,42 @@ def test_compile_capacity_error_exit_code(tmp_path):
                  "--grid", "2x2", "--max-neurons-per-core", "5",
                  "--out", str(tmp_path / "p.json")])
     assert code == EXIT_COMPILE
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--max-neurons-per-core", "0", "max_neurons"),
+    ("--max-neurons-per-core", "-2", "max_neurons"),
+    ("--max-synapses-per-core", "0", "max_synapses"),
+    ("--max-synapses-per-core", "-1", "max_synapses"),
+])
+def test_capacity_below_one_is_a_compile_error(tmp_path, capsys, flag, value,
+                                               field):
+    """Rejected on its own, also for a workload that never reaches it (one
+    without synapses)."""
+    doc = json.loads((FIXTURES / "tiny_workload.json").read_text(encoding="utf-8"))
+    doc["synapses"] = []
+    no_synapses = tmp_path / "w.json"
+    no_synapses.write_text(json.dumps(doc), encoding="utf-8")
+    for workload in (FIXTURES / "tiny_workload.json", no_synapses):
+        code = main(["compile", "--workload", str(workload), "--grid", "2x2",
+                     flag, value, "--out", str(tmp_path / "p.json")])
+        err = capsys.readouterr().err
+        assert code == EXIT_COMPILE
+        assert err == f"snnmesh: error[compile] capacity {field} must be >= 1, got {value}\n"
+        assert not (tmp_path / "p.json").exists()
+
+
+def test_run_on_a_grid_smaller_than_the_placement_is_bad_input(tmp_path, capsys):
+    prog = tmp_path / "p.json"
+    assert main(["compile", "--workload", str(FIXTURES / "tiny_workload.json"),
+                 "--grid", "4x4", "--out", str(prog)]) == EXIT_OK
+    code = main(["run", "--program", str(prog), "--grid", "2x2",
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("snnmesh: error[bad-input] ") and err.count("\n") == 1
+    assert "outside 2x2 grid" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_deadlock_exit_code(tmp_path, capsys):
@@ -619,7 +689,7 @@ def test_python_dash_m_snnmesh_passes_the_exit_code_through(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "snnmesh", "run", "--program", str(missing),
          "--out", str(tmp_path / "r.json")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == EXIT_MISSING_FILE
     assert proc.stderr.startswith("snnmesh: error[missing-file] ")
@@ -694,7 +764,7 @@ def test_console_entry_point_smoke():
         [sys.executable, "-m", "snnmesh.cli", "gen", "--kind", "layered",
          "--layers", "4,4", "--fanin", "2", "--t-max", "4",
          "--out", os.devnull],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
 

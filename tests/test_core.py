@@ -12,7 +12,7 @@ from snnmesh.core import (
     SpeculativeStore,
     input_sum,
 )
-from snnmesh.engine import DependencyDriven, SimConfig
+from snnmesh.engine import DependencyDriven, SimConfig, Speculative
 from snnmesh.noc import DEP, FLAG_FINISH, FLAG_START, SPIKE, DepPacket, SpikePacket
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -273,7 +273,8 @@ class TestPacketEmission:
 
 class TestDeferredEvaluation:
     """``begin`` only reads a timestep's input; the step is computed when
-    its earliest completion comes, unless it may saturate."""
+    its earliest completion comes, unless ``se``'s ``after_begin`` finds
+    that it may saturate."""
 
     def test_cancelled_step_is_never_computed(self, monkeypatch):
         from snnmesh import core as core_module
@@ -316,9 +317,11 @@ class TestDeferredEvaluation:
         assert calls == [1, 1]
         assert sink.counters["saturations"] == 0
 
-        # t=2's input cannot be proven clamp-free: begin computes it, and
-        # its clamps stay counted when a rollback cancels it
+        # t=2's input cannot be proven clamp-free: se's after_begin computes
+        # it, and its clamps stay counted when a rollback cancels it
         sink.begin(cycle=12)
+        assert calls == [1, 1]
+        Speculative(cfg, 3).after_begin(sink)
         assert calls == [1, 1, 1]
         clamps = sink.counters["saturations"]
         assert clamps > 0

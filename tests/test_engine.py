@@ -188,6 +188,17 @@ class TestModeEquivalence:
         rep = run(prog, SimConfig(grid=(2, 2), mode=mode, m=2, debug=True))
         assert [tuple(p) for p in rep.raster] == ref
 
+    @pytest.mark.parametrize("mode", ["sync", "se", "depasync"])
+    def test_cores_without_neurons_match_reference(self, mode):
+        # 3 neurons on 16 cores: 13 cores step through every timestep empty
+        net = gen_synthetic(3, 6, seed=2, t_max=30, input_rate=0.6)
+        ref = reference_run(net).ordered()
+        prog = compile_network(net, (4, 4))
+        assert sum(not img.neuron_ids for img in prog.image) == 13
+        rep = run(prog, SimConfig(grid=(4, 4), mode=mode, debug=True))
+        assert ref and [tuple(p) for p in rep.raster] == ref
+        assert rep.violations == 0
+
     def test_work_conservation(self):
         net = gen_synthetic(60, 500, seed=23, t_max=25, input_rate=0.15)
         prog = compile_network(net, (2, 2))
