@@ -92,7 +92,7 @@ def build_config(args, defaults: dict | None = None) -> SimConfig:
         with open(args.config, encoding="utf-8") as f:
             try:
                 loaded = json.load(f)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
                 raise ConfigError(f"{args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.config} must hold a JSON object of "
@@ -455,7 +455,7 @@ def cmd_report(args) -> int:
             r["seed"] = int(r["seed"])
             r["rep"] = int(r["rep"])
         summary = summarize_results(rows)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
         return _fail("bad-input", f"{args.results} holds malformed results: "
                      f"{exc!r}", EXIT_BAD_INPUT)
     header = f"{'axis':9s} {'value':>8s} {'mode':9s} {'cycles':>12s} " \

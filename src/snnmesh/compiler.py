@@ -5,7 +5,6 @@ tables every run of it shares, once."""
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -15,12 +14,18 @@ import numpy as np
 from .atomic import atomic_open
 from .fixedpoint import from_str, to_str
 from .model import (
+    INPUT,
+    NEURON,
     Network,
     NeuronParams,
+    RecordKind,
+    inputs_by_neuron,
     lif_bounds,
+    load_document,
     neuron_arrays,
-    neurons_and_inputs_from_dict,
     neurons_and_inputs_to_dict,
+    record_hook,
+    records,
 )
 
 
@@ -484,37 +489,43 @@ def _check_program(cores: list[LogicCore], coords: list[tuple[int, int]],
                            f"its own cell of the {w}x{h} grid")
 
 
-def program_from_dict(doc: dict) -> CompiledProgram:
-    """Inverse of ``program_to_dict``. The document is checked, then the
+FANOUT = RecordKind("fanout", frozenset(("delay", "dst_core", "synapse_id")),
+                    lambda d: (d["dst_core"], d["synapse_id"], d["delay"]),
+                    lambda x: type(x) is tuple and len(x) == 3)
+IN_SYNAPSE = RecordKind(
+    "in-synapse", frozenset(("target", "weight")),
+    lambda d: (d["target"], from_str(d["weight"])),
+    lambda x: type(x) is tuple and len(x) == 2 and type(x[0]) is type(x[1]) is int)
+_PROGRAM_HOOK = record_hook(FANOUT, IN_SYNAPSE, NEURON, INPUT)
+
+
+def _program(doc: dict) -> CompiledProgram:
+    """The program of a parsed document. The document is checked, then the
     dependency graph is derived from the fanout. Older files also carry
     ``dep_graph`` and a fanout ``weight``; neither key is read."""
-    try:
-        cores = [
-            LogicCore(
-                id=cd["id"],
-                neuron_ids=list(cd["neuron_ids"]),
-                fanout={
-                    int(local): [(e["dst_core"], e["synapse_id"], e["delay"])
-                                 for e in entries]
-                    for local, entries in cd["fanout"].items()
-                },
-                in_synapses=[(e["target"], from_str(e["weight"]))
-                             for e in cd["in_synapses"]],
-            )
-            for cd in doc["cores"]
-        ]
-        grid = tuple(doc["grid"])
-        placement = [(x, y) for x, y in doc["placement"]]
-        neurons, inputs = neurons_and_inputs_from_dict(doc)
-        _check_program(cores, placement, grid, len(neurons),
-                          inputs, doc["t_max"], doc["max_delay"])
-        return CompiledProgram(
-            cores=cores, dep_graph=extract_deps(cores), placement=placement,
-            grid=grid, neurons=neurons, inputs=inputs,
-            t_max=doc["t_max"], max_delay=doc["max_delay"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CompileError(f"malformed program document: {exc}") from exc
+    cores = []
+    for cd in doc["cores"]:
+        fanout = cd["fanout"]
+        if type(fanout) is not dict:
+            raise TypeError(f"core fanout must be an object, got {type(fanout).__name__}")
+        cores.append(LogicCore(
+            id=cd["id"],
+            neuron_ids=list(cd["neuron_ids"]),
+            fanout={int(local): records(entries, FANOUT)
+                    for local, entries in fanout.items()},
+            in_synapses=records(cd["in_synapses"], IN_SYNAPSE),
+        ))
+    grid = tuple(doc["grid"])
+    placement = [(x, y) for x, y in doc["placement"]]
+    neurons = records(doc["neurons"], NEURON)
+    inputs = inputs_by_neuron(records(doc["inputs"], INPUT))
+    _check_program(cores, placement, grid, len(neurons),
+                   inputs, doc["t_max"], doc["max_delay"])
+    return CompiledProgram(
+        cores=cores, dep_graph=extract_deps(cores), placement=placement,
+        grid=grid, neurons=neurons, inputs=inputs,
+        t_max=doc["t_max"], max_delay=doc["max_delay"],
+    )
 
 
 def _core_record(c: LogicCore) -> str:
@@ -559,10 +570,6 @@ def save_program(prog: CompiledProgram, path) -> None:
 
 
 def load_program(path) -> CompiledProgram:
-    with open(path, encoding="utf-8") as f:
-        try:
-            return program_from_dict(json.load(f))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CompileError(f"{path}: not valid JSON: {exc}") from exc
-        except CompileError as exc:
-            raise CompileError(f"{path}: {exc}") from exc
+    """The program saved at ``path``. Each record is decoded as the parser
+    closes it; a malformed file raises CompileError naming it."""
+    return load_document(path, _PROGRAM_HOOK, _program, CompileError, "program")

@@ -287,7 +287,7 @@ def parse_value(key: str, text: str):
             return int(text)
         if key == "energy_costs":
             return json.loads(text)
-    except (KeyError, ValueError):
+    except (KeyError, ValueError, RecursionError):
         raise ConfigError(f"{key} cannot be {text!r}") from None
     return text
 

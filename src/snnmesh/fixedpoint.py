@@ -53,7 +53,8 @@ def from_str(s: str) -> int:
     ``-?digits[.digits]`` is parsed with integer arithmetic; any other input
     (a sign other than a leading ``-``, a missing part, an exponent, a ratio,
     whitespace, underscores, a non-string) takes the ``Fraction`` path, so
-    both accept and reject the same inputs.
+    both accept and reject the same inputs. A ``bool`` is not a number here:
+    JSON's ``true`` would otherwise read as 1.
     """
     if type(s) is str and len(s) <= _FAST_LEN:
         ip, point, fp = s.partition(".")
@@ -61,6 +62,8 @@ def from_str(s: str) -> int:
                 fp.isdecimal() or not point):
             v, rem = divmod(int(ip + fp) << FRAC_BITS, _POW10[len(fp)])
             return _checked(s, v, rem)
+    if type(s) is bool:
+        raise ValueError(f"{s!r} is not a fixed-point number")
     value = Fraction(s) * SCALE
     return _checked(s, value.numerator, value.denominator != 1)
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 import random
+import reprlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -524,22 +526,95 @@ def neurons_and_inputs_to_dict(neurons, inputs: dict[int, list[tuple[int, int]]]
     }
 
 
-def neurons_and_inputs_from_dict(doc: dict):
-    """Inverse of ``neurons_and_inputs_to_dict``: ((NeuronParams, v0) pairs,
-    inputs). Malformed entries raise KeyError, TypeError or ValueError."""
-    neurons = [
-        (NeuronParams(tau_m=from_str(nd["tau_m"]), v_rst=from_str(nd["v_rst"]),
-                      g_l=from_str(nd["g_l"]), v_th=from_str(nd["v_th"])),
-         from_str(nd["v0"]))
-        for nd in doc["neurons"]
-    ]
+@dataclass(frozen=True)
+class RecordKind:
+    """One kind of record in a workload or program file: the keys it is
+    written with, how a parsed record becomes what the loaded object stores,
+    and whether a value is such a decoded record. Decoding raises KeyError,
+    TypeError or ValueError on a malformed record."""
+
+    name: str
+    keys: frozenset[str]
+    decode: Callable[[dict], object]
+    holds: Callable[[object], bool]
+
+
+def _neuron(d: dict) -> tuple[NeuronParams, int]:
+    return (NeuronParams(tau_m=from_str(d["tau_m"]), v_rst=from_str(d["v_rst"]),
+                         g_l=from_str(d["g_l"]), v_th=from_str(d["v_th"])),
+            from_str(d["v0"]))
+
+
+def _input(d: dict) -> tuple[int, tuple[int, int]]:
+    nid = d["neuron"]
+    if type(nid) is not int:  # 0.0 or false would join neuron 0's events
+        raise TypeError(f"input neuron must be an int, got {nid!r}")
+    return nid, (d["timestep"], from_str(d["current"]))
+
+
+NEURON = RecordKind("neuron", frozenset(("g_l", "tau_m", "v0", "v_rst", "v_th")), _neuron,
+                    lambda x: type(x) is tuple and len(x) == 2 and type(x[0]) is NeuronParams)
+INPUT = RecordKind("input", frozenset(("current", "neuron", "timestep")), _input,
+                   lambda x: type(x) is tuple and len(x) == 2 and type(x[1]) is tuple)
+SYNAPSE = RecordKind(
+    "synapse", frozenset(("delay", "dst", "src", "weight")),
+    lambda d: Synapse(src=d["src"], dst=d["dst"], weight=from_str(d["weight"]),
+                      delay=d["delay"]),
+    lambda x: type(x) is Synapse)
+
+
+def record_hook(*kinds: RecordKind):
+    """A ``json.load`` ``object_hook`` that decodes each object whose key set
+    is some kind's ``keys`` as soon as the parser closes it, so the records
+    of a large file never exist as dicts all at once. Any other object is
+    returned as it is."""
+    decoders = {kind.keys: kind.decode for kind in kinds}
+
+    def hook(obj: dict):
+        decode = decoders.get(frozenset(obj))
+        return obj if decode is None else decode(obj)
+    return hook
+
+
+def records(items, kind: RecordKind) -> list:
+    """The list ``items`` of a parsed document as records of ``kind``. A dict
+    the hook left (a record with keys added or missing) is decoded here;
+    anything else that is not a record of ``kind``, such as a record of
+    another kind, raises TypeError."""
+    if type(items) is not list:
+        raise TypeError(f"{kind.name} records must be a list, got {reprlib.repr(items)}")
+    if all(map(kind.holds, items)):
+        return items
+    items = [kind.decode(x) if type(x) is dict else x for x in items]
+    for x in items:
+        if not kind.holds(x):
+            raise TypeError(f"expected {kind.name} records, got {reprlib.repr(x)}")
+    return items
+
+
+def inputs_by_neuron(events: list) -> dict[int, list[tuple[int, int]]]:
+    """Decoded ``INPUT`` records grouped by neuron, each neuron's events in
+    file order."""
     inputs: dict[int, list[tuple[int, int]]] = {}
-    for ev in doc["inputs"]:
-        nid = ev["neuron"]
-        if type(nid) is not int:  # 0.0 or false would join neuron 0's events
-            raise TypeError(f"input neuron must be an int, got {nid!r}")
-        inputs.setdefault(nid, []).append((ev["timestep"], from_str(ev["current"])))
-    return neurons, inputs
+    for nid, event in events:
+        inputs.setdefault(nid, []).append(event)
+    return inputs
+
+
+def load_document(path, hook, assemble, error: type[Exception], what: str):
+    """``assemble`` of the JSON document at ``path``, parsed with ``hook``.
+    A file that is not JSON (not UTF-8, or nested too deeply to parse),
+    ``error`` from ``assemble`` and a malformed ``what`` document all raise
+    ``error`` naming the file."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return assemble(json.load(f, object_hook=hook))
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise error(f"{path}: not valid JSON: {exc}") from exc
+        except error as exc:
+            raise error(f"{path}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise error(f"{path}: malformed {what} document: {exc}") from exc
 
 
 def network_to_dict(net: Network) -> dict:
@@ -557,26 +632,18 @@ def network_to_dict(net: Network) -> dict:
     return doc
 
 
-def network_from_dict(doc: dict) -> Network:
-    try:
-        neurons, inputs = neurons_and_inputs_from_dict(doc)
-        synapses = [
-            Synapse(src=sd["src"], dst=sd["dst"], weight=from_str(sd["weight"]),
-                    delay=sd["delay"])
-            for sd in doc["synapses"]
-        ]
-        net = Network(
-            neurons=neurons,
-            synapses=synapses,
-            inputs=inputs,
-            t_max=doc["t_max"],
-            max_delay=doc["max_delay"],
-            layers=list(doc["layers"]) if "layers" in doc else None,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, WorkloadError):
-            raise
-        raise WorkloadError(f"malformed workload document: {exc}") from exc
+_WORKLOAD_HOOK = record_hook(NEURON, INPUT, SYNAPSE)
+
+
+def _network(doc: dict) -> Network:
+    net = Network(
+        neurons=records(doc["neurons"], NEURON),
+        synapses=records(doc["synapses"], SYNAPSE),
+        inputs=inputs_by_neuron(records(doc["inputs"], INPUT)),
+        t_max=doc["t_max"],
+        max_delay=doc["max_delay"],
+        layers=list(doc["layers"]) if "layers" in doc else None,
+    )
     net.validate()
     return net
 
@@ -588,10 +655,4 @@ def save_workload(net: Network, path) -> None:
 
 
 def load_workload(path) -> Network:
-    with open(path, encoding="utf-8") as f:
-        try:
-            return network_from_dict(json.load(f))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise WorkloadError(f"{path}: not valid JSON: {exc}") from exc
-        except WorkloadError as exc:
-            raise WorkloadError(f"{path}: {exc}") from exc
+    return load_document(path, _WORKLOAD_HOOK, _network, WorkloadError, "workload")

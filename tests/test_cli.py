@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from snnmesh import atomic, cli, compiler, metrics, model
 from snnmesh.cli import (
@@ -170,8 +171,10 @@ def test_zero_fifo_depth_is_bad_input_not_a_hang(tmp_path, capsys):
     ({"SNNMESH_DEBUG": "on"}, None),
     ({"SNNMESH_TRACE": "enabled"}, None),
     ({}, {"seed": 0}),
+    ({"SNNMESH_ENERGY_COSTS": "[" * 100_000 + "]" * 100_000}, None),
 ], ids=["env-m-text", "m-string", "grid-one-int", "config-list", "P-float",
-        "debug-string", "env-debug-on", "env-trace-enabled", "seed-key"])
+        "debug-string", "env-debug-on", "env-trace-enabled", "seed-key",
+        "env-energy-costs-nested-too-deeply"])
 def test_malformed_config_is_bad_input(tmp_path, capsys, monkeypatch, env, config):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -259,12 +262,16 @@ _ENTRY = ("cores", 0, "fanout", "0", 0)
     (("t_max",), -5),
     (("max_delay",), 2.5),
     (("grid",), [2.0, 2]),
+    (("cores", 0, "fanout"), []),
+    (("cores", 0, "fanout"), "ab"),
+    (("neurons", 0, "tau_m"), True),
 ], ids=["dst_core-99", "dst_core-float", "synapse_id-99999", "delay-0",
         "delay-50", "fanout-key-past-slice", "neuron_id-past-table",
         "neuron_id-twice", "in_synapses-target-9999", "core-id-twice",
         "placement-short", "placement-shared", "placement-off-grid",
         "input-neuron-9999", "input-timestep-negative", "t_max-negative",
-        "max_delay-float", "grid-float"])
+        "max_delay-float", "grid-float", "fanout-list", "fanout-string",
+        "neuron-tau_m-true"])
 def test_malformed_program_is_a_compile_error(tmp_path, capsys, path, value):
     doc = json.loads((FIXTURES / "tiny_program.json").read_text(encoding="utf-8"))
     *parents, key = path
@@ -326,8 +333,10 @@ def test_non_integer_workload_index_is_bad_input(tmp_path, capsys, path, value,
     (("inputs", 0, "timestep"), 24, "at t=24 outside [0, 24)"),
     (("layers",), [40, 7], "layer sizes do not sum to the neuron count"),
     (("layers",), [48, 0], "layer sizes must be positive"),
+    (("synapses", 0, "weight"), True, "True is not a fixed-point number"),
+    (("neurons", 0, "tau_m"), True, "True is not a fixed-point number"),
 ], ids=["delay-above-max", "neuron-out-of-range", "timestep-at-t_max",
-        "layers-sum", "layer-of-size-0"])
+        "layers-sum", "layer-of-size-0", "weight-true", "tau_m-true"])
 def test_out_of_range_workload_field_is_bad_input(tmp_path, capsys, path, value,
                                                   message):
     doc = json.loads((FIXTURES / "tiny_workload.json").read_text(encoding="utf-8"))
@@ -344,6 +353,68 @@ def test_out_of_range_workload_field_is_bad_input(tmp_path, capsys, path, value,
     assert err.startswith(f"snnmesh: error[bad-input] {workload}: ")
     assert message in err and err.count("\n") == 1
     assert not prog.exists()
+
+
+def _record_lists(doc: dict) -> list[tuple[str, list]]:
+    """(kind, list) for each list of records in a program or workload
+    document."""
+    lists = [("neuron", doc["neurons"]), ("input", doc["inputs"])]
+    if "cores" in doc:
+        lists.append(("core", doc["cores"]))
+        for core in doc["cores"]:
+            lists += [("fanout", entries) for entries in core["fanout"].values()]
+            lists.append(("in-synapse", core["in_synapses"]))
+    else:
+        lists.append(("synapse", doc["synapses"]))
+    return lists
+
+
+# the last is shaped like a decoded fanout record, but is a JSON list
+_JSON_VALUES = st.sampled_from([[], 0, "x", None, {}, [0, 0, 1]])
+
+
+@pytest.mark.parametrize("fixture", ["tiny_program.json", "tiny_workload.json"])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=st.sampled_from(["move", "replace", "drop-key", "add-key"]),
+       data=st.data())
+def test_record_mutation_exits_with_its_code(tmp_path, capsys, fixture, mutation,
+                                             data):
+    """A record moved into a list of another kind, replaced by another value
+    or missing a key fails to load with the file's exit code and one line;
+    a record with a key added loads as the unchanged file does."""
+    program = fixture == "tiny_program.json"
+    doc = json.loads((FIXTURES / fixture).read_text(encoding="utf-8"))
+    lists = _record_lists(doc)
+    kind, items = data.draw(st.sampled_from([(k, rs) for k, rs in lists if rs]))
+    i = data.draw(st.integers(0, len(items) - 1))
+    if mutation == "move":
+        target = data.draw(st.sampled_from([rs for k, rs in lists if k != kind]))
+        target.insert(data.draw(st.integers(0, len(target))), items.pop(i))
+    elif mutation == "replace":
+        items[i] = data.draw(_JSON_VALUES)
+    elif mutation == "drop-key":
+        del items[i][data.draw(st.sampled_from(sorted(items[i])))]
+    else:
+        key = data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in items[i]))
+        items[i][key] = data.draw(_JSON_VALUES)
+    path, out = tmp_path / "mutated.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+    load = compiler.load_program if program else model.load_workload
+    as_dict = compiler.program_to_dict if program else model.network_to_dict
+    if mutation == "add-key":
+        assert as_dict(load(path)) == as_dict(load(FIXTURES / fixture))
+        return
+    argv = (["run", "--program"] if program else ["compile", "--workload"]) + [
+        str(path), "--grid", "2x2", "--out", str(out)]
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == (EXIT_COMPILE if program else EXIT_BAD_INPUT), err
+    assert err.startswith(f"snnmesh: error[{'compile' if program else 'bad-input'}] {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 _BAD_FILE_CASES = {
@@ -364,7 +435,8 @@ _BAD_FILE_CASES = {
 
 @pytest.mark.parametrize("argv_of,code,content", [
     pytest.param(*case, content, id=name + suffix)
-    for content, suffix in [(b"\xff\xfe", ""), (b"{", "-invalid-json")]
+    for content, suffix in [(b"\xff\xfe", ""), (b"{", "-invalid-json"),
+                            (b"[" * 100_000 + b"]" * 100_000, "-nested-too-deeply")]
     for name, case in _BAD_FILE_CASES.items()
 ])
 def test_file_that_is_not_utf8_fails_like_invalid_json(tmp_path, capsys,

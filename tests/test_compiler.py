@@ -1,6 +1,8 @@
 import copy
+import gc
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,6 @@ from snnmesh.compiler import (
     map_hilbert,
     map_plain,
     partition,
-    program_from_dict,
     program_to_dict,
     save_program,
 )
@@ -326,19 +327,21 @@ class TestProgramFile:
         assert program_to_dict(back) == program_to_dict(prog)
         assert back.dep_graph == prog.dep_graph
 
-    def test_legacy_fixture_loads_and_runs_like_the_new_one(self):
+    def test_legacy_fixture_loads_and_runs_like_the_new_one(self, tmp_path):
         """Older files also store the dependency graph and each fanout
         weight; those keys are ignored, even when the stored graph is wrong."""
         legacy_doc = json.loads(
             (FIXTURES / "tiny_program_legacy.json").read_text(encoding="utf-8"))
         new = load_program(FIXTURES / "tiny_program.json")
-        legacy = program_from_dict(legacy_doc)
+        legacy = load_program(FIXTURES / "tiny_program_legacy.json")
         assert program_to_dict(legacy) == program_to_dict(new)
         assert legacy.dep_graph == new.dep_graph == DepGraph(**legacy_doc["dep_graph"])
 
         damaged_doc = copy.deepcopy(legacy_doc)
         next(row for row in damaged_doc["dep_graph"]["pre"] if row).pop()
-        damaged = program_from_dict(damaged_doc)
+        path = tmp_path / "damaged.json"
+        path.write_text(json.dumps(damaged_doc), encoding="utf-8")
+        damaged = load_program(path)
         assert damaged.dep_graph == new.dep_graph
         for mode in PROTOCOLS:
             cfg = SimConfig(grid=(2, 2), mode=mode, debug=True)
@@ -346,9 +349,29 @@ class TestProgramFile:
             assert run(legacy, cfg).to_dict() == expected
             assert run(damaged, cfg).to_dict() == expected
 
-    def test_malformed_rejected(self):
-        with pytest.raises(CompileError):
-            program_from_dict({"cores": []})
+    def test_load_peak_memory_stays_below_twice_what_the_program_keeps(self, tmp_path):
+        """Each record is decoded as the parser closes it, so the parsed
+        record dicts never pile up beside the program being built."""
+        path = tmp_path / "p.json"
+        save_program(compile_network(gen_synthetic(2000, 8000, seed=3, t_max=20), (2, 2)),
+                     path)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            prog = load_program(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert prog.n_cores == 4
+        assert peak - base < 2 * (kept - base), (
+            f"peak {(peak - base) / 1e6:.1f} MB, kept {(kept - base) / 1e6:.1f} MB")
+
+    def test_malformed_rejected(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"cores": []}', encoding="utf-8")
+        with pytest.raises(CompileError, match="malformed program document"):
+            load_program(path)
 
     def test_compile_network_pipeline(self):
         net = gen_layered([8, 8], fanin=4, seed=2, t_max=5)

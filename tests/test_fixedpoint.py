@@ -46,6 +46,12 @@ def test_from_str_rejects_unrepresentable():
         from_str("100000")  # above the Q16.16 range
 
 
+@pytest.mark.parametrize("s", [True, False])
+def test_from_str_rejects_a_bool(s):
+    with pytest.raises(ValueError, match="not a fixed-point number"):
+        from_str(s)
+
+
 def test_to_str_is_plain_decimal():
     assert to_str(fx(1.5)) == "1.5"
     assert to_str(fx(-0.25)) == "-0.25"
@@ -54,7 +60,10 @@ def test_to_str_is_plain_decimal():
 
 
 def _fraction_from_str(s):
-    """The Fraction-only parser ``from_str`` replaced, kept as an oracle."""
+    """The Fraction-only parser ``from_str`` replaced, kept as an oracle;
+    like ``from_str`` it refuses a bool, which ``Fraction`` reads as 0 or 1."""
+    if type(s) is bool:
+        raise ValueError(f"{s!r} is not a fixed-point number")
     value = Fraction(s) * SCALE
     if value.denominator != 1:
         raise ValueError(f"{s!r} is not representable in Q16.16")

@@ -22,7 +22,6 @@ from snnmesh.model import (
     gen_synthetic,
     lif_step_arrays,
     load_workload,
-    network_from_dict,
     network_to_dict,
     random_floats,
     rate_knobs_for_level,
@@ -432,13 +431,17 @@ class TestWorkloadFile:
         save_workload(net, path)
         assert load_workload(path).layers == [4, 4]
 
-    def test_malformed_document_rejected(self):
-        with pytest.raises(WorkloadError):
-            network_from_dict({"neurons": []})
+    def test_malformed_document_rejected(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text('{"neurons": []}', encoding="utf-8")
+        with pytest.raises(WorkloadError, match="malformed workload document"):
+            load_workload(path)
 
-    def test_invalid_synapse_rejected(self):
+    def test_invalid_synapse_rejected(self, tmp_path):
         net = two_neuron_chain()
         doc = network_to_dict(net)
         doc["synapses"][0]["dst"] = 99
-        with pytest.raises(WorkloadError):
-            network_from_dict(doc)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(WorkloadError, match="unknown neuron"):
+            load_workload(path)
