@@ -12,6 +12,9 @@ Regenerate ``fixtures/report_hashes.json`` (only in a change that states a
 modelled-output change) with::
 
     PYTHONPATH=src python tests/report_hash_corpus.py
+
+It prints the keys whose hash changed against the committed file, and how
+many changed per mode, so a change can show which modes it moved.
 """
 
 from __future__ import annotations
@@ -86,9 +89,29 @@ def load_corpus() -> dict[str, str]:
         return json.load(f)
 
 
+def changes_by_mode(old: dict[str, str], new: dict[str, str]) -> dict[str, tuple[int, int]]:
+    """mode -> (entries of ``new`` whose hash is new or differs from ``old``,
+    entries of ``new``)."""
+    counts: dict[str, tuple[int, int]] = {}
+    for key, sha in new.items():
+        mode = key.split("/")[1]
+        changed, total = counts.get(mode, (0, 0))
+        counts[mode] = (changed + (old.get(key) != sha), total + 1)
+    return counts
+
+
 if __name__ == "__main__":
+    old = load_corpus() if os.path.exists(CORPUS_PATH) else {}
     hashes = compute_corpus()
     with open(CORPUS_PATH, "w", encoding="utf-8") as f:
         json.dump(hashes, f, indent=1, sort_keys=True)
         f.write("\n")
     print(f"wrote {CORPUS_PATH}: {len(hashes)} report hashes")
+    for key in sorted(hashes):
+        if old.get(key) != hashes[key]:
+            print(f"changed: {key}")
+    for key in sorted(set(old) - set(hashes)):
+        print(f"removed: {key}")
+    print("changed per mode: " + ", ".join(
+        f"{mode} {changed} of {total}"
+        for mode, (changed, total) in sorted(changes_by_mode(old, hashes).items())))
