@@ -1,6 +1,11 @@
 """2D-mesh on-chip network: single-flit packets, XY routing, multi-VC
-routers with per-input-port round-robin arbitration, and an eligibility mask
-that holds a FINISH notification behind the spikes it vouches for.
+routers with per-input-port round-robin arbitration.
+
+Every packet, spike or START/FINISH notification, rides the VC its flow's
+cells hash to, so a (source, destination) flow keeps one VC along its one
+XY path and arrives in injection order: a FINISH reaches its destination
+after every spike its source injected before it. XY routing has no cyclic
+channel dependency, so no VC is set aside for control packets.
 
 Packets name their source and destination cores; the mesh alone maps cores
 to cells, through the program's placement."""
@@ -80,10 +85,8 @@ def route_xy(cur: tuple[int, int], dst: tuple[int, int], grid: tuple[int, int]) 
 
 
 def vc_for_packet(p: Packet, placement: list[tuple[int, int]], n_vc: int) -> int:
-    """Deterministic VC choice: spikes hash their flow's cells over the data
-    VCs, control packets ride a reserved extra channel."""
-    if p.kind != SPIKE:
-        return n_vc
+    """Deterministic VC choice: every packet, spike or notification, hashes
+    its flow's cells over the ``n_vc`` VCs."""
     sx, sy = placement[p.src_core]
     dx, dy = placement[p.dst_core]
     h = (sx * 73856093) ^ (sy * 19349663) ^ (dx * 83492791) ^ (dy * 15485863)
@@ -92,22 +95,20 @@ def vc_for_packet(p: Packet, placement: list[tuple[int, int]], n_vc: int) -> int
 
 class _Router:
     __slots__ = ("coord", "route", "ports", "vc_rr", "out_rr", "reserved",
-                 "next_free", "resident", "vc_mask", "spike_src", "link_queues",
+                 "next_free", "resident", "vc_mask", "link_queues",
                  "link_reserved", "link_router", "link_port", "link_hop",
                  "occ_hist", "_occ_last_cycle")
 
-    def __init__(self, coord: tuple[int, int], n_vc_total: int):
+    def __init__(self, coord: tuple[int, int], n_vc: int):
         self.coord = coord
         self.route: list[int] = []  # destination core -> output port
-        self.ports = [[deque() for _ in range(n_vc_total)] for _ in range(5)]
+        self.ports = [[deque() for _ in range(n_vc)] for _ in range(5)]
         self.vc_rr = [0] * 5
         self.out_rr = [0] * 5
-        self.reserved = [[0] * n_vc_total for _ in range(5)]  # credits in use
+        self.reserved = [[0] * n_vc for _ in range(5)]  # credits in use
         self.next_free = [0] * 5
         self.resident = 0
         self.vc_mask = [0] * 5  # per input port: bit v set iff VC v is non-empty
-        # per input port: src_core -> resident spikes from it (FINISH mask filter)
-        self.spike_src: list[dict] = [{} for _ in range(5)]
         # per output port: the next router's VC queues and credits on the
         # input port it sees, the next router, that port, and the hop cycles;
         # None off the mesh
@@ -147,11 +148,10 @@ class MeshNoc:
         self.placement = placement
         self.n_cores = len(placement)
         self.n_vc = n_vc
-        self.n_vc_total = n_vc + 1  # data VCs plus the reserved control VC
         self.cycles_per_hop = cycles_per_hop
         self.fifo_depth = fifo_depth
         self.slowdown = inter_cluster_slowdown
-        self.routers = [_Router((x, y), self.n_vc_total)
+        self.routers = [_Router((x, y), n_vc)
                         for y in range(h) for x in range(w)]
         for r in self.routers:
             r.route = [route_xy(r.coord, xy, grid) for xy in placement]
@@ -176,7 +176,7 @@ class MeshNoc:
         self.hops = 0
         self.blocked = {SPIKE: 0, DEP: 0}
         self.queued = 0  # packets sitting in router FIFOs
-        # (vc_mask * n_vc_total + vc_rr) -> non-empty VCs in round-robin order
+        # (vc_mask * n_vc + vc_rr) -> non-empty VCs in round-robin order
         self._rr_orders: dict[int, tuple[int, ...]] = {}
 
     # -- public surface ----------------------------------------------------
@@ -191,9 +191,6 @@ class MeshNoc:
         r = self._core_router[packet.src_core]
         r.ports[PORT_LOCAL][vc].append(packet)
         r.vc_mask[PORT_LOCAL] |= 1 << vc
-        if kind == SPIKE:
-            src = r.spike_src[PORT_LOCAL]
-            src[packet.src_core] = src.get(packet.src_core, 0) + 1
         r.occ_change(+1, cycle)
         self.queued += 1
         self.injected[kind] += 1
@@ -223,10 +220,6 @@ class MeshNoc:
             r.ports[port][vc].append(pkt)
             r.vc_mask[port] |= 1 << vc
             r.reserved[port][vc] -= 1
-            if pkt.kind == SPIKE:
-                src = r.spike_src[port]
-                key = pkt.src_core
-                src[key] = src.get(key, 0) + 1
             last = r._occ_last_cycle
             if cycle > last:
                 hist = r.occ_hist
@@ -245,7 +238,7 @@ class MeshNoc:
         nothing is charged one blocked cycle for its round-robin-first head."""
         if self.queued == 0:
             return
-        n_q = self.n_vc_total
+        n_q = self.n_vc
         depth = self.fifo_depth
         cph = self.cycles_per_hop
         pending = self._pending
@@ -278,10 +271,6 @@ class MeshNoc:
                     if out != PORT_LOCAL and (
                             cycle < next_free[out]
                             or len(link_queues[out][vc]) + link_reserved[out][vc] >= depth):
-                        continue
-                    if (pkt.kind == DEP and pkt.flag == FLAG_FINISH
-                            and r.spike_src[port].get(pkt.src_core)
-                            and self._finish_masked(r, port, pkt)):
                         continue
                     if wins is None:
                         wins = [None, None, None, None, None]
@@ -317,8 +306,6 @@ class MeshNoc:
                 q.popleft()
                 if not q:
                     r.vc_mask[port] &= ~(1 << vc)
-                if pkt.kind == SPIKE:
-                    r.spike_src[port][pkt.src_core] -= 1
                 r.vc_rr[port] = vc + 1 if vc + 1 < n_q else 0
                 out_rr[out] = port + 1 if port < 4 else 0
                 granted += 1
@@ -347,20 +334,6 @@ class MeshNoc:
         self.hops += moved
         self.blocked[SPIKE] += blocked_spike
         self.blocked[DEP] += blocked_dep
-
-    # -- arbitration -------------------------------------------------------
-
-    def _finish_masked(self, r: _Router, port: int, pkt: DepPacket) -> bool:
-        """A FINISH may not pass a resident spike from the same source with a
-        timestep it claims to complete."""
-        t = pkt.timestep
-        src = pkt.src_core
-        for q in r.ports[port]:
-            for other in q:
-                if (other.kind == SPIKE and other.src_core == src
-                        and other.timestep <= t):
-                    return True
-        return False
 
     # -- reporting ---------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """The mesh NoC's router logic as it stood before the one-pass arbiter:
 three passes per router (nominate through ``_eligible``, group nominees by
-output port, rescan ports to attribute stalls) and a FINISH mask that scans
-every queue on the port. It looks up each packet's cells in the placement
+output port, rescan ports to attribute stalls), every packet on its flow's
+VC from ``vc_for_packet``. It looks up each packet's cells in the placement
 and routes them with ``route_xy`` hop by hop, where ``MeshNoc`` reads its
 per-router route tables. Test-only: the differential tests drive it and
 ``snnmesh.noc.MeshNoc`` with the same packets and require identical results."""
@@ -13,7 +13,6 @@ from collections import deque
 
 from snnmesh.noc import (
     DEP,
-    FLAG_FINISH,
     PORT_E,
     PORT_LOCAL,
     PORT_N,
@@ -40,12 +39,12 @@ class _Router:
                  "resident", "port_count", "grants", "occ_hist",
                  "_occ_last_cycle")
 
-    def __init__(self, coord: tuple[int, int], n_vc_total: int):
+    def __init__(self, coord: tuple[int, int], n_vc: int):
         self.coord = coord
-        self.ports = [[deque() for _ in range(n_vc_total)] for _ in range(5)]
+        self.ports = [[deque() for _ in range(n_vc)] for _ in range(5)]
         self.vc_rr = [0] * 5
         self.out_rr = [0] * 5
-        self.reserved = [[0] * n_vc_total for _ in range(5)]
+        self.reserved = [[0] * n_vc for _ in range(5)]
         self.next_free = [0] * 5
         self.resident = 0
         self.port_count = [0] * 5
@@ -77,12 +76,11 @@ class ReferenceNoc:
         self.grid = grid
         self.placement = placement  # core id -> (x, y)
         self.n_vc = n_vc
-        self.n_vc_total = n_vc + 1  # data VCs plus the reserved control VC
         self.cycles_per_hop = cycles_per_hop
         self.fifo_depth = fifo_depth
         self.slowdown = max(1, inter_cluster_slowdown)
         self.cluster_size = max(1, cluster_size)
-        self.routers = [_Router((x, y), self.n_vc_total)
+        self.routers = [_Router((x, y), n_vc)
                         for y in range(h) for x in range(w)]
         # cycle -> ordered events; each event is ("hop", ridx, port, vc, pkt)
         # or ("deliver", pkt)
@@ -198,24 +196,7 @@ class ReferenceNoc:
 
     # -- arbitration -------------------------------------------------------
 
-    def _finish_masked(self, r: _Router, port: int, pkt: Packet) -> bool:
-        """A FINISH may not pass a resident spike from the same source with a
-        timestep it claims to complete."""
-        t = pkt.timestep
-        placement = self.placement
-        src = placement[pkt.src_core]
-        for q in r.ports[port]:
-            for other in q:
-                if (other.kind == SPIKE and placement[other.src_core] == src
-                        and other.timestep <= t):
-                    return True
-        return False
-
-    def _eligible(self, r: _Router, port: int, vc: int, pkt: Packet, out: int,
-                  cycle: int) -> bool:
-        if pkt.kind == DEP and pkt.flag == FLAG_FINISH:
-            if self._finish_masked(r, port, pkt):
-                return False
+    def _eligible(self, r: _Router, vc: int, out: int, cycle: int) -> bool:
         if out == PORT_LOCAL:
             return True
         if cycle < r.next_free[out]:
@@ -228,7 +209,7 @@ class ReferenceNoc:
         return True
 
     def _arbitrate(self, r: _Router, cycle: int) -> None:
-        n_q = self.n_vc_total
+        n_q = self.n_vc
         cx, cy = r.coord
         placement, grid = self.placement, self.grid
         port_count = r.port_count
@@ -248,7 +229,7 @@ class ReferenceNoc:
                     continue
                 pkt = q[0]
                 out = route_xy(r.coord, placement[pkt.dst_core], grid)
-                if self._eligible(r, port, vc, pkt, out, cycle):
+                if self._eligible(r, vc, out, cycle):
                     nominees.append((port, vc, pkt, out))
                     break
 

@@ -75,10 +75,14 @@ class TestPacketFormat:
             assert "kind" in type(p).__slots__
             assert not hasattr(p, "vc")
 
-    def test_control_packets_use_reserved_vc(self):
+    def test_control_packets_share_their_flows_vc(self):
         cells = row_major((4, 4))
-        assert vc_for_packet(finish((0, 0), (1, 1)), cells, 4) == 4
-        assert vc_for_packet(spike((0, 0), (1, 1)), cells, 4) < 4
+        for n_vc in (1, 2, 3, 4):
+            for dst in [(0, 0), (1, 1), (3, 2), (0, 3)]:
+                vcs = {vc_for_packet(make((2, 1), dst), cells, n_vc)
+                       for make in (spike, start, finish)}
+                assert len(vcs) == 1
+                assert vcs.pop() < n_vc
 
     def test_flow_vc_is_deterministic(self):
         cells = row_major((4, 4))
@@ -172,25 +176,66 @@ class TestPlacement:
             PORT_W, PORT_W, PORT_W, PORT_S, PORT_LOCAL]
 
 
+@st.composite
+def engine_order_streams(draw):
+    """A small grid, a NoC config and the packets its cores inject, in the
+    order ``engine.run`` injects them: a core that commits timestep t sends
+    its spikes of t, then FINISH(t) to the cores it notifies, then START(t+1)
+    to them as it begins the next step."""
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cfg = dict(n_vc=draw(st.integers(1, 4)), fifo_depth=draw(st.integers(1, 4)),
+               inter_cluster_slowdown=draw(st.sampled_from([1, 3])))
+    core = st.integers(0, w * h - 1)
+    # (cycle, source, spike destinations, notified cores) per commit
+    commits = draw(st.lists(
+        st.tuples(st.integers(0, 20), core, st.lists(core, max_size=6),
+                  st.lists(core, max_size=3, unique=True)),
+        min_size=1, max_size=30))
+    commits.sort(key=lambda c: c[0])
+    step = {}
+    injections = []  # (cycle, packet)
+    for cycle, src, spike_dsts, notified in commits:
+        t = step.get(src, 0)
+        step[src] = t + 1
+        for k, dst in enumerate(spike_dsts):
+            injections.append((cycle, SpikePacket(src, dst, t, k, 1)))
+        for flag, ts in ((FLAG_FINISH, t), (FLAG_START, t + 1)):
+            injections += [(cycle, DepPacket(src, dst, ts, flag)) for dst in notified]
+    return (w, h), cfg, injections
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine_order_streams())
+def test_every_flow_arrives_in_injection_order(stream):
+    # One VC and one XY path per (source, destination) flow: FIFO order puts
+    # each FINISH behind the spikes it vouches for, on any NoC config.
+    grid, cfg, injections = stream
+    mesh = SteppedNoc(grid, **cfg)
+    delivered = []
+    cycle = 0
+    for at, pkt in injections:
+        while cycle < at:
+            delivered += mesh.step(cycle)
+            cycle += 1
+        mesh.inject(pkt, cycle)
+    _end, rest = mesh.drain(cycle, limit=100_000)  # NocError if it never quiesces
+    delivered += rest
+    sent_by_flow, got_by_flow = {}, {}
+    for _at, p in injections:
+        sent_by_flow.setdefault((p.src_core, p.dst_core), []).append(id(p))
+    for p in delivered:
+        got_by_flow.setdefault((p.src_core, p.dst_core), []).append(id(p))
+    assert got_by_flow == sent_by_flow
+    assert mesh.injected == mesh.delivered
+    assert not mesh.busy()
+
+
 class TestFinishMask:
-    def test_spike_always_beats_cohabiting_finish(self):
-        # Same source, same input port: the FINISH may not leave before the
-        # spike with an equal timestep.
-        mesh = SteppedNoc((4, 1))
-        s = spike((0, 0), (3, 0), t=5)
-        f = finish((0, 0), (3, 0), t=5)
-        mesh.inject(f, cycle=0)  # FINISH queued first
-        mesh.inject(s, cycle=0)
-        order = []
-        c = 0
-        while mesh.busy():
-            order += mesh.step(c)
-            c += 1
-        assert order == [s, f]
+    """A FINISH waits only for the spikes ahead of it in its own flow."""
 
     def test_finish_for_older_timestep_not_blocked_by_newer_spike(self):
-        # A FINISH(5) is eligible next to a spike of t=9, so both leave on
-        # adjacent round-robin turns: the mask must not hold the FINISH until
+        # A FINISH(5) queued ahead of a spike of t=9 leaves first, and the
+        # spike on the next round-robin turn: nothing holds the FINISH until
         # the newer spike has gone through the whole network.
         mesh = SteppedNoc((4, 1))
         s = spike((0, 0), (3, 0), t=9)
