@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import json
 import numbers
+import reprlib
 from dataclasses import asdict, dataclass, field, fields
 
 from . import metrics
@@ -288,7 +289,7 @@ def parse_value(key: str, text: str):
         if key == "energy_costs":
             return json.loads(text)
     except (KeyError, ValueError, RecursionError):
-        raise ConfigError(f"{key} cannot be {text!r}") from None
+        raise ConfigError(f"{key} cannot be {reprlib.repr(text)}") from None
     return text
 
 

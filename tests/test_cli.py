@@ -193,6 +193,20 @@ def test_malformed_config_is_bad_input(tmp_path, capsys, monkeypatch, env, confi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["[" * 100_000 + "]" * 100_000, "{" + "x" * 200_000],
+                         ids=["nested-too-deeply", "long-garbage"])
+def test_long_bad_value_is_cut_in_its_one_line_error(tmp_path, capsys, monkeypatch,
+                                                     value):
+    monkeypatch.setenv("SNNMESH_ENERGY_COSTS", value)
+    code = main(["run", "--program", str(FIXTURES / "tiny_program.json"),
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert err.count("\n") == 1
+    assert "energy_costs cannot be " in err
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize("flags", [
     ["--axis", "m=two"],
     ["--axis", "exchange=lots"],
