@@ -4,8 +4,9 @@ routers with per-input-port round-robin arbitration.
 Every packet, spike or START/FINISH notification, rides the VC its flow's
 cells hash to, so a (source, destination) flow keeps one VC along its one
 XY path and arrives in injection order: a FINISH reaches its destination
-after every spike its source injected before it. XY routing has no cyclic
-channel dependency, so no VC is set aside for control packets.
+after every spike its source injected to that destination before it. XY
+routing has no cyclic channel dependency, so no VC is set aside for control
+packets.
 
 Packets name their source and destination cores; the mesh alone maps cores
 to cells, through the program's placement."""
