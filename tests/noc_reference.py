@@ -1,7 +1,7 @@
 """The mesh NoC's router logic as it stood before the one-pass arbiter:
 three passes per router (nominate through ``_eligible``, group nominees by
 output port, rescan ports to attribute stalls), every packet on its flow's
-VC from ``vc_for_packet``. It looks up each packet's cells in the placement
+VC from ``flow_vc``. It looks up each packet's cells in the placement
 and routes them with ``route_xy`` hop by hop, where ``MeshNoc`` reads its
 per-router route tables. Test-only: the differential tests drive it and
 ``snnmesh.noc.MeshNoc`` with the same packets and require identical results."""
@@ -21,8 +21,8 @@ from snnmesh.noc import (
     SPIKE,
     NocError,
     Packet,
+    flow_vc,
     route_xy,
-    vc_for_packet,
 )
 
 # output port -> (dx, dy, input port seen by the neighbour)
@@ -120,7 +120,7 @@ class ReferenceNoc:
     def inject(self, packet: Packet, cycle: int) -> None:
         src_xy = self.placement[packet.src_core]
         route_xy(src_xy, self.placement[packet.dst_core], self.grid)  # bounds check
-        vc = vc_for_packet(packet, self.placement, self.n_vc)
+        vc = flow_vc(src_xy, self.placement[packet.dst_core], self.n_vc)
         r = self.routers[self._ridx(src_xy)]
         r.ports[PORT_LOCAL][vc].append(packet)
         r.port_count[PORT_LOCAL] += 1

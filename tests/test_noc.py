@@ -21,8 +21,8 @@ from snnmesh.noc import (
     MeshNoc,
     NocError,
     SpikePacket,
+    flow_vc,
     route_xy,
-    vc_for_packet,
 )
 
 from stepped_noc import SteppedNoc, core_at, row_major
@@ -46,6 +46,16 @@ def finish(src_xy, dst_xy, t=0, w=4):
 def start(src_xy, dst_xy, t=0, w=4):
     return DepPacket(src_core=core_at(src_xy, w), dst_core=core_at(dst_xy, w),
                      timestep=t, flag=FLAG_START)
+
+
+def queued_vc(mesh, packet):
+    """Inject ``packet`` and return the VC whose FIFO on its source router's
+    local port it joined."""
+    mesh.inject(packet, cycle=0)
+    cell = mesh.placement[packet.src_core]
+    router = next(r for r in mesh.routers if r.coord == cell)
+    return next(vc for vc, q in enumerate(router.ports[PORT_LOCAL])
+                if any(x is packet for x in q))
 
 
 class TestRouteXY:
@@ -79,23 +89,24 @@ class TestPacketFormat:
         cells = row_major((4, 4))
         for n_vc in (1, 2, 3, 4):
             for dst in [(0, 0), (1, 1), (3, 2), (0, 3)]:
-                vcs = {vc_for_packet(make((2, 1), dst), cells, n_vc)
+                mesh = MeshNoc((4, 4), cells, n_vc=n_vc)
+                vcs = {queued_vc(mesh, make((2, 1), dst))
                        for make in (spike, start, finish)}
-                assert len(vcs) == 1
+                assert vcs == {flow_vc((2, 1), dst, n_vc)}
                 assert vcs.pop() < n_vc
 
     def test_flow_vc_is_deterministic(self):
-        cells = row_major((4, 4))
-        a = vc_for_packet(spike((0, 0), (3, 2)), cells, 4)
-        b = vc_for_packet(spike((0, 0), (3, 2), t=9, syn=5), cells, 4)
+        mesh = MeshNoc((4, 4), row_major((4, 4)))
+        a = queued_vc(mesh, spike((0, 0), (3, 2)))
+        b = queued_vc(mesh, spike((0, 0), (3, 2), t=9, syn=5))
         assert a == b
 
     def test_flow_vc_hashes_the_cells_not_the_core_ids(self):
         # cores 0 and 1 swap cells: the VC follows the cells
         p = spike((0, 0), (1, 0))
         swapped = [(1, 0), (0, 0)]
-        assert (vc_for_packet(p, row_major((2, 1)), 4)
-                == vc_for_packet(SpikePacket(1, 0, 0, 0, 1), swapped, 4))
+        assert (queued_vc(MeshNoc((2, 1), row_major((2, 1))), p)
+                == queued_vc(MeshNoc((2, 1), swapped), SpikePacket(1, 0, 0, 0, 1)))
 
 
 class TestLatency:
@@ -204,34 +215,34 @@ def engine_order_streams(draw):
     return (w, h), cfg, injections
 
 
-@settings(max_examples=60, deadline=None)
-@given(engine_order_streams())
-def test_every_flow_arrives_in_injection_order(stream):
-    # One VC and one XY path per (source, destination) flow: FIFO order puts
-    # each FINISH behind the spikes it vouches for, on any NoC config.
-    grid, cfg, injections = stream
-    mesh = SteppedNoc(grid, **cfg)
-    delivered = []
-    cycle = 0
-    for at, pkt in injections:
-        while cycle < at:
-            delivered += mesh.step(cycle)
-            cycle += 1
-        mesh.inject(pkt, cycle)
-    _end, rest = mesh.drain(cycle, limit=100_000)  # NocError if it never quiesces
-    delivered += rest
-    sent_by_flow, got_by_flow = {}, {}
-    for _at, p in injections:
-        sent_by_flow.setdefault((p.src_core, p.dst_core), []).append(id(p))
-    for p in delivered:
-        got_by_flow.setdefault((p.src_core, p.dst_core), []).append(id(p))
-    assert got_by_flow == sent_by_flow
-    assert mesh.injected == mesh.delivered
-    assert not mesh.busy()
+class TestFlowOrder:
+    """Each (source, destination) flow arrives in injection order, and a
+    packet waits only for the packets ahead of it in its own flow."""
 
-
-class TestFinishMask:
-    """A FINISH waits only for the spikes ahead of it in its own flow."""
+    @settings(max_examples=60, deadline=None)
+    @given(engine_order_streams())
+    def test_every_flow_arrives_in_injection_order(self, stream):
+        # One VC and one XY path per (source, destination) flow: FIFO order puts
+        # each FINISH behind the spikes it vouches for, on any NoC config.
+        grid, cfg, injections = stream
+        mesh = SteppedNoc(grid, **cfg)
+        delivered = []
+        cycle = 0
+        for at, pkt in injections:
+            while cycle < at:
+                delivered += mesh.step(cycle)
+                cycle += 1
+            mesh.inject(pkt, cycle)
+        _end, rest = mesh.drain(cycle, limit=100_000)  # NocError if it never quiesces
+        delivered += rest
+        sent_by_flow, got_by_flow = {}, {}
+        for _at, p in injections:
+            sent_by_flow.setdefault((p.src_core, p.dst_core), []).append(id(p))
+        for p in delivered:
+            got_by_flow.setdefault((p.src_core, p.dst_core), []).append(id(p))
+        assert got_by_flow == sent_by_flow
+        assert mesh.injected == mesh.delivered
+        assert not mesh.busy()
 
     def test_finish_for_older_timestep_not_blocked_by_newer_spike(self):
         # A FINISH(5) queued ahead of a spike of t=9 leaves first, and the
@@ -250,7 +261,7 @@ class TestFinishMask:
             c += 1
         assert abs(when[id(f)] - when[id(s)]) <= 1
 
-    def test_start_packets_are_not_masked(self):
+    def test_start_packet_ahead_of_a_spike_is_delivered(self):
         mesh = SteppedNoc((4, 1))
         s = spike((0, 0), (3, 0), t=5)
         st_pkt = start((0, 0), (3, 0), t=6)
@@ -269,7 +280,7 @@ class TestArbitration:
         # Two spike flows hashed to different VCs on the same input port.
         mesh = SteppedNoc((4, 2), n_vc=4)
         flows = [((0, 0), (3, 0)), ((0, 0), (3, 1))]
-        vcs = {vc_for_packet(spike(*f), mesh.placement, 4) for f in flows}
+        vcs = {flow_vc(*f, 4) for f in flows}
         assert len(vcs) == 2, "flows must land on distinct VCs for this test"
         pkts = []
         for i in range(4):
