@@ -84,6 +84,14 @@ def check_report(report) -> None:
             raise MetricsError(
                 f"core {row['id']}: busy+wait+rollback != total cycles"
             )
+    # every router's occupancy histogram covers the cycles up to the one the
+    # network drained in, which is at least the last commit
+    spans = {sum(hist.values()) for hist in report.noc["occupancy"].values()} or {0}
+    if len(spans) != 1 or min(spans) < report.total_cycles:
+        raise MetricsError(
+            f"router occupancy spans {sorted(spans)} cycles, not one span "
+            f">= total cycles {report.total_cycles}"
+        )
 
 
 def write_json(path, doc) -> None:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -93,6 +94,28 @@ class TestReportExport:
         with pytest.raises(MetricsError):
             export_report(broken, tmp_path / "x.json")
         broken.energy = good_energy
+
+    @pytest.mark.parametrize("tamper", ["one-router-longer", "all-shorter"])
+    def test_occupancy_spans_checked_at_export(self, small_report, tmp_path,
+                                               tamper):
+        occupancy = small_report.noc["occupancy"]
+        spans = {sum(hist.values()) for hist in occupancy.values()}
+        assert len(spans) == 1 and spans.pop() >= small_report.total_cycles
+        if tamper == "one-router-longer":
+            routers = sorted(occupancy)[:1]
+            extra = 1
+        else:
+            routers = sorted(occupancy)
+            extra = -(sum(occupancy[routers[0]].values())
+                      - small_report.total_cycles + 1)
+        tampered = {xy: dict(hist) for xy, hist in occupancy.items()}
+        for xy in routers:
+            tampered[xy]["0"] = tampered[xy].get("0", 0) + extra
+        broken = dataclasses.replace(small_report,
+                                     noc={**small_report.noc, "occupancy": tampered})
+        with pytest.raises(MetricsError, match="occupancy"):
+            export_report(broken, tmp_path / "x.json")
+        assert not (tmp_path / "x.json").exists()
 
     def test_failed_write_leaves_no_file(self, small_report, tmp_path,
                                          monkeypatch):
