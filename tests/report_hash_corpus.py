@@ -14,14 +14,19 @@ modelled-output change) with::
     PYTHONPATH=src python tests/report_hash_corpus.py
 
 It prints the keys whose hash changed against the committed file, and how
-many changed per mode, so a change can show which modes it moved.
+many changed per mode, so a change can show which modes it moved. With
+``--check`` it prints the same, writes nothing, and exits 1 if any hash
+changed, so a change that must move no simulated number can show that it
+moved none.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
+import sys
 
 from snnmesh.compiler import compile_network, load_program
 from snnmesh.engine import PROTOCOLS, DeadlockError, SimConfig, run
@@ -100,18 +105,42 @@ def changes_by_mode(old: dict[str, str], new: dict[str, str]) -> dict[str, tuple
     return counts
 
 
-if __name__ == "__main__":
-    old = load_corpus() if os.path.exists(CORPUS_PATH) else {}
-    hashes = compute_corpus()
-    with open(CORPUS_PATH, "w", encoding="utf-8") as f:
-        json.dump(hashes, f, indent=1, sort_keys=True)
-        f.write("\n")
-    print(f"wrote {CORPUS_PATH}: {len(hashes)} report hashes")
-    for key in sorted(hashes):
-        if old.get(key) != hashes[key]:
-            print(f"changed: {key}")
-    for key in sorted(set(old) - set(hashes)):
+def print_changes(old: dict[str, str], new: dict[str, str]) -> int:
+    """Print the keys of ``new`` whose hash differs from ``old``, the keys
+    ``new`` lacks, and the changed-per-mode counts; return how many keys
+    changed or went."""
+    changed = sorted(key for key in new if old.get(key) != new[key])
+    removed = sorted(set(old) - set(new))
+    for key in changed:
+        print(f"changed: {key}")
+    for key in removed:
         print(f"removed: {key}")
     print("changed per mode: " + ", ".join(
-        f"{mode} {changed} of {total}"
-        for mode, (changed, total) in sorted(changes_by_mode(old, hashes).items())))
+        f"{mode} {n} of {total}"
+        for mode, (n, total) in sorted(changes_by_mode(old, new).items())))
+    return len(changed) + len(removed)
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description="Compute the report-hash corpus "
+                                 "and write it to fixtures/report_hashes.json.")
+    ap.add_argument("--check", action="store_true",
+                    help="compare with the committed file and write nothing; "
+                         "exit 1 if any hash changed")
+    args = ap.parse_args(argv)
+    old = load_corpus() if os.path.exists(CORPUS_PATH) else {}
+    hashes = compute_corpus()
+    if not args.check:
+        with open(CORPUS_PATH, "w", encoding="utf-8") as f:
+            json.dump(hashes, f, indent=1, sort_keys=True)
+            f.write("\n")
+        print(f"wrote {CORPUS_PATH}: {len(hashes)} report hashes")
+    moved = print_changes(old, hashes)
+    if args.check:
+        print(f"{moved} of {len(hashes)} changed")
+        return 1 if moved else 0
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
