@@ -867,6 +867,16 @@ def test_report_on_committed_fixture(tmp_path, capsys):
     assert "depasync" in out
 
 
+def test_committed_results_fixture_equals_a_fresh_sweep(tmp_path):
+    # the fixture is this sweep's output; a model change that moves any of
+    # its numbers must regenerate it with the same command
+    results = tmp_path / "results.csv"
+    assert main(["sweep", "--workload", str(FIXTURES / "tiny_workload.json"),
+                 "--axis", "m=2,4", "--seeds", "1", "--grid", "2x2",
+                 "--out", str(results)]) == EXIT_OK
+    assert results.read_bytes() == (FIXTURES / "results.csv").read_bytes()
+
+
 def test_report_reads_results_saved_with_a_byte_order_mark(tmp_path, capsys):
     plain = FIXTURES / "results.csv"
     assert main(["report", "--results", str(plain)]) == EXIT_OK
