@@ -355,7 +355,7 @@ class MeshNoc:
                     hist[r.occ_count] = hist.get(r.occ_count, 0) + cycle - since
                     r.occ_since = cycle
                 r.occ_count = count
-        if fresh and bucket:
+        if fresh and bucket:  # an empty bucket would schedule an idle cycle
             pending[at] = bucket
             heapq.heappush(self._pending_heap, at)
         self.queued -= moved
