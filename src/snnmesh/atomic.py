@@ -1,7 +1,9 @@
-"""One atomic file writer for every file snnmesh writes."""
+"""One atomic file writer for every file snnmesh writes, and the one JSON
+writer on top of it."""
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 
@@ -20,3 +22,10 @@ def atomic_open(path, newline: str | None = None):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as indented JSON with stable keys, atomically."""
+    with atomic_open(path) as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
+        f.write("\n")

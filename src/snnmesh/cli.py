@@ -39,6 +39,7 @@ from .model import (
     WorkloadError,
     gen_layered,
     gen_synthetic,
+    load_document,
     load_workload,
     rate_knobs_for_level,
     reference_run,
@@ -84,20 +85,20 @@ def env_overrides(environ=None) -> dict:
             if ENV_PREFIX + key.upper() in environ}
 
 
+def _config_keys(doc) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"must hold a JSON object of config keys, "
+                          f"got {type(doc).__name__}")
+    return doc
+
+
 def build_config(args, defaults: dict | None = None) -> SimConfig:
     """Defaults, then config file, then environment, then CLI flags. Each
     config flag's dest is its config key; an unset flag is None."""
     doc: dict = dict(defaults or {})
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as f:
-            try:
-                loaded = json.load(f)
-            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-                raise ConfigError(f"{args.config}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"{args.config} must hold a JSON object of "
-                              f"config keys, got {type(loaded).__name__}")
-        doc.update(loaded)
+        doc.update(load_document(args.config, None, _config_keys, ConfigError,
+                                 "config"))
     doc.update(env_overrides())
     for key in SimConfig.__dataclass_fields__:
         if getattr(args, key, None) is not None:
@@ -240,7 +241,7 @@ _AXES = ("m", "vc", "mode", "mapping", "grid", "exchange", "rate")
 _CONFIG_AXES = {"m": "m", "vc": "n_vc", "mode": "mode"}  # axis -> config key
 
 _RESULT_FIELDS = [
-    "axis", "value", "mode", "seed", "rep", "total_cycles", "busy", "wait",
+    "axis", "value", "mode", "seed", "total_cycles", "busy", "wait",
     "rollback_cycles", "rollbacks", "energy_total", "neuron_updates",
     "noc_hops", "blocked_spike", "spikes", "raster_sha256",
 ]
@@ -259,10 +260,11 @@ def _init_worker(programs) -> None:
 
 
 def _run_task(task, programs=_WORKER_PROGRAMS):
-    """The measured columns of one (program index, config) sweep task."""
-    index, cfg = task
+    """A sweep task's results row: its row columns, then its run's measures."""
+    index, cfg, columns = task
     report = run(programs[index], cfg)
     return {
+        **columns,
         "total_cycles": report.total_cycles,
         "busy": sum(c["busy"] for c in report.cores),
         "wait": sum(c["wait"] for c in report.cores),
@@ -294,36 +296,43 @@ def _axis_values(axis: str, raw: str):
 
 
 def build_sweep_tasks(args, base_cfg: SimConfig):
-    """The distinct simulations of a sweep and its rows: returns (programs,
-    tasks, rows), a task being a (program index, config) pair and a row a
-    (task index, meta) pair per (axis value, mode, seed, rep).
+    """The programs and runs of a sweep: returns (programs, tasks), a task
+    being a (program index, config, row columns) triple, one per row, that
+    is per (axis value, mode, seed). Each distinct program is compiled once.
 
-    A run is a pure function of (program, config), so each distinct pair runs
-    once and the rows of other seeds and reps copy it; the seed is an input
-    only of the ``rate`` and ``exchange`` axes, which regenerate the workload
-    or exchange neurons. Each distinct program is compiled once."""
+    The seed is an input only of the ``rate`` and ``exchange`` axes, which
+    regenerate the workload or exchange neurons; on any other axis a second
+    seed would repeat the first one's runs, so it is refused."""
     axis, eq, raw = args.axis.partition("=")
     if axis not in _AXES or not eq:
         raise ConfigError(f"sweep axis must look like <axis>=v1,v2 with <axis> "
                           f"one of {_AXES}, got {args.axis!r}")
-    if args.reps < 1:
-        raise ConfigError(f"sweep reps must be >= 1, got {args.reps}")
     if args.jobs < 1:
         raise ConfigError(f"sweep jobs must be >= 1, got {args.jobs}")
     values = _axis_values(axis, raw)
     seeds = _numbers(int, args.seeds, "sweep seeds")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("sweep seeds must be distinct")
-    modes = args.modes.split(",") if axis != "mode" else ["-"]
     seeded = axis in ("exchange", "rate")
+    if len(seeds) > 1 and not seeded:
+        raise ConfigError(f"--seeds lists {len(seeds)} seeds, but only the rate "
+                          f"and exchange axes read a seed, not {axis}")
+    if axis == "mode":
+        if args.modes is not None:
+            raise ConfigError("--modes is not read by the mode axis, whose "
+                              "values are the modes")
+        modes = [None]  # each value sets the mode
+    else:
+        modes = list(PROTOCOLS) if args.modes is None else args.modes.split(",")
+    # a row is a run: a repeated value, seed or mode would run it again
+    for what, items in (("axis values", values), ("seeds", seeds), ("modes", modes)):
+        if len(set(items)) != len(items):
+            raise ConfigError(f"sweep {what} must be distinct")
 
     base_net = load_workload(args.workload) if args.workload else None
     grid = base_cfg.grid
 
     programs: list = []  # each distinct program once
     index_of: dict = {}  # (grid, mapping, seeded value, seed) -> index into programs
-    task_of: dict = {}   # (program key, config) -> index into tasks
-    tasks, rows = [], []
+    tasks = []
     for value in values:
         for seed in seeds:
             point_grid = parse_value("grid", value) if axis == "grid" else grid
@@ -353,31 +362,23 @@ def build_sweep_tasks(args, base_cfg: SimConfig):
             if axis in _CONFIG_AXES:
                 cfg_doc[_CONFIG_AXES[axis]] = value
             for mode in modes:
-                if mode != "-":
+                if mode is not None:
                     cfg_doc["mode"] = mode
                 cfg = SimConfig.from_dict(cfg_doc)
-                run_key = (prog_key, json.dumps(cfg.to_dict(), sort_keys=True))
-                if run_key not in task_of:
-                    task_of[run_key] = len(tasks)
-                    tasks.append((index_of[prog_key], cfg))
-                for rep_i in range(args.reps):
-                    rows.append((task_of[run_key], {
-                        "axis": axis, "value": value, "mode": cfg.mode,
-                        "seed": seed, "rep": rep_i}))
-    return programs, tasks, rows
+                tasks.append((index_of[prog_key], cfg, {
+                    "axis": axis, "value": value, "mode": cfg.mode, "seed": seed}))
+    return programs, tasks
 
 
 def cmd_sweep(args) -> int:
     _check_outputs(args.out)
-    base_cfg = build_config(args)
-    programs, tasks, plan = build_sweep_tasks(args, base_cfg)
+    programs, tasks = build_sweep_tasks(args, build_config(args))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker,
                                  initargs=(programs,)) as pool:
-            results = list(pool.map(_run_task, tasks))
+            rows = list(pool.map(_run_task, tasks))
     else:
-        results = [_run_task(t, programs) for t in tasks]
-    rows = [{**meta, **results[i]} for i, meta in plan]
+        rows = [_run_task(t, programs) for t in tasks]
     with atomic_open(args.out, newline="") as f:
         writer = csv.DictWriter(f, fieldnames=_RESULT_FIELDS)
         writer.writeheader()
@@ -395,10 +396,10 @@ def _harmonic_mean(values):
 
 def _baseline_key(r: dict) -> tuple:
     """The run a row is compared with: the ``sync`` row of the same axis
-    value, seed and rep. On the mode axis the value is the mode itself, so
-    it is left out."""
+    value and seed. On the mode axis the value is the mode itself, so it is
+    left out."""
     value = None if r["axis"] == "mode" else r["value"]
-    return (r["axis"], value, r["seed"], r["rep"])
+    return (r["axis"], value, r["seed"])
 
 
 def summarize_results(rows: list[dict]) -> dict:
@@ -453,7 +454,6 @@ def cmd_report(args) -> int:
         for r in rows:
             r["value"] = _coerce(r["value"])
             r["seed"] = int(r["seed"])
-            r["rep"] = int(r["rep"])
         summary = summarize_results(rows)
     except (KeyError, TypeError, ValueError, csv.Error) as exc:
         return _fail("bad-input", f"{args.results} holds malformed results: "
@@ -487,7 +487,6 @@ def _coerce(text: str):
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with simulator config keys")
-    p.add_argument("--mode", choices=list(PROTOCOLS))
     p.add_argument("--m", type=int, help="spike buffer window (timesteps)")
     p.add_argument("--vc", dest="n_vc", type=int,
                    help="number of data virtual channels")
@@ -547,6 +546,7 @@ def make_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", required=True)
     r.add_argument("--trace", dest="trace_file",
                    help="also write the timeline trace CSV here")
+    r.add_argument("--mode", choices=list(PROTOCOLS))
     _add_config_flags(r)
     r.set_defaults(func=cmd_run)
 
@@ -556,13 +556,13 @@ def make_parser() -> argparse.ArgumentParser:
     _add_config_flags(v)
     v.set_defaults(func=cmd_verify)
 
-    s = sub.add_parser("sweep", help="run an experiment sweep")
+    # flags match exactly: --mode or --seed must not read as --modes or --seeds
+    s = sub.add_parser("sweep", help="run an experiment sweep", allow_abbrev=False)
     s.add_argument("--workload")
     s.add_argument("--axis", required=True, help="e.g. m=2,4,8,16")
-    s.add_argument("--modes", default=",".join(PROTOCOLS))
-    s.add_argument("--seeds", default="0",
-                   help="comma-separated distinct seeds")
-    s.add_argument("--reps", type=int, default=1)
+    s.add_argument("--modes", help="default: every mode; not with the mode axis")
+    s.add_argument("--seeds", default="0", help="comma-separated distinct seeds; "
+                   "more than one only on the rate and exchange axes")
     s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--mapping", choices=["plain", "hilbert"], default="plain")
     s.add_argument("--neurons", type=int, help="for rate sweeps")

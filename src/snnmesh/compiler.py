@@ -245,20 +245,18 @@ def partition(
                 f"capacity {capacity.max_neurons}"
             )
 
-    syn_per_core = [0] * n_cores
     for s in net.synapses:
         src_core = assign[s.src]
         dst_core = assign[s.dst]
         syn_id = len(cores[dst_core].in_synapses)
-        cores[dst_core].in_synapses.append((local_idx[s.dst], s.weight))
-        cores[src_core].fanout.setdefault(local_idx[s.src], []).append(
-            (dst_core, syn_id, s.delay))
-        syn_per_core[dst_core] += 1
-        if syn_per_core[dst_core] > capacity.max_synapses:
+        if syn_id >= capacity.max_synapses:
             raise CompileError(
                 f"core {dst_core} exceeds its synapse capacity "
                 f"{capacity.max_synapses}"
             )
+        cores[dst_core].in_synapses.append((local_idx[s.dst], s.weight))
+        cores[src_core].fanout.setdefault(local_idx[s.src], []).append(
+            (dst_core, syn_id, s.delay))
     return cores
 
 

@@ -382,7 +382,7 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
                 rollback_to = core.on_spike(pkt)
                 if rollback_to is not None:
                     for anti in core.rollback(rollback_to, cycle):
-                        mesh.inject(anti, cycle)
+                        mesh.inject(anti)
                     dirty.add(core.cid)
                     changed.add(core.cid)
 
@@ -401,9 +401,9 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
             t, start_cycle, *_rest = core.computing
             kind = "rollback" if t <= core.frontier else "compute"
             for pkt in core.finish(cycle):
-                mesh.inject(pkt, cycle)
+                mesh.inject(pkt)
             for pkt in protocol.after_finish(core):
-                mesh.inject(pkt, cycle)
+                mesh.inject(pkt)
             if cfg.trace:
                 trace_rows.append((start_cycle, cycle, cid, t, kind))
             last_completion = cycle
@@ -421,7 +421,7 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
                 if core.may_advance() and protocol.admits(core):
                     cost = core.begin(cycle)
                     for pkt in protocol.after_begin(core):
-                        mesh.inject(pkt, cycle)
+                        mesh.inject(pkt)
                     seq += 1
                     heapq.heappush(completions, (cycle + cost, seq, cid, core.gen))
                     changed.add(cid)

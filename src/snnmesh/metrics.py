@@ -8,11 +8,10 @@ dot product of operation counts with it.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass
 
-from .atomic import atomic_open
+from .atomic import atomic_open, write_json
 
 
 class MetricsError(ValueError):
@@ -92,13 +91,6 @@ def check_report(report) -> None:
             f"router occupancy spans {sorted(spans)} cycles, not one span "
             f">= total cycles {report.total_cycles}"
         )
-
-
-def write_json(path, doc) -> None:
-    """Write ``doc`` as JSON with stable keys, atomically."""
-    with atomic_open(path) as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
 
 
 def export_report(report, path) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import write_json
 from .fixedpoint import FRAC_BITS, FX_MAX, FX_MIN, fx, from_str, to_str
 
 
@@ -649,9 +649,7 @@ def _network(doc: dict) -> Network:
 
 
 def save_workload(net: Network, path) -> None:
-    with atomic_open(path) as f:
-        json.dump(network_to_dict(net), f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(path, network_to_dict(net))
 
 
 def load_workload(path) -> Network:

@@ -196,9 +196,9 @@ class MeshNoc:
 
     # -- public surface ----------------------------------------------------
 
-    def inject(self, packet: Packet, cycle: int) -> None:
+    def inject(self, packet: Packet) -> None:
         """Queue ``packet`` on its flow's VC of its source router's local
-        port during ``cycle``, which the caller then ends with ``end_cycle``."""
+        port in the current cycle, which the caller ends with ``end_cycle``."""
         src, dst = packet.src_core, packet.dst_core
         n = self.n_cores
         if not (0 <= src < n and 0 <= dst < n):

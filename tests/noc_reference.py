@@ -93,6 +93,7 @@ class ReferenceNoc:
         self.blocked = {SPIKE: 0, DEP: 0}
         self._delivered_now: dict[tuple[int, int], list[Packet]] = {}
         self._queued = 0  # packets sitting in router FIFOs
+        self._cycle = 0  # the cycle the latest begin_cycle began
 
     # -- helpers ----------------------------------------------------------
 
@@ -117,14 +118,15 @@ class ReferenceNoc:
 
     # -- public surface ----------------------------------------------------
 
-    def inject(self, packet: Packet, cycle: int) -> None:
+    def inject(self, packet: Packet) -> None:
+        """Queue ``packet`` in the cycle the latest ``begin_cycle`` began."""
         src_xy = self.placement[packet.src_core]
         route_xy(src_xy, self.placement[packet.dst_core], self.grid)  # bounds check
         vc = flow_vc(src_xy, self.placement[packet.dst_core], self.n_vc)
         r = self.routers[self._ridx(src_xy)]
         r.ports[PORT_LOCAL][vc].append(packet)
         r.port_count[PORT_LOCAL] += 1
-        r.occ_change(+1, cycle)
+        r.occ_change(+1, self._cycle)
         self._queued += 1
         self.injected[packet.kind] += 1
         self.in_flight[packet.kind] += 1
@@ -147,6 +149,7 @@ class ReferenceNoc:
     def begin_cycle(self, cycle: int) -> list[Packet]:
         """Land in-flight packets: hops enter downstream FIFOs, ejections are
         handed to the caller in deterministic order."""
+        self._cycle = cycle
         self._delivered_now = {}
         events = self._pending.pop(cycle, None)
         if not events:

@@ -211,7 +211,6 @@ def test_criterion_06_cli_sweep_speedup_column(imbalanced_program, tmp_path):
     for r in rows:
         r["value"] = int(r["value"])
         r["seed"] = int(r["seed"])
-        r["rep"] = int(r["rep"])
     summary = summarize_results(rows)
     speedups = [summary[f"m|{m}|depasync"]["harmonic_speedup"]
                 for m in (2, 4, 8, 16)]
@@ -308,18 +307,17 @@ class TestCriterion10NocProperties:
         deliveries = []  # (cycle, packet)
         T = 70
         for t in range(T):
-            for si, s in enumerate(srcs):
-                at = cycle + (si % 3)
+            for s in srcs:
                 for d in dsts[s]:
                     for _k in range(2):
                         p = SpikePacket(src_core=core_at(s, 4),
                                         dst_core=core_at(d, 4),
                                         timestep=t, synapse_id=0, delay=1)
-                        mesh.inject(p, at)
+                        mesh.inject(p)
                         injected += 1
                     f = DepPacket(src_core=core_at(s, 4), dst_core=core_at(d, 4),
                                   timestep=t, flag=FLAG_FINISH)
-                    mesh.inject(f, at)
+                    mesh.inject(f)
                     injected += 1
             for _ in range(3):
                 for q in mesh.step(cycle):
@@ -361,7 +359,7 @@ class TestCriterion10NocProperties:
                         p = SpikePacket(src_core=core_at((0, sy), 6),
                                         dst_core=core_at((5, rng.randrange(6)), 6),
                                         timestep=burst, synapse_id=0, delay=1)
-                        mesh.inject(p, cycle)
+                        mesh.inject(p)
                 mesh.step(cycle)
                 cycle += 1
             while mesh.busy():

@@ -213,7 +213,10 @@ def test_long_bad_value_is_cut_in_its_one_line_error(tmp_path, capsys, monkeypat
     ["--axis", "m"],
     ["--axis", "m="],
     ["--axis", "m=2", "--seeds", "a,b"],
-], ids=["m-text", "exchange-text", "no-equals", "no-value", "seeds-text"])
+    ["--axis", "m=2,02"],
+    ["--axis", "m=2", "--modes", "sync,se,sync"],
+], ids=["m-text", "exchange-text", "no-equals", "no-value", "seeds-text",
+        "repeated-value", "repeated-mode"])
 def test_malformed_sweep_is_bad_input(tmp_path, capsys, flags):
     out = tmp_path / "r.csv"
     code = main(["sweep", "--workload", str(FIXTURES / "tiny_workload.json"),
@@ -494,6 +497,19 @@ def test_capacity_below_one_is_a_compile_error(tmp_path, capsys, flag, value,
         assert not (tmp_path / "p.json").exists()
 
 
+def test_synapse_capacity_is_the_largest_incoming_table(tmp_path, capsys):
+    # on 2x2 the tiny workload's fullest core holds 113 incoming synapses
+    out = tmp_path / "p.json"
+    argv = ["compile", "--workload", str(FIXTURES / "tiny_workload.json"),
+            "--grid", "2x2", "--out", str(out), "--max-synapses-per-core"]
+    assert main(argv + ["113"]) == EXIT_OK
+    out.unlink()
+    assert main(argv + ["112"]) == EXIT_COMPILE
+    assert capsys.readouterr().err == (
+        "snnmesh: error[compile] core 0 exceeds its synapse capacity 112\n")
+    assert not out.exists()
+
+
 def test_run_on_a_grid_smaller_than_the_placement_is_bad_input(tmp_path, capsys):
     prog = tmp_path / "p.json"
     assert main(["compile", "--workload", str(FIXTURES / "tiny_workload.json"),
@@ -677,11 +693,13 @@ def test_rate_sweep_regenerates_with_the_merged_horizon(tmp_path, monkeypatch,
     assert spikes == len(reference_run(net))
 
 
-def test_sweep_distinct_seeds_enforced(tmp_path):
+def test_sweep_distinct_seeds_enforced(tmp_path, capsys):
+    # on a seeded axis, where more than one seed is read
     code = main(["sweep", "--workload", str(FIXTURES / "tiny_workload.json"),
-                 "--axis", "m=2", "--seeds", "1,1",
+                 "--axis", "exchange=0.5", "--seeds", "1,1",
                  "--out", str(tmp_path / "r.csv")])
     assert code == EXIT_BAD_INPUT
+    assert "seeds must be distinct" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "-0.5"])
@@ -700,19 +718,36 @@ def test_sweep_exchange_outside_unit_interval_fails_as_compile_does(
                  "--out", str(tmp_path / "p.json")]) == EXIT_COMPILE
 
 
-@pytest.mark.parametrize("reps", ["0", "-1"])
-def test_sweep_rejects_nonpositive_reps_before_compiling(tmp_path, capsys,
-                                                         monkeypatch, reps):
-    def never(*args, **kwargs):
-        raise AssertionError("sweep compiled or ran with no reps")
+@pytest.mark.parametrize("argv,code,flag", [
+    (["sweep", "--axis", "m=2,4", "--seeds", "0,1"], EXIT_BAD_INPUT, "--seeds"),
+    (["sweep", "--axis", "mode=sync,se", "--modes", "depasync"], EXIT_BAD_INPUT,
+     "--modes"),
+    (["verify", "--mode", "se"], 2, "--mode"),
+    (["sweep", "--axis", "m=2", "--mode", "sync"], 2, "--mode"),
+    (["sweep", "--axis", "m=2", "--reps", "2"], 2, "--reps"),
+], ids=["seeds-on-m", "modes-on-mode", "verify-mode", "sweep-mode", "sweep-reps"])
+def test_command_refuses_an_input_it_would_not_read(tmp_path, capsys, monkeypatch,
+                                                    argv, code, flag):
+    def never(*_a, **_k):
+        raise AssertionError("compiled or ran with an input it does not read")
 
     monkeypatch.setattr(cli, "compile_network", never)
     monkeypatch.setattr(cli, "run", never)
     out = tmp_path / "r.csv"
-    code = main(["sweep", "--workload", str(FIXTURES / "tiny_workload.json"),
-                 "--axis", "m=2", "--reps", reps, "--out", str(out)])
-    assert code == EXIT_BAD_INPUT
-    assert capsys.readouterr().err.startswith("snnmesh: error[bad-input] ")
+    command, *flags = argv
+    argv = [command, "--workload", str(FIXTURES / "tiny_workload.json"),
+            "--grid", "2x2", *flags]
+    if command == "sweep":
+        argv += ["--out", str(out)]
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert flag in err
+    if code == EXIT_BAD_INPUT:
+        assert err.startswith("snnmesh: error[bad-input] ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -730,9 +765,8 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
         assert serial.read_text() == parallel.read_text(), axis
 
 
-def test_sweep_simulates_each_distinct_point_once(tmp_path, monkeypatch):
-    # m is a config axis: one program and one runtime image, and a run per
-    # (m, mode) whatever the seed; the seed-1 rows copy the seed-0 rows
+def _counted_sweep(tmp_path, monkeypatch, *flags):
+    """The compile, run and image-build calls of a sweep, and its rows."""
     calls = {"compile_network": 0, "run": 0, "build_image": 0}
 
     def counted(owner, name):
@@ -748,26 +782,35 @@ def test_sweep_simulates_each_distinct_point_once(tmp_path, monkeypatch):
         monkeypatch.setattr(owner, name, counted(owner, name))
     results = tmp_path / "results.csv"
     assert main(["sweep", "--workload", str(FIXTURES / "tiny_workload.json"),
-                 "--axis", "m=2,4,8", "--seeds", "0,1", "--grid", "2x2",
-                 "--out", str(results)]) == EXIT_OK
+                 "--grid", "2x2", *flags, "--out", str(results)]) == EXIT_OK
+    return calls, list(csv.DictReader(results.open()))
+
+
+def test_sweep_simulates_each_distinct_point_once(tmp_path, monkeypatch):
+    # m is a config axis: one program and one runtime image, and a run per
+    # (m, mode) row
+    calls, rows = _counted_sweep(tmp_path, monkeypatch, "--axis", "m=2,4,8")
     assert calls == {"compile_network": 1, "run": 9, "build_image": 1}
-    rows = list(csv.DictReader(results.open()))
-    assert len(rows) == 18
-    by_seed = {seed: [{k: v for k, v in r.items() if k != "seed"}
-                      for r in rows if r["seed"] == seed] for seed in ("0", "1")}
-    assert by_seed["0"] == by_seed["1"]
+    assert len(rows) == 9
+
+
+def test_sweep_compiles_a_program_per_seed_on_a_seeded_axis(tmp_path, monkeypatch):
+    # the exchange axis reads the seed: a program and a run per (value, seed)
+    calls, rows = _counted_sweep(tmp_path, monkeypatch, "--axis", "exchange=0.5",
+                                 "--seeds", "0,1", "--modes", "sync")
+    assert calls == {"compile_network": 2, "run": 2, "build_image": 2}
+    assert [r["seed"] for r in rows] == ["0", "1"]
 
 
 def test_sweep_copied_rows_match_in_parallel(tmp_path):
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
     base = ["sweep", "--workload", str(FIXTURES / "tiny_workload.json"),
-            "--axis", "m=2,4", "--modes", "sync,se", "--grid", "2x2",
-            "--seeds", "0,1", "--reps", "2"]
+            "--axis", "m=2,4", "--modes", "sync,se", "--grid", "2x2"]
     assert main(base + ["--out", str(serial)]) == EXIT_OK
     assert main(base + ["--jobs", "2", "--out", str(parallel)]) == EXIT_OK
     assert serial.read_text() == parallel.read_text()
-    assert len(serial.read_text().splitlines()) == 1 + 2 * 2 * 2 * 2
+    assert len(serial.read_text().splitlines()) == 1 + 2 * 2
 
 
 def test_python_dash_m_snnmesh_passes_the_exit_code_through(tmp_path):
@@ -887,6 +930,22 @@ def test_report_reads_results_saved_with_a_byte_order_mark(tmp_path, capsys):
     assert capsys.readouterr().out == want
 
 
+def test_report_reads_results_written_with_a_rep_column(tmp_path, capsys):
+    # sweeps once wrote a rep column after seed; such a file still reports
+    plain = FIXTURES / "results.csv"
+    assert main(["report", "--results", str(plain)]) == EXIT_OK
+    want = capsys.readouterr().out
+    header, *lines = plain.read_text(encoding="utf-8").splitlines()
+    old = tmp_path / "results.csv"
+    old.write_text("\n".join(
+        [header.replace(",seed,", ",seed,rep,")]
+        + [",".join(fields[:4] + ["0"] + fields[4:])
+           for fields in (line.split(",") for line in lines)]) + "\n",
+        encoding="utf-8")
+    assert main(["report", "--results", str(old)]) == EXIT_OK
+    assert capsys.readouterr().out == want
+
+
 def test_run_report_file_is_the_export_report_file(tmp_path):
     from snnmesh import engine, metrics
 
@@ -1001,16 +1060,16 @@ def test_sweep_rejects_nonpositive_jobs_before_compiling(tmp_path, capsys,
 
 def test_summarize_results_harmonic_mean():
     rows = [
-        {"axis": "m", "value": 2, "mode": "sync", "seed": 1, "rep": 0,
+        {"axis": "m", "value": 2, "mode": "sync", "seed": 1,
          "total_cycles": 100, "busy": 50, "wait": 50, "rollback_cycles": 0,
          "energy_total": 1000.0},
-        {"axis": "m", "value": 2, "mode": "depasync", "seed": 1, "rep": 0,
+        {"axis": "m", "value": 2, "mode": "depasync", "seed": 1,
          "total_cycles": 50, "busy": 50, "wait": 0, "rollback_cycles": 0,
          "energy_total": 500.0},
-        {"axis": "m", "value": 2, "mode": "sync", "seed": 2, "rep": 0,
+        {"axis": "m", "value": 2, "mode": "sync", "seed": 2,
          "total_cycles": 100, "busy": 50, "wait": 50, "rollback_cycles": 0,
          "energy_total": 1000.0},
-        {"axis": "m", "value": 2, "mode": "depasync", "seed": 2, "rep": 0,
+        {"axis": "m", "value": 2, "mode": "depasync", "seed": 2,
          "total_cycles": 25, "busy": 25, "wait": 0, "rollback_cycles": 0,
          "energy_total": 250.0},
     ]

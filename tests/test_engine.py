@@ -446,7 +446,7 @@ class TestDrainDetect:
         cores = [SimpleNamespace(t_cur=0)]
         mesh = SteppedNoc((2, 1))
         pkt = SpikePacket(src_core=0, dst_core=1, timestep=0, synapse_id=0, delay=1)
-        mesh.inject(pkt, 0)
+        mesh.inject(pkt)
         assert not barrier.gate(cores, mesh)
         mesh.drain(0)
         assert barrier.gate(cores, mesh)

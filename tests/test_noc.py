@@ -51,7 +51,7 @@ def start(src_xy, dst_xy, t=0, w=4):
 def queued_vc(mesh, packet):
     """Inject ``packet`` and return the VC whose FIFO on its source router's
     local port it joined."""
-    mesh.inject(packet, cycle=0)
+    mesh.inject(packet)
     cell = mesh.placement[packet.src_core]
     router = next(r for r in mesh.routers if r.coord == cell)
     return next(vc for vc, q in enumerate(router.ports[PORT_LOCAL])
@@ -113,7 +113,7 @@ class TestLatency:
     def test_single_packet_two_cycles_per_hop(self):
         mesh = SteppedNoc((4, 4))
         p = spike((0, 0), (0, 0))
-        mesh.inject(p, cycle=0)
+        mesh.inject(p)
         delivered = []
         c = 0
         while mesh.busy():
@@ -128,7 +128,7 @@ class TestLatency:
     def test_unblocked_latency_formula(self, dst, expect_hops):
         mesh = SteppedNoc((4, 4), cycles_per_hop=2)
         p = spike((0, 0), dst)
-        mesh.inject(p, cycle=0)
+        mesh.inject(p)
         deliveries = {}
         c = 0
         while mesh.busy():
@@ -159,7 +159,7 @@ class TestInjectChecks:
     def test_rejected_packet_leaves_no_trace(self, packet):
         mesh = MeshNoc((4, 4), row_major((4, 4)))
         with pytest.raises(NocError, match="outside the 16-core placement"):
-            mesh.inject(packet, cycle=0)
+            mesh.inject(packet)
         assert mesh.queued == 0
         assert mesh.injected == {SPIKE: 0, DEP: 0}
 
@@ -175,7 +175,7 @@ class TestPlacement:
         # one local, whatever the core ids' order
         mesh = MeshNoc((4, 2), [(3, 1), (0, 0)], cycles_per_hop=1)
         p = SpikePacket(src_core=0, dst_core=1, timestep=0, synapse_id=0, delay=1)
-        mesh.inject(p, 0)
+        mesh.inject(p)
         delivered = []
         for c in range(10):
             delivered += mesh.begin_cycle(c)
@@ -232,7 +232,7 @@ class TestFlowOrder:
             while cycle < at:
                 delivered += mesh.step(cycle)
                 cycle += 1
-            mesh.inject(pkt, cycle)
+            mesh.inject(pkt)
         _end, rest = mesh.drain(cycle, limit=100_000)  # NocError if it never quiesces
         delivered += rest
         sent_by_flow, got_by_flow = {}, {}
@@ -251,8 +251,8 @@ class TestFlowOrder:
         mesh = SteppedNoc((4, 1))
         s = spike((0, 0), (3, 0), t=9)
         f = finish((0, 0), (3, 0), t=5)
-        mesh.inject(f, cycle=0)
-        mesh.inject(s, cycle=0)
+        mesh.inject(f)
+        mesh.inject(s)
         when = {}
         c = 0
         while mesh.busy():
@@ -265,8 +265,8 @@ class TestFlowOrder:
         mesh = SteppedNoc((4, 1))
         s = spike((0, 0), (3, 0), t=5)
         st_pkt = start((0, 0), (3, 0), t=6)
-        mesh.inject(st_pkt, cycle=0)
-        mesh.inject(s, cycle=0)
+        mesh.inject(st_pkt)
+        mesh.inject(s)
         order = []
         c = 0
         while mesh.busy():
@@ -287,7 +287,7 @@ class TestArbitration:
             for f in flows:
                 p = spike(*f, t=i)
                 pkts.append(p)
-                mesh.inject(p, cycle=0)
+                mesh.inject(p)
         # Read which VC each step drained from the per-VC queue lengths of
         # the local port: at most one packet leaves it per cycle, and the
         # round-robin pointer makes the two VCs take turns.
@@ -307,8 +307,8 @@ class TestArbitration:
     def test_per_flow_fifo_order(self):
         mesh = SteppedNoc((4, 4))
         sent = [spike((0, 0), (3, 2), t=i, syn=i) for i in range(6)]
-        for i, p in enumerate(sent):
-            mesh.inject(p, cycle=i)
+        for p in sent:
+            mesh.inject(p)
         got = []
         c = 0
         while mesh.busy():
@@ -329,7 +329,7 @@ class TestConservation:
             dx, dy = rng.randrange(4), rng.randrange(4)
             p = spike((sx, sy), (dx, dy), t=rng.randrange(10),
                       syn=rng.randrange(100))
-            mesh.inject(p, cycle)
+            mesh.inject(p)
             injected.append(p)
             delivered += mesh.step(cycle)
             cycle += 1
@@ -357,7 +357,7 @@ class TestConservation:
         mesh = SteppedNoc((3, 3))
         pkts = [spike((0, 0), (2, 2), t=i, w=3) for i in range(4)]
         for p in pkts:
-            mesh.inject(p, 0)
+            mesh.inject(p)
         end, delivered = mesh.drain(0)
         assert delivered == pkts
         assert not mesh.busy()
@@ -366,7 +366,7 @@ class TestConservation:
     def test_delivery_at_destination_only(self):
         mesh = SteppedNoc((3, 3))
         p = spike((0, 0), (2, 2), w=3)
-        mesh.inject(p, 0)
+        mesh.inject(p)
         c = 0
         while mesh.busy():
             for q in mesh.step(c):
@@ -388,7 +388,7 @@ class TestVcScaling:
                 for k in range(2):
                     dy = rng.randrange(6)
                     p = spike((0, sy), (5, dy), t=burst, syn=k, w=6)
-                    mesh.inject(p, cycle)
+                    mesh.inject(p)
             mesh.step(cycle)
             cycle += 1
         while mesh.busy():
@@ -408,7 +408,7 @@ class TestInterClusterSlowdown:
         fast = SteppedNoc((4, 1), inter_cluster_slowdown=1, cluster_size=2)
         slow = SteppedNoc((4, 1), inter_cluster_slowdown=4, cluster_size=2)
         for mesh in (fast, slow):
-            mesh.inject(spike((0, 0), (3, 0)), 0)
+            mesh.inject(spike((0, 0), (3, 0)))
         def drain_time(mesh):
             c = 0
             while mesh.busy():
@@ -431,7 +431,7 @@ def test_conservation_property(moves):
     mesh = SteppedNoc((4, 4), n_vc=2, fifo_depth=2)
     n = 0
     for cycle, (sx, sy, dx, dy, t) in enumerate(moves):
-        mesh.inject(spike((sx, sy), (dx, dy), t=t), cycle)
+        mesh.inject(spike((sx, sy), (dx, dy), t=t))
         n += 1
         mesh.step(cycle)
     cycle = len(moves)

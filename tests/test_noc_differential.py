@@ -74,7 +74,7 @@ def _drive(noc, injections, limit=100_000):
         ejected = {xy: noc.eject(xy) for xy in cells}
         while k < len(pending_inj) and pending_inj[k][0] == cycle:
             _c, _i, pkt = pending_inj[k]
-            noc.inject(pkt, cycle)
+            noc.inject(pkt)
             k += 1
         noc.end_cycle(cycle)
         nxt = noc.next_pending_cycle()
