@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import lif_step_arrays
-from .noc import FLAG_FINISH, DepPacket, SpikePacket
+from .noc import FLAG_FINISH, SpikePacket
 
 # The work counters every core keeps, in report order. Each reception is
 # one synapse accumulation and one buffer write, so ``synapse_acc`` counts
@@ -206,18 +206,19 @@ class NeuromorphicCore:
 
     # -- packet handlers ----------------------------------------------------
 
-    def on_dep(self, pkt: DepPacket) -> None:
+    def on_dep(self, src_core: int, flag: int, timestep: int) -> None:
         """Record a FINISH from a pre-dependency or a START from a
-        post-dependency; a stale one changes nothing."""
+        post-dependency, whether a ``DepPacket`` or a spike carried it; a
+        stale one changes nothing."""
         self.counters["scheduler_events"] += 1
-        table = self.pre_finish if pkt.flag == FLAG_FINISH else self.post_start
-        last = table.get(pkt.src_core)
+        table = self.pre_finish if flag == FLAG_FINISH else self.post_start
+        last = table.get(src_core)
         if last is None:
             raise ProtocolFault(
-                f"core {self.cid}: notification from core {pkt.src_core}, "
+                f"core {self.cid}: notification from core {src_core}, "
                 "which is not a dependency")
-        if pkt.timestep > last:
-            table[pkt.src_core] = pkt.timestep
+        if timestep > last:
+            table[src_core] = timestep
 
     def on_spike(self, pkt: SpikePacket) -> int | None:
         """Buffer an arriving spike. Returns the timestep to roll back to

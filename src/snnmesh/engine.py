@@ -31,7 +31,7 @@ from .core import (
     SpeculativeStore,
 )
 from .model import lif_clamp_free
-from .noc import DEP, FLAG_FINISH, FLAG_START, SPIKE, DepPacket, MeshNoc
+from .noc import FLAG_FINISH, FLAG_START, SPIKE, DepPacket, MeshNoc, SpikePacket
 
 
 class ConfigError(ValueError):
@@ -50,7 +50,8 @@ class Protocol:
     changed core under ``debug``. ``after_begin`` and ``after_finish`` are
     called right after a core begins or commits a timestep and return the
     control packets to inject; ``after_begin`` may also evaluate the begun
-    step."""
+    step, and ``after_finish``, which gets the committed step's spikes
+    before they are injected, may flag them."""
 
     def __init__(self, cfg: SimConfig, t_max: int):
         self.cfg, self.t_max = cfg, t_max
@@ -65,7 +66,8 @@ class Protocol:
     def after_begin(self, core: NeuromorphicCore) -> list[DepPacket]:
         return []
 
-    def after_finish(self, core: NeuromorphicCore) -> list[DepPacket]:
+    def after_finish(self, core: NeuromorphicCore,
+                     spikes: list[SpikePacket]) -> list[DepPacket]:
         return []
 
     def gate(self, cores: list[NeuromorphicCore], mesh: MeshNoc) -> bool:
@@ -144,9 +146,11 @@ class DependencyDriven(Protocol):
     """``depasync``: a core begins t + 1 once its pre-dependencies have
     finished t (their spikes for it have landed) and its post-dependencies
     have started t - m + 2 (they have buffer room for its spikes), as told
-    by START/FINISH packets over the NoC. A core sends a START to each
+    by START/FINISH notifications over the NoC. A core sends a START to each
     pre-dependency when it begins a timestep and a FINISH to each
-    post-dependency when it commits one."""
+    post-dependency when it commits one. The FINISH to a core it sent spikes
+    for that timestep rides the last of them; only a post-dependency sent
+    no spike gets a FINISH packet (a null message, after Chandy and Misra)."""
 
     def admits(self, core):
         # a loop that stops at the first blocking dependency: on dense
@@ -164,15 +168,21 @@ class DependencyDriven(Protocol):
     def after_begin(self, core):
         return self._notify(core, core.image.pre, FLAG_START)
 
-    def after_finish(self, core):
-        return self._notify(core, core.image.post, FLAG_FINISH)
+    def after_finish(self, core, spikes):
+        # spikes to one core share its flow, so the last lands after the rest
+        last = {pkt.dst_core: pkt for pkt in spikes}
+        for pkt in last.values():
+            pkt.finish = True
+        return self._notify(core, core.image.post, FLAG_FINISH, last)
 
     @staticmethod
-    def _notify(core, dst_cores, flag):
-        """One notification of ``flag`` for ``core.started`` to each core."""
+    def _notify(core, dst_cores, flag, carried=()):
+        """One notification of ``flag`` for ``core.started`` to each core:
+        a packet to each core not in ``carried``, whose spikes carry it."""
         core.counters["scheduler_events"] += len(dst_cores)
         cid, t = core.cid, core.started
-        return [DepPacket(cid, dst, t, flag) for dst in dst_cores]
+        return [DepPacket(cid, dst, t, flag) for dst in dst_cores
+                if dst not in carried]
 
     def check_edge(self, a, b):
         sa, sb = a.started, b.started
@@ -307,7 +317,8 @@ class SimReport:
     rollbacks: int
     max_edge_skew: int | None  # measured only under debug
     trace: list[tuple[int, int, int, int, str]] = field(default_factory=list)
-    # debug only: (cycle, dst core, src core, flag, timestep) per DEP delivery
+    # debug only: (cycle, dst core, src core, flag, timestep) per START or
+    # FINISH delivered, as a DEP packet or on a spike
     dep_log: list[tuple[int, int, int, int, int]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -369,22 +380,27 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
     while True:
         changed: set[int] = set()
 
-        # 1. land packets: hops into FIFOs, ejections into cores
+        # 1. land packets: hops into FIFOs, ejections into cores; a flagged
+        # spike's FINISH is recorded once the spike is buffered
         for pkt in mesh.begin_cycle(cycle):
             core = cores[pkt.dst_core]
-            if pkt.kind == DEP:
-                core.on_dep(pkt)
-                dirty.add(core.cid)
-                if cfg.debug:
-                    dep_log.append((cycle, pkt.dst_core, pkt.src_core,
-                                    pkt.flag, pkt.timestep))
-            elif pkt.kind == SPIKE:
+            if pkt.kind == SPIKE:
                 rollback_to = core.on_spike(pkt)
                 if rollback_to is not None:
                     for anti in core.rollback(rollback_to, cycle):
                         mesh.inject(anti)
                     dirty.add(core.cid)
                     changed.add(core.cid)
+                if not pkt.finish:
+                    continue
+                flag = FLAG_FINISH
+            else:
+                flag = pkt.flag
+            core.on_dep(pkt.src_core, flag, pkt.timestep)
+            dirty.add(core.cid)
+            if cfg.debug:
+                dep_log.append((cycle, pkt.dst_core, pkt.src_core, flag,
+                                pkt.timestep))
 
         # 2. commit completed timesteps. A timestep is queued at its
         # earliest completion and evaluated when that comes; one whose
@@ -400,9 +416,11 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
                 continue
             t, start_cycle, *_rest = core.computing
             kind = "rollback" if t <= core.frontier else "compute"
-            for pkt in core.finish(cycle):
+            spikes = core.finish(cycle)
+            notices = protocol.after_finish(core, spikes)
+            for pkt in spikes:
                 mesh.inject(pkt)
-            for pkt in protocol.after_finish(core):
+            for pkt in notices:
                 mesh.inject(pkt)
             if cfg.trace:
                 trace_rows.append((start_cycle, cycle, cid, t, kind))

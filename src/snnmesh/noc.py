@@ -4,10 +4,10 @@ control.
 
 Every packet, spike or START/FINISH notification, rides the VC its flow's
 cells hash to (``flow_vc``), so a (source, destination) flow keeps one VC
-along its one XY path and arrives in injection order: a FINISH reaches its
-destination after every spike its source injected to that destination
-before it. XY routing has no cyclic channel dependency, so no VC is set
-aside for control packets.
+along its one XY path and arrives in injection order: a FINISH, whether its
+own packet or flagged on a spike, reaches its destination after every spike
+its source injected to that destination before it. XY routing has no cyclic
+channel dependency, so no VC is set aside for control packets.
 
 Credits: a router holds, per output link and VC, one credit per free slot of
 the FIFO that the link's VC fills on the next router, ``fifo_depth`` at the
@@ -66,6 +66,9 @@ class SpikePacket:
     synapse_id: int
     delay: int
     anti: bool = False  # speculative-mode cancellation of an earlier spike
+    # depasync: the last spike its source sends this destination for the
+    # timestep also carries the source's FINISH of it
+    finish: bool = False
     kind: str = field(default=SPIKE, init=False)
 
 

@@ -252,7 +252,7 @@ def test_run_defaults_to_the_program_grid(tmp_path):
     assert code == EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["config"]["grid"] == [2, 2]
-    assert doc["total_cycles"] == 1720
+    assert doc["total_cycles"] == 1669
 
 
 _ENTRY = ("cores", 0, "fanout", "0", 0)

@@ -30,10 +30,6 @@ def admits(core, m):
     return DependencyDriven(SimConfig(m=m), t_max=100).admits(core)
 
 
-def dep(src, dst, flag, t):
-    return DepPacket(src_core=src, dst_core=dst, timestep=t, flag=flag)
-
-
 class TestAdvanceCondition:
     """``DependencyDriven.admits``: may the core begin timestep t_cur + 1?"""
 
@@ -80,26 +76,26 @@ class TestDependencyTables:
     def test_finish_updates_pre_table(self):
         core = bare_core(pre=(1, 2))
         core.pre_finish[2] = 2
-        core.on_dep(dep(1, 0, FLAG_FINISH, 1))
+        core.on_dep(1, FLAG_FINISH, 1)
         assert core.pre_finish == {1: 1, 2: 2}
 
     def test_stale_update_is_ignored(self):
         core = bare_core(pre=(1,))
         core.pre_finish[1] = 1
-        core.on_dep(dep(1, 0, FLAG_FINISH, 0))
+        core.on_dep(1, FLAG_FINISH, 0)
         assert core.pre_finish == {1: 1}
 
     def test_start_updates_post_table(self):
         core = bare_core(post=(1, 2))
         core.post_start.update({1: 1, 2: 1})
-        core.on_dep(dep(2, 0, FLAG_START, 2))
+        core.on_dep(2, FLAG_START, 2)
         assert core.post_start == {1: 1, 2: 2}
 
     def test_tables_never_decrease(self):
         core = bare_core(pre=(1,), post=(2,))
         hi = -1
         for t in [3, 1, 4, 2, 7, 5]:
-            core.on_dep(dep(1, 0, FLAG_FINISH, t))
+            core.on_dep(1, FLAG_FINISH, t)
             hi = max(hi, t)
             assert core.pre_finish[1] == hi
 
@@ -109,7 +105,7 @@ class TestDependencyTables:
         for src, flag in [(5, FLAG_FINISH), (2, FLAG_FINISH),
                           (5, FLAG_START), (1, FLAG_START)]:
             with pytest.raises(ProtocolFault):
-                core.on_dep(dep(src, 0, flag, 0))
+                core.on_dep(src, flag, 0)
         assert core.pre_finish == {1: -1} and core.post_start == {2: 0}
 
 
@@ -219,21 +215,37 @@ class TestPacketEmission:
             assert p.flag == FLAG_START
             assert p.timestep == 0
             assert p.src_core == 3
-            cores[p.dst_core].on_dep(p)  # the sender is a post-dependency there
+            # the sender is a post-dependency there
+            cores[p.dst_core].on_dep(p.src_core, p.flag, p.timestep)
             assert cores[p.dst_core].post_start[3] == 0
         assert cores[3].counters["scheduler_events"] == 2
 
     def test_finish_notifications_go_to_post_dependencies(self):
         cores, protocol = self._cores()
         cores[1].begin(cycle=0)
-        assert all(p.kind == SPIKE for p in cores[1].finish(cycle=10))
-        finishes = protocol.after_finish(cores[1])
+        spikes = cores[1].finish(cycle=10)
+        assert spikes == []  # nothing fires at t=0, so the FINISH is a packet
+        finishes = protocol.after_finish(cores[1], spikes)
         assert [p.dst_core for p in finishes] == list(cores[1].image.post) == [3]
         assert finishes[0].flag == FLAG_FINISH
         assert finishes[0].src_core == 1
         assert finishes[0].timestep == 0
-        cores[3].on_dep(finishes[0])
+        cores[3].on_dep(1, FLAG_FINISH, 0)
         assert cores[3].pre_finish == {1: 0, 2: -1}
+
+    def test_finish_rides_the_last_spike_to_each_destination(self):
+        # post-dependencies 1, 2 and 3; the spikes of t=5 go to 1 and 2 only
+        core = bare_core(post=(1, 2, 3))
+        core.t_cur = 5
+        spikes = [SpikePacket(0, dst, 5, syn, 1)
+                  for syn, dst in enumerate([1, 2, 1, 1, 2])]
+        finishes = DependencyDriven(SimConfig(), t_max=100).after_finish(
+            core, spikes)
+        assert [p.finish for p in spikes] == [False, False, False, True, True]
+        assert [(p.src_core, p.dst_core, p.flag, p.timestep)
+                for p in finishes] == [(0, 3, FLAG_FINISH, 5)]
+        # one scheduler event per post-dependency, carried or not
+        assert core.counters["scheduler_events"] == 3
 
     def test_core_without_dependencies_emits_nothing(self):
         cores, protocol = self._cores()
@@ -242,7 +254,7 @@ class TestPacketEmission:
         # the sink core has no post-dependencies and nothing fires at t=0
         cores[3].begin(cycle=0)
         assert cores[3].finish(cycle=10) == []
-        assert protocol.after_finish(cores[3]) == []
+        assert protocol.after_finish(cores[3], []) == []
 
     def test_one_spike_packet_per_remote_fanout_synapse(self):
         from snnmesh.compiler import compile_network
