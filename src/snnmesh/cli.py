@@ -92,17 +92,31 @@ def _config_keys(doc) -> dict:
     return doc
 
 
-def build_config(args, defaults: dict | None = None) -> SimConfig:
+def _flag(key: str) -> str:
+    """The flag that sets config key ``key``."""
+    return {"n_vc": "--vc", "P": "--period"}.get(key, "--" + key.replace("_", "-"))
+
+
+def build_config(args, defaults: dict | None = None,
+                 fixed: dict[str, str] | None = None) -> SimConfig:
     """Defaults, then config file, then environment, then CLI flags. Each
-    config flag's dest is its config key; an unset flag is None."""
-    doc: dict = dict(defaults or {})
+    config flag's dest is its config key; an unset flag is None. ``fixed``
+    maps each key the command sets itself to why; a source that sets one
+    would be ignored, so it is refused, by name."""
+    sources = []  # (name of the source that sets a key, its keys)
     if getattr(args, "config", None):
-        doc.update(load_document(args.config, None, _config_keys, ConfigError,
-                                 "config"))
-    doc.update(env_overrides())
-    for key in SimConfig.__dataclass_fields__:
-        if getattr(args, key, None) is not None:
-            doc[key] = getattr(args, key)
+        sources.append((lambda _key: args.config, load_document(
+            args.config, None, _config_keys, ConfigError, "config")))
+    sources.append((lambda key: ENV_PREFIX + key.upper(), env_overrides()))
+    sources.append((_flag, {key: getattr(args, key)
+                            for key in SimConfig.__dataclass_fields__
+                            if getattr(args, key, None) is not None}))
+    doc: dict = dict(defaults or {})
+    for name, keys in sources:
+        for key, why in (fixed or {}).items():
+            if key in keys:
+                raise ConfigError(f"{key} set by {name(key)} is not read: {why}")
+        doc.update(keys)
     return SimConfig.from_dict(doc)
 
 
@@ -217,8 +231,8 @@ def verify_workload(net, base_cfg: SimConfig):
 
 
 def cmd_verify(args) -> int:
+    cfg = build_config(args, fixed={"mode": "verify runs every mode"})
     net = load_workload(args.workload)
-    cfg = build_config(args)
     ok, details = verify_workload(net, cfg)
     for mode, info in details["modes"].items():
         status = "ok" if info["match"] else f"MISMATCH at {info['first_divergence']}"
@@ -295,20 +309,31 @@ def _axis_values(axis: str, raw: str):
     return raw.split(",")
 
 
-def build_sweep_tasks(args, base_cfg: SimConfig):
+def build_sweep_tasks(args):
     """The programs and runs of a sweep: returns (programs, tasks), a task
     being a (program index, config, row columns) triple, one per row, that
     is per (axis value, mode, seed). Each distinct program is compiled once.
 
-    The seed is an input only of the ``rate`` and ``exchange`` axes, which
-    regenerate the workload or exchange neurons; on any other axis a second
-    seed would repeat the first one's runs, so it is refused."""
+    An input the axis does not read is refused: the seed is an input only
+    of the ``rate`` and ``exchange`` axes, which regenerate the workload or
+    exchange neurons, so on any other axis a second seed would repeat the
+    first one's runs; the ``rate`` axis alone reads ``--neurons`` and
+    ``--synapses`` and does not read ``--workload``; and an axis that sets
+    the mapping, a config key or the mode ignores any other setting of it."""
     axis, eq, raw = args.axis.partition("=")
     if axis not in _AXES or not eq:
         raise ConfigError(f"sweep axis must look like <axis>=v1,v2 with <axis> "
                           f"one of {_AXES}, got {args.axis!r}")
     if args.jobs < 1:
         raise ConfigError(f"sweep jobs must be >= 1, got {args.jobs}")
+    for flag, read in (("neurons", axis == "rate"), ("synapses", axis == "rate"),
+                       ("workload", axis != "rate"), ("mapping", axis != "mapping")):
+        if getattr(args, flag) is not None and not read:
+            raise ConfigError(f"--{flag} is not read by the {axis} axis")
+    fixed = {"mode": "sweep runs the modes of --modes or of the mode axis"}
+    if axis in ("m", "vc", "grid"):
+        fixed[_CONFIG_AXES.get(axis, axis)] = f"the {axis} axis sets it"
+    base_cfg = build_config(args, fixed=fixed)
     values = _axis_values(axis, raw)
     seeds = _numbers(int, args.seeds, "sweep seeds")
     seeded = axis in ("exchange", "rate")
@@ -336,7 +361,7 @@ def build_sweep_tasks(args, base_cfg: SimConfig):
     for value in values:
         for seed in seeds:
             point_grid = parse_value("grid", value) if axis == "grid" else grid
-            mapping = value if axis == "mapping" else args.mapping
+            mapping = value if axis == "mapping" else args.mapping or "plain"
             prog_key = (point_grid, mapping, *((value, seed) if seeded else ()))
             if prog_key not in index_of:
                 net = base_net
@@ -372,7 +397,7 @@ def build_sweep_tasks(args, base_cfg: SimConfig):
 
 def cmd_sweep(args) -> int:
     _check_outputs(args.out)
-    programs, tasks = build_sweep_tasks(args, build_config(args))
+    programs, tasks = build_sweep_tasks(args)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker,
                                  initargs=(programs,)) as pool:
@@ -558,15 +583,16 @@ def make_parser() -> argparse.ArgumentParser:
 
     # flags match exactly: --mode or --seed must not read as --modes or --seeds
     s = sub.add_parser("sweep", help="run an experiment sweep", allow_abbrev=False)
-    s.add_argument("--workload")
+    s.add_argument("--workload", help="every axis but rate")
     s.add_argument("--axis", required=True, help="e.g. m=2,4,8,16")
     s.add_argument("--modes", help="default: every mode; not with the mode axis")
     s.add_argument("--seeds", default="0", help="comma-separated distinct seeds; "
                    "more than one only on the rate and exchange axes")
     s.add_argument("--jobs", type=int, default=1)
-    s.add_argument("--mapping", choices=["plain", "hilbert"], default="plain")
-    s.add_argument("--neurons", type=int, help="for rate sweeps")
-    s.add_argument("--synapses", type=int, help="for rate sweeps")
+    s.add_argument("--mapping", choices=["plain", "hilbert"],
+                   help="default plain; not with the mapping axis")
+    s.add_argument("--neurons", type=int, help="rate axis only")
+    s.add_argument("--synapses", type=int, help="rate axis only")
     s.add_argument("--out", required=True)
     _add_config_flags(s)
     s.set_defaults(func=cmd_sweep)

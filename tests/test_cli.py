@@ -725,7 +725,19 @@ def test_sweep_exchange_outside_unit_interval_fails_as_compile_does(
     (["verify", "--mode", "se"], 2, "--mode"),
     (["sweep", "--axis", "m=2", "--mode", "sync"], 2, "--mode"),
     (["sweep", "--axis", "m=2", "--reps", "2"], 2, "--reps"),
-], ids=["seeds-on-m", "modes-on-mode", "verify-mode", "sweep-mode", "sweep-reps"])
+    (["sweep", "--axis", "m=2", "--neurons", "5"], EXIT_BAD_INPUT, "--neurons"),
+    (["sweep", "--axis", "m=2", "--synapses", "3"], EXIT_BAD_INPUT, "--synapses"),
+    # the harness below adds --workload and --grid to every command
+    (["sweep", "--axis", "rate=0.5", "--neurons", "10", "--synapses", "5"],
+     EXIT_BAD_INPUT, "--workload"),
+    (["sweep", "--axis", "mapping=plain,hilbert", "--mapping", "hilbert"],
+     EXIT_BAD_INPUT, "--mapping"),
+    (["sweep", "--axis", "grid=2x2,3x2"], EXIT_BAD_INPUT, "set by --grid"),
+    (["sweep", "--axis", "m=2", "--m", "8"], EXIT_BAD_INPUT, "set by --m"),
+    (["sweep", "--axis", "vc=2", "--vc", "4"], EXIT_BAD_INPUT, "set by --vc"),
+], ids=["seeds-on-m", "modes-on-mode", "verify-mode", "sweep-mode", "sweep-reps",
+        "neurons-on-m", "synapses-on-m", "workload-on-rate", "mapping-on-mapping",
+        "grid-on-grid", "m-on-m", "vc-on-vc"])
 def test_command_refuses_an_input_it_would_not_read(tmp_path, capsys, monkeypatch,
                                                     argv, code, flag):
     def never(*_a, **_k):
@@ -751,6 +763,49 @@ def test_command_refuses_an_input_it_would_not_read(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["config", "env"])
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_a_command_that_runs_every_mode_refuses_a_set_mode(tmp_path, capsys,
+                                                           monkeypatch, command,
+                                                           source):
+    def never(*_a, **_k):
+        raise AssertionError("compiled or ran with a mode it does not read")
+
+    monkeypatch.setattr(cli, "compile_network", never)
+    monkeypatch.setattr(cli, "run", never)
+    out = tmp_path / "r.csv"
+    argv = [command, "--workload", str(FIXTURES / "tiny_workload.json"),
+            "--grid", "2x2"]
+    if command == "sweep":
+        argv += ["--axis", "m=2", "--out", str(out)]
+    if source == "config":
+        named = tmp_path / "c.json"
+        named.write_text(json.dumps({"mode": "se"}))
+        argv += ["--config", str(named)]
+    else:
+        named = "SNNMESH_MODE"
+        monkeypatch.setenv(named, "se")
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith(f"snnmesh: error[bad-input] mode set by {named} ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_reads_the_mode_from_config_and_environment(tmp_path, monkeypatch):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"mode": "se"}))
+    out = tmp_path / "r.json"
+    argv = ["run", "--program", str(FIXTURES / "tiny_program.json"),
+            "--out", str(out)]
+    assert main(argv + ["--config", str(config)]) == EXIT_OK
+    assert json.loads(out.read_text())["mode"] == "se"
+    monkeypatch.setenv("SNNMESH_MODE", "sync")
+    assert main(argv + ["--config", str(config)]) == EXIT_OK
+    assert json.loads(out.read_text())["mode"] == "sync"
+
+
 def test_sweep_parallel_jobs_match_serial(tmp_path):
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
@@ -758,8 +813,9 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
     # two programs, so tasks name programs by index
     for axis, modes in (("vc=2,4", "depasync"), ("m=2,3,4", "sync,se,depasync"),
                         ("grid=2x2,3x2", "sync,se,depasync")):
+        grid = [] if axis.startswith("grid=") else ["--grid", "2x2"]
         base = ["sweep", "--workload", str(FIXTURES / "tiny_workload.json"),
-                "--axis", axis, "--modes", modes, "--grid", "2x2"]
+                "--axis", axis, "--modes", modes, *grid]
         assert main(base + ["--out", str(serial)]) == EXIT_OK
         assert main(base + ["--jobs", "2", "--out", str(parallel)]) == EXIT_OK
         assert serial.read_text() == parallel.read_text(), axis
