@@ -13,7 +13,7 @@ from snnmesh.core import (
     input_sum,
 )
 from snnmesh.engine import DependencyDriven, SimConfig, Speculative
-from snnmesh.noc import DEP, FLAG_FINISH, FLAG_START, SPIKE, DepPacket, SpikePacket
+from snnmesh.noc import DEP, FLAG_FINISH, FLAG_START, SPIKE, SpikePacket
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -230,7 +230,7 @@ class TestPacketEmission:
         assert finishes[0].flag == FLAG_FINISH
         assert finishes[0].src_core == 1
         assert finishes[0].timestep == 0
-        cores[3].on_dep(1, FLAG_FINISH, 0)
+        cores[3].on_dep(finishes[0].src_core, finishes[0].flag, 0)
         assert cores[3].pre_finish == {1: 0, 2: -1}
 
     def test_finish_rides_the_last_spike_to_each_destination(self):
