@@ -810,12 +810,15 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
     # one program under two configs; one program under every (m, mode);
-    # two programs, so tasks name programs by index
-    for axis, modes in (("vc=2,4", "depasync"), ("m=2,3,4", "sync,se,depasync"),
-                        ("grid=2x2,3x2", "sync,se,depasync")):
-        grid = [] if axis.startswith("grid=") else ["--grid", "2x2"]
+    # two programs, so tasks name programs by index; a program per (value,
+    # seed)
+    for axis, modes, flags in (
+            ("vc=2,4", "depasync", ["--grid", "2x2"]),
+            ("m=2,3,4", "sync,se,depasync", ["--grid", "2x2"]),
+            ("grid=2x2,3x2", "sync,se,depasync", []),
+            ("exchange=0,0.5", "sync,depasync", ["--grid", "2x2", "--seeds", "0,1"])):
         base = ["sweep", "--workload", str(FIXTURES / "tiny_workload.json"),
-                "--axis", axis, "--modes", modes, *grid]
+                "--axis", axis, "--modes", modes, *flags]
         assert main(base + ["--out", str(serial)]) == EXIT_OK
         assert main(base + ["--jobs", "2", "--out", str(parallel)]) == EXIT_OK
         assert serial.read_text() == parallel.read_text(), axis
@@ -1133,3 +1136,40 @@ def test_summarize_results_harmonic_mean():
     cell = summary["m|2|depasync"]
     # harmonic mean of speedups 2 and 4 = 2 / (1/2 + 1/4) = 2.667
     assert abs(cell["harmonic_speedup"] - 8 / 3) < 1e-9
+
+
+def _result(axis, value, mode, seed, cycles, busy, wait, rollback, energy):
+    """A results row as ``report`` reads it: value and seed coerced, every
+    measure still text."""
+    return {"axis": axis, "value": value, "mode": mode, "seed": seed,
+            "total_cycles": str(cycles), "busy": str(busy), "wait": str(wait),
+            "rollback_cycles": str(rollback), "energy_total": str(energy)}
+
+
+def test_summarize_results_states_every_field_of_every_cell():
+    rows = [
+        _result("m", 2, "sync", 0, 100, 60, 40, 0, 1000.0),
+        _result("m", 2, "depasync", 0, 50, 40, 10, 0, 500.0),
+        _result("m", 4, "se", 0, 80, 50, 25, 25, 900.0),  # m=4 has no sync row
+        _result("mode", "sync", "sync", 0, 100, 100, 0, 0, 1000.0),
+        _result("mode", "se", "se", 0, 25, 20, 0, 5, 250.0),
+        _result("m", 2, "sync", 1, 200, 150, 50, 0, 2000.0),
+        _result("m", 2, "depasync", 1, 50, 50, 0, 0, 1000.0),
+        _result("m", 4, "se", 1, 120, 60, 15, 75, 1100.0),
+        _result("mode", "depasync", "depasync", 0, 50, 50, 0, 0, 2000.0),
+    ]
+    # in the order of their keys' text, where "mode|" sorts before "m|"
+    cells = [
+        ("mode|depasync|depasync", "mode", "depasync", "depasync", 1, 50.0,
+         2.0, 0.5, 0.0),
+        ("mode|se|se", "mode", "se", "se", 1, 25.0, 4.0, 4.0, 0.2),
+        ("mode|sync|sync", "mode", "sync", "sync", 1, 100.0, 0.0, 0.0, 0.0),
+        ("m|2|depasync", "m", 2, "depasync", 2, 50.0, 2 / (1 / 2 + 1 / 4), 2.0, 0.0),
+        ("m|2|sync", "m", 2, "sync", 2, 150.0, 0.0, 0.0, 0.0),
+        ("m|4|se", "m", 4, "se", 2, 100.0, 0.0, 0.0, (0.25 + 0.5) / 2),
+    ]
+    fields = ("axis", "value", "mode", "runs", "mean_cycles", "harmonic_speedup",
+              "harmonic_energy_efficiency", "mean_rollback_share")
+    want = [(key, list(zip(fields, cell))) for key, *cell in cells]
+    got = [(key, list(cell.items())) for key, cell in summarize_results(rows).items()]
+    assert got == want
