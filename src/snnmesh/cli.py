@@ -202,8 +202,9 @@ def cmd_run(args) -> int:
 def verify_workload(net, base_cfg: SimConfig):
     """Compile ``net`` onto ``base_cfg.grid`` (plain mapping), run the
     reference interpreter and every mode; returns (ok, details dict), whose
-    ``reports`` holds each mode's report. The workhorse behind
-    ``snnmesh verify``."""
+    ``reports`` holds each mode's report. A mode fails on its raster's first
+    divergence, else on any violation; its ``failure`` says which, and is
+    None for a mode that passes. The workhorse behind ``snnmesh verify``."""
     ref = reference_run(net)
     if base_cfg.t_max is not None and base_cfg.t_max < net.t_max:
         # an overridden horizon truncates the comparison on both sides
@@ -211,40 +212,38 @@ def verify_workload(net, base_cfg: SimConfig):
         ref = SpikeRaster([(n, t) for n, t in ref if t < horizon], t_max=net.t_max)
     prog = compile_network(net, base_cfg.grid)
     details = {"reference_spikes": len(ref), "modes": {}, "reports": {}}
-    ok = True
     for mode in PROTOCOLS:
         cfg = SimConfig.from_dict({**base_cfg.to_dict(), "mode": mode})
         rep = run(prog, cfg)
         got = SpikeRaster(rep.raster, t_max=net.t_max)
         divergence = ref.first_divergence(got)
+        failure = (f"raster diverges at (neuron, timestep)={divergence}"
+                   if divergence is not None else
+                   f"{rep.violations} violations: receptions outside the buffer window"
+                   if rep.violations else None)
         details["modes"][mode] = {
             "total_cycles": rep.total_cycles,
             "spikes": len(rep.raster),
             "violations": rep.violations,
             "match": divergence is None,
             "first_divergence": divergence,
+            "failure": failure,
         }
         details["reports"][mode] = rep
-        if divergence is not None or rep.violations:
-            ok = False
-    return ok, details
+    return all(info["failure"] is None for info in details["modes"].values()), details
 
 
 def cmd_verify(args) -> int:
     cfg = build_config(args, fixed={"mode": "verify runs every mode"})
     net = load_workload(args.workload)
-    ok, details = verify_workload(net, cfg)
+    _ok, details = verify_workload(net, cfg)
     for mode, info in details["modes"].items():
-        status = "ok" if info["match"] else f"MISMATCH at {info['first_divergence']}"
         print(f"{mode}: cycles={info['total_cycles']} spikes={info['spikes']} "
-              f"{status}")
-    if not ok:
-        first = next(info["first_divergence"]
-                     for info in details["modes"].values()
-                     if info["first_divergence"] is not None)
-        return _fail("verify-mismatch",
-                     f"raster diverges at (neuron, timestep)={tuple(first)}",
-                     EXIT_VERIFY_MISMATCH)
+              f"{info['failure'] or 'ok'}")
+    failures = [f"{mode}: {info['failure']}"
+                for mode, info in details["modes"].items() if info["failure"]]
+    if failures:
+        return _fail("verify-mismatch", failures[0], EXIT_VERIFY_MISMATCH)
     print("all modes match the reference raster")
     return EXIT_OK
 
@@ -252,13 +251,8 @@ def cmd_verify(args) -> int:
 # -- sweep -------------------------------------------------------------------
 
 _AXES = ("m", "vc", "mode", "mapping", "grid", "exchange", "rate")
-_CONFIG_AXES = {"m": "m", "vc": "n_vc", "mode": "mode"}  # axis -> config key
-
-_RESULT_FIELDS = [
-    "axis", "value", "mode", "seed", "total_cycles", "busy", "wait",
-    "rollback_cycles", "rollbacks", "energy_total", "neuron_updates",
-    "noc_hops", "blocked_spike", "spikes", "raster_sha256",
-]
+_CONFIG_AXES = {"m": "m", "vc": "n_vc", "mode": "mode", "grid": "grid"}  # axis -> key
+_PROGRAM_AXES = ("mapping", "grid", "exchange", "rate")  # a program per (value, seed)
 
 
 def _raster_hash(raster) -> str:
@@ -312,7 +306,8 @@ def _axis_values(axis: str, raw: str):
 def build_sweep_tasks(args):
     """The programs and runs of a sweep: returns (programs, tasks), a task
     being a (program index, config, row columns) triple, one per row, that
-    is per (axis value, mode, seed). Each distinct program is compiled once.
+    is per (axis value, mode, seed). An axis in ``_PROGRAM_AXES`` compiles a
+    program per (value, seed); any other axis compiles one for every row.
 
     An input the axis does not read is refused: the seed is an input only
     of the ``rate`` and ``exchange`` axes, which regenerate the workload or
@@ -330,14 +325,17 @@ def build_sweep_tasks(args):
                        ("workload", axis != "rate"), ("mapping", axis != "mapping")):
         if getattr(args, flag) is not None and not read:
             raise ConfigError(f"--{flag} is not read by the {axis} axis")
+    if axis == "rate" and (args.neurons is None or args.synapses is None):
+        raise ConfigError("rate sweeps need --neurons and --synapses to regenerate")
+    if axis != "rate" and args.workload is None:
+        raise ConfigError("sweep needs --workload (or a rate axis)")
     fixed = {"mode": "sweep runs the modes of --modes or of the mode axis"}
-    if axis in ("m", "vc", "grid"):
-        fixed[_CONFIG_AXES.get(axis, axis)] = f"the {axis} axis sets it"
+    if axis in _CONFIG_AXES:
+        fixed.setdefault(_CONFIG_AXES[axis], f"the {axis} axis sets it")
     base_cfg = build_config(args, fixed=fixed)
     values = _axis_values(axis, raw)
     seeds = _numbers(int, args.seeds, "sweep seeds")
-    seeded = axis in ("exchange", "rate")
-    if len(seeds) > 1 and not seeded:
+    if len(seeds) > 1 and axis not in ("exchange", "rate"):
         raise ConfigError(f"--seeds lists {len(seeds)} seeds, but only the rate "
                           f"and exchange axes read a seed, not {axis}")
     if axis == "mode":
@@ -352,46 +350,36 @@ def build_sweep_tasks(args):
         if len(set(items)) != len(items):
             raise ConfigError(f"sweep {what} must be distinct")
 
-    base_net = load_workload(args.workload) if args.workload else None
-    grid = base_cfg.grid
-
-    programs: list = []  # each distinct program once
-    index_of: dict = {}  # (grid, mapping, seeded value, seed) -> index into programs
+    net = None if axis == "rate" else load_workload(args.workload)
+    programs: list = []
     tasks = []
-    for value in values:
+    # the value column holds a grid as written, and any other value parsed
+    for text, value in zip(raw.split(","), values):
+        cfg_doc = base_cfg.to_dict()
+        if axis in _CONFIG_AXES:
+            cfg_doc[_CONFIG_AXES[axis]] = value
+        grid = tuple(cfg_doc["grid"])
         for seed in seeds:
-            point_grid = parse_value("grid", value) if axis == "grid" else grid
-            mapping = value if axis == "mapping" else args.mapping or "plain"
-            prog_key = (point_grid, mapping, *((value, seed) if seeded else ()))
-            if prog_key not in index_of:
-                net = base_net
+            if axis in _PROGRAM_AXES or not programs:
                 if axis == "rate":
-                    if args.neurons is None or args.synapses is None:
-                        raise ConfigError(
-                            "rate sweeps need --neurons and --synapses to regenerate"
-                        )
                     horizon = {} if base_cfg.t_max is None else {"t_max": base_cfg.t_max}
                     net = gen_synthetic(args.neurons, args.synapses,
                                         rate_knobs=rate_knobs_for_level(value),
                                         seed=seed, **horizon)
-                if net is None:
-                    raise ConfigError("sweep needs --workload (or a rate axis)")
                 assignment = None
                 if axis == "exchange" and value:
                     assignment = exchanged_assignment(
-                        net, point_grid[0] * point_grid[1], value, seed=seed)
-                index_of[prog_key] = len(programs)
+                        net, grid[0] * grid[1], value, seed=seed)
                 programs.append(compile_network(
-                    net, point_grid, mapping=mapping, assignment=assignment))
-            cfg_doc = {**base_cfg.to_dict(), "grid": list(point_grid)}
-            if axis in _CONFIG_AXES:
-                cfg_doc[_CONFIG_AXES[axis]] = value
+                    net, grid, mapping=value if axis == "mapping"
+                    else args.mapping or "plain", assignment=assignment))
             for mode in modes:
                 if mode is not None:
                     cfg_doc["mode"] = mode
                 cfg = SimConfig.from_dict(cfg_doc)
-                tasks.append((index_of[prog_key], cfg, {
-                    "axis": axis, "value": value, "mode": cfg.mode, "seed": seed}))
+                tasks.append((len(programs) - 1, cfg, {
+                    "axis": axis, "value": text if axis == "grid" else value,
+                    "mode": cfg.mode, "seed": seed}))
     return programs, tasks
 
 
@@ -405,7 +393,7 @@ def cmd_sweep(args) -> int:
     else:
         rows = [_run_task(t, programs) for t in tasks]
     with atomic_open(args.out, newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=_RESULT_FIELDS)
+        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {args.out}: {len(rows)} rows")
@@ -431,38 +419,28 @@ def summarize_results(rows: list[dict]) -> dict:
     """Per (axis value, mode): harmonic-mean speedup and energy efficiency
     against the barrier baseline (``_baseline_key``)."""
     baseline = {_baseline_key(r): r for r in rows if r["mode"] == "sync"}
-    summary: dict = {}
+    cells: dict = {}  # "axis|value|mode" -> its rows
     for r in rows:
-        key = (r["axis"], str(r["value"]), r["mode"])
-        base = baseline.get(_baseline_key(r))
-        cell = summary.setdefault(
-            "|".join(key),
-            {"axis": r["axis"], "value": r["value"], "mode": r["mode"],
-             "runs": 0, "total_cycles": [], "speedup": [],
-             "energy_efficiency": [], "rollback_share": []},
-        )
-        cell["runs"] += 1
-        cell["total_cycles"].append(int(r["total_cycles"]))
-        total = int(r["total_cycles"]) * 1.0
-        cell["rollback_share"].append(
-            float(r["rollback_cycles"]) / max(1.0, float(r["busy"])
-                                              + float(r["wait"])
-                                              + float(r["rollback_cycles"]))
-        )
-        if base is not None and base is not r:
-            cell["speedup"].append(float(base["total_cycles"]) / max(1.0, total))
-            cell["energy_efficiency"].append(
-                float(base["energy_total"]) / max(1e-12, float(r["energy_total"]))
-            )
+        cells.setdefault("|".join((r["axis"], str(r["value"]), r["mode"])), []).append(r)
     out = {}
-    for key, cell in sorted(summary.items()):
+    for key, cell in sorted(cells.items()):
+        # (baseline, row) for each row with a baseline other than itself
+        pairs = [(baseline[k], r) for r in cell
+                 if (k := _baseline_key(r)) in baseline and baseline[k] is not r]
         out[key] = {
-            "axis": cell["axis"], "value": cell["value"], "mode": cell["mode"],
-            "runs": cell["runs"],
-            "mean_cycles": sum(cell["total_cycles"]) / cell["runs"],
-            "harmonic_speedup": _harmonic_mean(cell["speedup"]),
-            "harmonic_energy_efficiency": _harmonic_mean(cell["energy_efficiency"]),
-            "mean_rollback_share": sum(cell["rollback_share"]) / cell["runs"],
+            "axis": cell[0]["axis"], "value": cell[0]["value"], "mode": cell[0]["mode"],
+            "runs": len(cell),
+            "mean_cycles": sum(int(r["total_cycles"]) for r in cell) / len(cell),
+            "harmonic_speedup": _harmonic_mean(
+                [float(base["total_cycles"]) / max(1.0, int(r["total_cycles"]))
+                 for base, r in pairs]),
+            "harmonic_energy_efficiency": _harmonic_mean(
+                [float(base["energy_total"]) / max(1e-12, float(r["energy_total"]))
+                 for base, r in pairs]),
+            "mean_rollback_share": sum(
+                float(r["rollback_cycles"]) / max(1.0, float(r["busy"]) + float(r["wait"])
+                                                  + float(r["rollback_cycles"]))
+                for r in cell) / len(cell),
         }
     return out
 

@@ -260,8 +260,11 @@ def partition(
     return cores
 
 
-def extract_deps(cores: list[LogicCore], capacity: Capacity = Capacity()) -> DepGraph:
-    """Dependency edge A -> B iff some synapse crosses from A to B (A != B)."""
+def extract_deps(cores: list[LogicCore],
+                 capacity: Capacity | None = Capacity()) -> DepGraph:
+    """Dependency edge A -> B iff some synapse crosses from A to B (A != B).
+    With ``capacity`` None no table limit applies: a loaded program was held
+    to the limit it was compiled under, which its file does not record."""
     n = len(cores)
     out_sets: list[set[int]] = [set() for _ in range(n)]
     for c in cores:
@@ -275,13 +278,14 @@ def extract_deps(cores: list[LogicCore], capacity: Capacity = Capacity()) -> Dep
         for b in post[a]:
             pre[b].append(a)
     pre = [sorted(p) for p in pre]
-    for c in range(n):
-        total = len(pre[c]) + len(post[c])
-        if total > capacity.max_deps:
-            raise CompileError(
-                f"core {c} has {total} dependencies, hardware table holds "
-                f"{capacity.max_deps}"
-            )
+    if capacity is not None:
+        for c in range(n):
+            total = len(pre[c]) + len(post[c])
+            if total > capacity.max_deps:
+                raise CompileError(
+                    f"core {c} has {total} dependencies, hardware table holds "
+                    f"{capacity.max_deps}"
+                )
     return DepGraph(pre=pre, post=post)
 
 
@@ -499,8 +503,8 @@ _PROGRAM_HOOK = record_hook(FANOUT, IN_SYNAPSE, NEURON, INPUT)
 
 def _program(doc: dict) -> CompiledProgram:
     """The program of a parsed document. The document is checked, then the
-    dependency graph is derived from the fanout. Older files also carry
-    ``dep_graph`` and a fanout ``weight``; neither key is read."""
+    dependency graph is derived from the fanout, with no table limit. Older
+    files also carry ``dep_graph`` and a fanout ``weight``, both unread."""
     cores = []
     for cd in doc["cores"]:
         fanout = cd["fanout"]
@@ -520,7 +524,7 @@ def _program(doc: dict) -> CompiledProgram:
     _check_program(cores, placement, grid, len(neurons),
                    inputs, doc["t_max"], doc["max_delay"])
     return CompiledProgram(
-        cores=cores, dep_graph=extract_deps(cores), placement=placement,
+        cores=cores, dep_graph=extract_deps(cores, None), placement=placement,
         grid=grid, neurons=neurons, inputs=inputs,
         t_max=doc["t_max"], max_delay=doc["max_delay"],
     )

@@ -474,6 +474,28 @@ def test_compile_capacity_error_exit_code(tmp_path):
     assert code == EXIT_COMPILE
 
 
+def test_program_compiled_under_a_larger_dep_table_loads_and_runs(tmp_path, capsys):
+    # 272 one-neuron cores; neuron 0 sends to and hears from every other one,
+    # so core 0 has 542 dependencies: more than the default table's 512
+    from snnmesh.fixedpoint import fx
+    from snnmesh.model import Network, NeuronParams, Synapse
+
+    n = 17 * 16
+    params = NeuronParams(tau_m=fx(2.0), v_rst=0, g_l=fx(1.0), v_th=fx(1.0))
+    net = Network(
+        neurons=[(params, 0)] * n,
+        synapses=[Synapse(src=a, dst=b, weight=fx(2.0), delay=1)
+                  for k in range(1, n) for a, b in ((0, k), (k, 0))],
+        inputs={0: [(0, fx(4.0))]}, t_max=3, max_delay=1)
+    prog = compiler.compile_network(net, (17, 16), capacity=compiler.Capacity(
+        max_deps=1024), assignment=list(range(n)))
+    path = tmp_path / "p.json"
+    compiler.save_program(prog, path)
+    assert compiler.load_program(path).dep_graph == prog.dep_graph
+    code = main(["run", "--program", str(path), "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_OK, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value, field", [
     ("--max-neurons-per-core", "0", "max_neurons"),
     ("--max-neurons-per-core", "-2", "max_neurons"),
@@ -560,6 +582,34 @@ def test_verify_detects_an_actually_divergent_raster(tmp_path, capsys, monkeypat
     assert code == EXIT_VERIFY_MISMATCH
     err = capsys.readouterr().err
     assert "(neuron, timestep)" in err
+
+
+def test_verify_fails_a_mode_on_violations_alone(tmp_path, capsys, monkeypatch):
+    # with every weight 0 only the input spikes fire, so each raster matches;
+    # an admission rule blind to the consumer window still overruns the
+    # depasync input store, and that alone fails the mode
+    import dataclasses
+
+    from snnmesh.engine import DependencyDriven
+    from snnmesh.model import gen_layered, save_workload
+
+    net = gen_layered([64, 64, 64], fanin=8, seed=3, t_max=40)
+    net.synapses = [dataclasses.replace(s, weight=0) for s in net.synapses]
+    path = tmp_path / "w.json"
+    save_workload(net, path)
+
+    def window_blind(self, core):
+        return all(t >= core.t_cur for t in core.pre_finish.values())
+
+    monkeypatch.setattr(DependencyDriven, "admits", window_blind)
+    code = main(["verify", "--workload", str(path), "--grid", "2x2", "--m", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_VERIFY_MISMATCH
+    lines = dict(line.split(": ", 1) for line in captured.out.splitlines())
+    assert lines["sync"].endswith(" ok") and lines["se"].endswith(" ok")
+    assert lines["depasync"].endswith(" violations: receptions outside the buffer window")
+    assert captured.err.startswith("snnmesh: error[verify-mismatch] depasync: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_verify_with_shortened_horizon(capsys):
@@ -700,6 +750,13 @@ def test_sweep_distinct_seeds_enforced(tmp_path, capsys):
                  "--out", str(tmp_path / "r.csv")])
     assert code == EXIT_BAD_INPUT
     assert "seeds must be distinct" in capsys.readouterr().err
+    # grid values are told apart as grids, not as text: 2X2 is 2x2
+    out = tmp_path / "g.csv"
+    code = main(["sweep", "--workload", str(FIXTURES / "tiny_workload.json"),
+                 "--axis", "grid=2x2,2X2", "--modes", "sync", "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    assert "axis values must be distinct" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "-0.5"])
