@@ -370,9 +370,9 @@ def build_sweep_tasks(args):
                 if axis == "exchange" and value:
                     assignment = exchanged_assignment(
                         net, grid[0] * grid[1], value, seed=seed)
-                programs.append(compile_network(
-                    net, grid, mapping=value if axis == "mapping"
-                    else args.mapping or "plain", assignment=assignment))
+                mapping = value if axis == "mapping" else args.mapping or "plain"
+                programs.append(compile_network(net, grid, mapping=mapping,
+                                                assignment=assignment))
             for mode in modes:
                 if mode is not None:
                     cfg_doc["mode"] = mode
