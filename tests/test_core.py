@@ -264,23 +264,28 @@ class TestPacketEmission:
 
         p = NeuronParams(tau_m=fx(1.0), v_rst=0, g_l=fx(1.0), v_th=fx(16.0))
         # one source neuron with three synapses spread over two other cores
+        # and, between them, one to a second neuron of its own core
         net = Network(
-            neurons=[(p, 0)] * 4,
-            synapses=[Synapse(0, 1, fx(1.0), 1), Synapse(0, 2, fx(1.0), 1),
-                      Synapse(0, 3, fx(1.0), 1)],
+            neurons=[(p, 0)] * 5,
+            synapses=[Synapse(0, 1, fx(1.0), 1), Synapse(0, 4, fx(1.0), 2),
+                      Synapse(0, 2, fx(1.0), 1), Synapse(0, 3, fx(1.0), 1)],
             inputs={0: [(0, fx(20.0))]},
-            t_max=2, max_delay=1,
+            t_max=3, max_delay=2,
         )
-        prog = compile_network(net, (3, 1), assignment=[0, 1, 1, 2])
+        prog = compile_network(net, (3, 1), assignment=[0, 1, 1, 2, 0])
         cfg = SimConfig(grid=(3, 1), mode="depasync", c_update=1, c_spike=1)
-        cores = new_cores(prog, cfg, t_max=2)
+        cores = new_cores(prog, cfg, t_max=3)
         earliest = cores[0].begin(cycle=0)
-        assert earliest == 1 * 1  # the update alone
+        assert earliest == 1 * 2  # the update alone
         cost = cores[0].evaluate()  # completion cycle of a step begun at 0
-        assert cost == 1 * 1 + 1 * 3  # update plus three emitted spikes
+        assert cost == 1 * 2 + 1 * 4  # update plus four emissions
         spikes = cores[0].finish(cycle=cost)
         assert [pk.kind for pk in spikes] == [SPIKE] * 3
         assert sorted(pk.dst_core for pk in spikes) == [1, 1, 2]
+        assert [(pk.dst_core, pk.synapse_id) for pk in spikes] == [(1, 0), (1, 1), (2, 0)]
+        # the local synapse is a reception (local target, weight, sending
+        # timestep) under the timestep that consumes it
+        assert cores[0].inputs.recv == {2: [(1, fx(1.0), 0)]}
 
 
 class TestDeferredEvaluation:
