@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import metrics
 from .atomic import atomic_open
 from .compiler import (
+    MAPPINGS,
     Capacity,
     CompileError,
     compile_network,
@@ -169,7 +170,7 @@ def _compile_from_args(net, args):
     if args.exchange_frac:
         assignment = exchanged_assignment(
             net, args.cores or grid[0] * grid[1], args.exchange_frac,
-            seed=args.exchange_seed, capacity=capacity)
+            seed=args.exchange_seed)
     return compile_network(net, grid, mapping=args.mapping, capacity=capacity,
                            n_cores=args.cores, assignment=assignment)
 
@@ -350,15 +351,24 @@ def build_sweep_tasks(args):
         if len(set(items)) != len(items):
             raise ConfigError(f"sweep {what} must be distinct")
 
+    if axis == "mapping" and not set(values) <= set(MAPPINGS):
+        raise ConfigError(f"sweep mapping values must be among {tuple(MAPPINGS)}, "
+                          f"got {raw!r}")
+    # every row's config, per axis value, is checked before anything loads
+    value_cfgs = []
+    for value in values:
+        cfg_doc = base_cfg.to_dict()
+        if axis in _CONFIG_AXES:
+            cfg_doc[_CONFIG_AXES[axis]] = value
+        value_cfgs.append([SimConfig.from_dict(
+            cfg_doc if mode is None else {**cfg_doc, "mode": mode}) for mode in modes])
+
     net = None if axis == "rate" else load_workload(args.workload)
     programs: list = []
     tasks = []
     # the value column holds a grid as written, and any other value parsed
-    for text, value in zip(raw.split(","), values):
-        cfg_doc = base_cfg.to_dict()
-        if axis in _CONFIG_AXES:
-            cfg_doc[_CONFIG_AXES[axis]] = value
-        grid = tuple(cfg_doc["grid"])
+    for text, value, cfgs in zip(raw.split(","), values, value_cfgs):
+        grid = cfgs[0].grid
         for seed in seeds:
             if axis in _PROGRAM_AXES or not programs:
                 if axis == "rate":
@@ -373,13 +383,9 @@ def build_sweep_tasks(args):
                 mapping = value if axis == "mapping" else args.mapping or "plain"
                 programs.append(compile_network(net, grid, mapping=mapping,
                                                 assignment=assignment))
-            for mode in modes:
-                if mode is not None:
-                    cfg_doc["mode"] = mode
-                cfg = SimConfig.from_dict(cfg_doc)
-                tasks.append((len(programs) - 1, cfg, {
-                    "axis": axis, "value": text if axis == "grid" else value,
-                    "mode": cfg.mode, "seed": seed}))
+            tasks += [(len(programs) - 1, cfg, {
+                "axis": axis, "value": text if axis == "grid" else value,
+                "mode": cfg.mode, "seed": seed}) for cfg in cfgs]
     return programs, tasks
 
 
@@ -533,7 +539,7 @@ def make_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compile", help="compile a workload onto the mesh")
     c.add_argument("--workload", required=True)
     c.add_argument("--grid", default="4x4")
-    c.add_argument("--mapping", choices=["plain", "hilbert"], default="plain")
+    c.add_argument("--mapping", choices=list(MAPPINGS), default="plain")
     c.add_argument("--cores", type=int, help="logic cores (default: all cells)")
     c.add_argument("--max-neurons-per-core", type=int, default=Capacity.max_neurons)
     c.add_argument("--max-synapses-per-core", type=int, default=Capacity.max_synapses)
@@ -567,7 +573,7 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("--seeds", default="0", help="comma-separated distinct seeds; "
                    "more than one only on the rate and exchange axes")
     s.add_argument("--jobs", type=int, default=1)
-    s.add_argument("--mapping", choices=["plain", "hilbert"],
+    s.add_argument("--mapping", choices=list(MAPPINGS),
                    help="default plain; not with the mapping axis")
     s.add_argument("--neurons", type=int, help="rate axis only")
     s.add_argument("--synapses", type=int, help="rate axis only")

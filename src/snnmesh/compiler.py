@@ -1,7 +1,9 @@
 """Compile a Network onto logic cores: partitioning, dependency extraction
 (which cores each core hears from and tells, by core id), and mesh
-placement. A compiled program builds its runtime image, the read-only
-tables every run of it shares, once."""
+placement. A compiled program builds its runtime image once, and every run
+of it shares it: each core's own routing, synapse and dependency tables,
+read in place, and the parameter slices and per-timestep input derived from
+the program."""
 
 from __future__ import annotations
 
@@ -92,82 +94,66 @@ class CompiledProgram:
 
 @dataclass(frozen=True)
 class CoreImage:
-    """One core's tables as the simulator reads them. Fixed by the program,
-    shared by all its runs; the arrays are read-only."""
+    """One core's tables as the simulator reads them, shared by all runs of
+    its program. The routing, synapse and dependency tables are the
+    program's own ``LogicCore`` and ``DepGraph`` objects, not copies; the
+    rest is derived from the program once, and its arrays are read-only."""
 
     cid: int
-    neuron_ids: tuple[int, ...]
-    # per local neuron: tau_m, g_l, v_rst, v_th, initial potential
+    # the program's own tables
+    neuron_ids: list[int]  # LogicCore.neuron_ids
+    fanout: dict[int, list[tuple[int, int, int]]]  # LogicCore.fanout
+    in_synapses: list[tuple[int, int]]  # LogicCore.in_synapses
+    pre: list[int]   # DepGraph.pre row: STARTs go here
+    post: list[int]  # DepGraph.post row: FINISHes go here
+    # derived, per local neuron: tau_m, g_l, v_rst, v_th, initial potential
     tau: np.ndarray
     g: np.ndarray
     vr: np.ndarray
     vth: np.ndarray
     v0: np.ndarray
     lif_bounds: tuple[int, ...] | None  # model.lif_bounds; None if no neurons
-    in_synapses: tuple[tuple[int, int], ...]  # synapse id -> (local target, weight)
-    # per local neuron: ((target_local, weight, delay), ...)
-    fanout_local: tuple[tuple[tuple[int, int, int], ...], ...]
-    # per local neuron: ((dst_core, synapse_id, delay), ...)
-    fanout_remote: tuple[tuple[tuple[int, int, int], ...], ...]
-    # per timestep: (local index array, current array), or None without input
+    # derived, per timestep: (local index array, current array) or None
     external: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
-    # per timestep: (sum of negative currents, sum of positive currents)
+    # derived, per timestep: (sum of negative currents, sum of positive currents)
     external_span: tuple[tuple[int, int], ...]
-    pre: tuple[int, ...]   # pre-dependency core ids: STARTs go here
-    post: tuple[int, ...]  # post-dependency core ids: FINISHes go here
 
 
 def build_image(prog: CompiledProgram) -> tuple[CoreImage, ...]:
-    """Every core's runtime tables: parameter slices, the in-synapse table,
-    local and remote fanout per neuron, external input per timestep and
-    the dependencies."""
+    """Every core's runtime tables: the program's own routing, synapse and
+    dependency tables, and what is derived from it, the parameter slices
+    and the external input per timestep."""
     params = neuron_arrays(prog.neurons)
     graph = prog.dep_graph
     images = []
     for lc in prog.cores:
-        n_local = len(lc.neuron_ids)
         sliced = params[:, lc.neuron_ids]
         sliced.flags.writeable = False  # and with it each row
         tau, g, vr, vth, v0 = sliced
 
-        fan_local = [[] for _ in range(n_local)]
-        fan_remote = [[] for _ in range(n_local)]
-        for local, entries in lc.fanout.items():
-            for dst, syn, delay in entries:
-                if dst == lc.id:
-                    tgt, weight = lc.in_synapses[syn]
-                    fan_local[local].append((tgt, weight, delay))
-                else:
-                    fan_remote[local].append((dst, syn, delay))
-
-        ext: dict[int, list[tuple[int, int]]] = {}
-        for li, nid in enumerate(lc.neuron_ids):
-            for t, cur in prog.inputs.get(nid, ()):
-                ext.setdefault(t, []).append((li, cur))
-        external = [None] * prog.t_max
-        external_span = [(0, 0)] * prog.t_max
-        for t, rows in ext.items():
-            idx, cur = (np.array(col, dtype=np.int64) for col in zip(*rows))
-            idx.flags.writeable = cur.flags.writeable = False
-            external[t] = (idx, cur)
-            external_span[t] = (sum(c for _li, c in rows if c < 0),
-                                sum(c for _li, c in rows if c > 0))
+        # the input events (timestep, local index, current), stably sorted
+        # by timestep; each timestep's input is a read-only slice of them
+        events = np.array([(t, li, cur) for li, nid in enumerate(lc.neuron_ids)
+                           for t, cur in prog.inputs.get(nid, ())],
+                          dtype=np.int64).reshape(-1, 3)
+        order = np.argsort(events[:, 0], kind="stable")
+        ts, idx, cur = (events[order, col] for col in range(3))
+        idx.flags.writeable = cur.flags.writeable = False
+        bounds = np.searchsorted(ts, np.arange(prog.t_max + 1)).tolist()
+        external = [(idx[lo:hi], cur[lo:hi]) if lo < hi else None
+                    for lo, hi in zip(bounds, bounds[1:])]
+        neg, pos = (np.diff(np.concatenate(([0], np.cumsum(part)))[bounds]).tolist()
+                    for part in (np.minimum(cur, 0), np.maximum(cur, 0)))
 
         images.append(CoreImage(
-            cid=lc.id, neuron_ids=tuple(lc.neuron_ids),
+            cid=lc.id, neuron_ids=lc.neuron_ids, fanout=lc.fanout,
+            in_synapses=lc.in_synapses,
+            pre=graph.pre[lc.id], post=graph.post[lc.id],
             tau=tau, g=g, vr=vr, vth=vth, v0=v0,
-            lif_bounds=lif_bounds(tau, g, vr) if n_local else None,
-            in_synapses=tuple(lc.in_synapses),
-            fanout_local=tuple(map(tuple, fan_local)),
-            fanout_remote=tuple(map(tuple, fan_remote)),
-            external=tuple(external), external_span=tuple(external_span),
-            pre=tuple(graph.pre[lc.id]), post=tuple(graph.post[lc.id]),
+            lif_bounds=lif_bounds(tau, g, vr) if lc.neuron_ids else None,
+            external=tuple(external), external_span=tuple(zip(neg, pos)),
         ))
     return tuple(images)
-
-
-def _assign_round_robin(n_neurons: int, n_cores: int) -> list[int]:
-    return [i % n_cores for i in range(n_neurons)]
 
 
 def _assign_layered(layers: list[int], n_cores: int) -> list[int]:
@@ -201,40 +187,41 @@ def _assign_layered(layers: list[int], n_cores: int) -> list[int]:
     return assign
 
 
+def default_assignment(net: Network, n_cores: int) -> list[int]:
+    """Neuron id -> core id: contiguous per-layer chunks for a layered
+    network, round-robin for any other."""
+    if n_cores < 1:
+        raise CompileError("need at least one core")
+    if net.layers is not None:
+        return _assign_layered(net.layers, n_cores)
+    return [i % n_cores for i in range(net.n_neurons)]
+
+
 def partition(
     net: Network,
     n_cores: int,
     capacity: Capacity = Capacity(),
     assignment: list[int] | None = None,
 ) -> list[LogicCore]:
-    """Split a network's neurons over logic cores and build routing tables.
-
-    Layered networks get contiguous per-layer chunks; others are dealt
-    round-robin. An explicit neuron -> core ``assignment`` overrides both.
-    """
+    """Split a network's neurons over logic cores and build routing tables,
+    by an explicit neuron -> core ``assignment`` or else by
+    ``default_assignment``."""
     net.validate()
-    if n_cores < 1:
-        raise CompileError("need at least one core")
+    if assignment is None:
+        assignment = default_assignment(net, n_cores)
+    elif len(assignment) != net.n_neurons:
+        raise CompileError("assignment length must equal the neuron count")
+    elif n_cores < 1 or any(not (0 <= c < n_cores) for c in assignment):
+        raise CompileError("assignment references an unknown core")
     if net.n_neurons > n_cores * capacity.max_neurons:
         raise CompileError(
             f"{net.n_neurons} neurons cannot fit {n_cores} cores of "
             f"{capacity.max_neurons}"
         )
 
-    if assignment is not None:
-        if len(assignment) != net.n_neurons:
-            raise CompileError("assignment length must equal the neuron count")
-        if any(not (0 <= c < n_cores) for c in assignment):
-            raise CompileError("assignment references an unknown core")
-        assign = list(assignment)
-    elif net.layers is not None:
-        assign = _assign_layered(net.layers, n_cores)
-    else:
-        assign = _assign_round_robin(net.n_neurons, n_cores)
-
     cores = [LogicCore(id=c, neuron_ids=[]) for c in range(n_cores)]
     local_idx = [0] * net.n_neurons
-    for nid, c in enumerate(assign):
+    for nid, c in enumerate(assignment):
         local_idx[nid] = len(cores[c].neuron_ids)
         cores[c].neuron_ids.append(nid)
 
@@ -246,8 +233,8 @@ def partition(
             )
 
     for s in net.synapses:
-        src_core = assign[s.src]
-        dst_core = assign[s.dst]
+        src_core = assignment[s.src]
+        dst_core = assignment[s.dst]
         syn_id = len(cores[dst_core].in_synapses)
         if syn_id >= capacity.max_synapses:
             raise CompileError(
@@ -333,6 +320,9 @@ def map_hilbert(cores: list[LogicCore], grid: tuple[int, int]) -> list[tuple[int
     return [hilbert_index_to_xy(w, i) for i in range(len(cores))]
 
 
+MAPPINGS = {"plain": map_plain, "hilbert": map_hilbert}  # name -> placement
+
+
 def compile_network(
     net: Network,
     grid: tuple[int, int],
@@ -347,12 +337,9 @@ def compile_network(
         n_cores = w * h
     cores = partition(net, n_cores, capacity, assignment=assignment)
     graph = extract_deps(cores, capacity)
-    if mapping == "plain":
-        placement = map_plain(cores, grid)
-    elif mapping == "hilbert":
-        placement = map_hilbert(cores, grid)
-    else:
+    if mapping not in MAPPINGS:
         raise CompileError(f"unknown mapping {mapping!r}")
+    placement = MAPPINGS[mapping](cores, grid)
     return CompiledProgram(
         cores=cores,
         dep_graph=graph,
@@ -396,14 +383,10 @@ def exchange_with_core0(assignment: list[int], fraction: float,
 
 
 def exchanged_assignment(net: Network, n_cores: int, fraction: float,
-                         seed: int = 0, capacity: Capacity = Capacity()) -> list[int]:
-    """Partition ``net`` onto ``n_cores`` cores, then apply
+                         seed: int = 0) -> list[int]:
+    """``default_assignment`` of ``net`` onto ``n_cores`` cores, then
     ``exchange_with_core0``; returns neuron id -> core id."""
-    base = [0] * net.n_neurons
-    for c in partition(net, n_cores, capacity):
-        for nid in c.neuron_ids:
-            base[nid] = c.id
-    return exchange_with_core0(base, fraction, seed=seed)
+    return exchange_with_core0(default_assignment(net, n_cores), fraction, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -261,9 +261,7 @@ class NeuromorphicCore:
                 v_range = (int(v_new.min()), int(v_new.max()))
             else:
                 v_new, v_range, fired = self.v, self.v_range, []
-            emissions = sum(
-                len(img.fanout_remote[i]) + len(img.fanout_local[i]) for i in fired
-            )
+            emissions = sum(len(img.fanout.get(i, ())) for i in fired)
             cost = max(1, self.c_update * self.n_local + self.c_spike * emissions)
             step = (v_new, v_range, fired, cost)
             self.computing = (t, start_cycle, rows, step)
@@ -287,13 +285,15 @@ class NeuromorphicCore:
         self.raster[t] = fired
         spikes: list[SpikePacket] = []
         cid = self.cid
-        fanout_local, fanout_remote = self.image.fanout_local, self.image.fanout_remote
+        fanout, in_synapses = self.image.fanout, self.image.in_synapses
         for i in fired:
-            for tgt, w, delay in fanout_local[i]:
-                self.counters["synapse_acc"] += 1
-                self.inputs.receive(t + delay, tgt, w, t)
-            for dst_core, syn_id, delay in fanout_remote[i]:
-                spikes.append(SpikePacket(cid, dst_core, t, syn_id, delay))
+            for dst_core, syn_id, delay in fanout.get(i, ()):
+                if dst_core == cid:  # a local synapse: a reception, no packet
+                    tgt, w = in_synapses[syn_id]
+                    self.counters["synapse_acc"] += 1
+                    self.inputs.receive(t + delay, tgt, w, t)
+                else:
+                    spikes.append(SpikePacket(cid, dst_core, t, syn_id, delay))
         self.inputs.seal(t, spikes)
 
         self.t_cur = t

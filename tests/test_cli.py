@@ -1174,6 +1174,58 @@ def test_sweep_rejects_nonpositive_jobs_before_compiling(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--axis", "grid=0x2"],
+    ["--axis", "mapping=foo"],
+    ["--axis", "m=0"],
+    ["--axis", "vc=0"],
+    ["--axis", "mode=foo"],
+    ["--axis", "m=2", "--modes", "foo"],
+    ["--axis", "grid=2x2,0x2"],
+], ids=["grid-0x2", "mapping-foo", "m-0", "vc-0", "mode-foo", "modes-foo",
+        "second-grid-0x2"])
+def test_sweep_refuses_a_bad_axis_value_before_loading(tmp_path, capsys, monkeypatch,
+                                                       flags):
+    def never(*_a, **_k):
+        raise AssertionError("loaded or compiled before checking the axis values")
+
+    monkeypatch.setattr(cli, "load_workload", never)
+    monkeypatch.setattr(cli, "compile_network", never)
+    out = tmp_path / "r.csv"
+    code = main(["sweep", "--workload", str(FIXTURES / "tiny_workload.json"),
+                 *([] if flags[1].startswith("grid=") else ["--grid", "2x2"]),
+                 *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("snnmesh: error[bad-input] ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,programs", [
+    (["compile", "--exchange-frac", "0.5", "--out", "p.json"], 1),
+    (["sweep", "--axis", "exchange=0.25,0.5", "--seeds", "0,1", "--modes", "sync",
+      "--out", "r.csv"], 4),
+], ids=["compile", "sweep"])
+def test_an_exchange_compile_partitions_once(tmp_path, monkeypatch, argv, programs):
+    calls = []
+    partition = compiler.partition
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return partition(*args, **kwargs)
+
+    monkeypatch.setattr(compiler, "partition", counted)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--workload", str(FIXTURES / "tiny_workload.json"),
+                 "--grid", "2x2"]) == EXIT_OK
+    assert calls == [4] * programs
+    # with no core to assign to, the exchange is refused as a compile error
+    assert main(["compile", "--workload", str(FIXTURES / "tiny_workload.json"),
+                 "--grid", "0x2", "--exchange-frac", "0.5",
+                 "--out", "q.json"]) == EXIT_COMPILE
+    assert not (tmp_path / "q.json").exists()
+
+
 def test_summarize_results_harmonic_mean():
     rows = [
         {"axis": "m", "value": 2, "mode": "sync", "seed": 1,

@@ -367,6 +367,26 @@ class TestProgramFile:
         assert peak - base < 2 * (kept - base), (
             f"peak {(peak - base) / 1e6:.1f} MB, kept {(kept - base) / 1e6:.1f} MB")
 
+    def test_image_allocates_under_a_fifth_of_what_the_program_keeps(self, tmp_path):
+        """The runtime image reads the program's routing, synapse and
+        dependency tables in place: it allocates only what it derives."""
+        path = tmp_path / "p.json"
+        save_program(compile_network(gen_synthetic(2000, 8000, seed=3, t_max=20), (2, 2)),
+                     path)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            prog = load_program(path)
+            loaded = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert len(prog.image) == 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - loaded < (loaded - base) / 5, (
+            f"image {(peak - loaded) / 1e6:.2f} MB, program {(loaded - base) / 1e6:.2f} MB")
+
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text('{"cores": []}', encoding="utf-8")

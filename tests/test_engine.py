@@ -151,6 +151,40 @@ class TestRuntimeImage:
         with pytest.raises(dataclasses.FrozenInstanceError):
             image[0].v0 = image[0].v0.copy()
 
+    def test_image_tables_are_the_programs_own(self):
+        compiled = compile_network(gen_synthetic(60, 500, seed=3, t_max=10), (2, 2))
+        for prog in (compiled, load_program(self.TINY)):
+            for lc, img in zip(prog.cores, prog.image, strict=True):
+                assert img.neuron_ids is lc.neuron_ids
+                assert img.fanout is lc.fanout
+                assert img.in_synapses is lc.in_synapses
+                assert img.pre is prog.dep_graph.pre[lc.id]
+                assert img.post is prog.dep_graph.post[lc.id]
+
+    def test_external_input_matches_the_per_event_loop(self):
+        """Each timestep's input is the core's input events in neuron order,
+        as the loop below collects them, and its span their negative and
+        positive sums."""
+        p = NeuronParams(tau_m=fx(1.0), v_rst=0, g_l=fx(1.0), v_th=fx(16.0))
+        signed = Network(neurons=[(p, 0)] * 5, synapses=[], t_max=4, max_delay=1,
+                         inputs={0: [(0, fx(2.0)), (2, -fx(1.5)), (0, fx(0.25))],
+                                 3: [(0, -fx(3.0)), (0, fx(1.0))],
+                                 4: [(1, fx(30000.0)), (3, -fx(30000.0))]})
+        for prog in (compile_network(signed, (2, 1)),
+                     compile_network(gen_synthetic(3, 6, seed=2, t_max=10,
+                                                   input_rate=0.6), (2, 2)),
+                     load_program(self.TINY)):
+            for lc, img in zip(prog.cores, prog.image, strict=True):
+                rows = [[] for _ in range(prog.t_max)]
+                for li, nid in enumerate(lc.neuron_ids):
+                    for t, cur in prog.inputs.get(nid, ()):
+                        rows[t].append((li, cur))
+                assert [None if ext is None else list(zip(*(a.tolist() for a in ext)))
+                        for ext in img.external] == [r or None for r in rows]
+                assert img.external_span == tuple(
+                    (sum(c for _li, c in r if c < 0), sum(c for _li, c in r if c > 0))
+                    for r in rows)
+
     def test_verify_workload_builds_one_image_for_its_runs(self, monkeypatch):
         from snnmesh import compiler
         from snnmesh.cli import verify_workload
