@@ -474,6 +474,28 @@ def test_compile_capacity_error_exit_code(tmp_path):
     assert code == EXIT_COMPILE
 
 
+def test_compile_cores_places_that_many_cores(tmp_path, capsys):
+    workload = str(FIXTURES / "tiny_workload.json")
+    prog_path = tmp_path / "p.json"
+    assert main(["compile", "--workload", workload, "--grid", "2x2",
+                 "--cores", "3", "--out", str(prog_path)]) == EXIT_OK
+    prog = compiler.load_program(prog_path)
+    assert prog.n_cores == 3 and len(prog.placement) == 3
+    ref = model.reference_run(model.load_workload(workload)).ordered()
+    for mode in ("sync", "se", "depasync"):
+        report = tmp_path / f"{mode}.json"
+        assert main(["run", "--program", str(prog_path), "--mode", mode,
+                     "--out", str(report)]) == EXIT_OK
+        assert [tuple(p) for p in json.loads(report.read_text())["raster"]] == ref
+
+    capsys.readouterr()
+    too_many = tmp_path / "five.json"
+    assert main(["compile", "--workload", workload, "--grid", "2x2",
+                 "--cores", "5", "--out", str(too_many)]) == EXIT_COMPILE
+    assert "5 cores exceed the 2x2 grid" in capsys.readouterr().err
+    assert not too_many.exists()
+
+
 def test_program_compiled_under_a_larger_dep_table_loads_and_runs(tmp_path, capsys):
     # 272 one-neuron cores; neuron 0 sends to and hears from every other one,
     # so core 0 has 542 dependencies: more than the default table's 512

@@ -347,6 +347,52 @@ class TestDeferredEvaluation:
         assert sink.counters["saturations"] == clamps
         assert calls == [1, 1, 1]
 
+    def test_step_sums_its_receptions_and_external_input_once(self):
+        """A timestep's external current and its receptions are each summed
+        once, also when ``se`` runs the timestep again after a rollback."""
+        from snnmesh.compiler import compile_network
+        from snnmesh.engine import new_cores
+        from snnmesh.fixedpoint import fx
+        from snnmesh.model import Network, NeuronParams, Synapse, lif_step_arrays
+
+        p = NeuronParams(tau_m=fx(2.0), v_rst=0, g_l=fx(1.0), v_th=fx(16.0))
+        ext, w_a, w_b = fx(1.0), fx(2.0), fx(4.0)
+        net = Network(neurons=[(p, 0)] * 3,
+                      synapses=[Synapse(0, 1, w_a, 1), Synapse(2, 1, w_b, 1)],
+                      inputs={1: [(1, ext)]}, t_max=3, max_delay=1)
+        prog = compile_network(net, (2, 1), assignment=[0, 1, 0])
+        cfg = SimConfig(grid=(2, 1), mode="se", c_update=5, c_spike=1)
+        sink = new_cores(prog, cfg, t_max=3)[1]
+        img = sink.image
+        speculative = Speculative(cfg, 3)
+
+        def step(cycle):
+            sink.begin(cycle)
+            speculative.after_begin(sink)
+            sink.finish(cycle + 5)
+
+        def expected(v, total):
+            acc = np.array([total], dtype=np.int64)
+            return lif_step_arrays(v, acc, img.tau, img.g, img.vr, img.vth)[0].tolist()
+
+        step(0)
+        v0 = sink.v
+        row = img.in_synapses.index
+        spike_a = SpikePacket(0, 1, timestep=0, synapse_id=row((0, w_a)), delay=1)
+        spike_b = SpikePacket(0, 1, timestep=0, synapse_id=row((0, w_b)), delay=1)
+        assert sink.on_spike(spike_a) is None
+        step(5)
+        assert sink.v.tolist() == expected(v0, ext + w_a)
+
+        # a late spike for t=1 rolls it back; the step run again sums the
+        # external current and both spikes, each once
+        assert sink.on_spike(spike_b) == 1
+        sink.rollback(1, cycle=11)
+        step(11)
+        assert sink.v.tolist() == expected(v0, ext + w_a + w_b)
+        step(16)
+        assert sink.raster == {0: [], 1: [], 2: []}
+
 
 class TestBenchAttribution:
     """The benchmark's per-layer trace wraps six ``NeuromorphicCore`` methods
