@@ -97,7 +97,7 @@ class CoreImage:
     """One core's tables as the simulator reads them, shared by all runs of
     its program. The routing, synapse and dependency tables are the
     program's own ``LogicCore`` and ``DepGraph`` objects, not copies; the
-    rest is derived from the program once, and its arrays are read-only."""
+    rest is derived from the program once, as read-only arrays and tuples."""
 
     cid: int
     # the program's own tables
@@ -113,16 +113,15 @@ class CoreImage:
     vth: np.ndarray
     v0: np.ndarray
     lif_bounds: tuple[int, ...] | None  # model.lif_bounds; None if no neurons
-    # derived, per timestep: (local index array, current array) or None
-    external: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
-    # derived, per timestep: (sum of negative currents, sum of positive currents)
-    external_span: tuple[tuple[int, int], ...]
+    # derived, per timestep: its external input as receptions
+    # (local index, current, -1), in neuron order
+    external: tuple[tuple[tuple[int, int, int], ...], ...]
 
 
 def build_image(prog: CompiledProgram) -> tuple[CoreImage, ...]:
     """Every core's runtime tables: the program's own routing, synapse and
     dependency tables, and what is derived from it, the parameter slices
-    and the external input per timestep."""
+    and each timestep's external input as receptions."""
     params = neuron_arrays(prog.neurons)
     graph = prog.dep_graph
     images = []
@@ -131,19 +130,12 @@ def build_image(prog: CompiledProgram) -> tuple[CoreImage, ...]:
         sliced.flags.writeable = False  # and with it each row
         tau, g, vr, vth, v0 = sliced
 
-        # the input events (timestep, local index, current), stably sorted
-        # by timestep; each timestep's input is a read-only slice of them
-        events = np.array([(t, li, cur) for li, nid in enumerate(lc.neuron_ids)
-                           for t, cur in prog.inputs.get(nid, ())],
-                          dtype=np.int64).reshape(-1, 3)
-        order = np.argsort(events[:, 0], kind="stable")
-        ts, idx, cur = (events[order, col] for col in range(3))
-        idx.flags.writeable = cur.flags.writeable = False
-        bounds = np.searchsorted(ts, np.arange(prog.t_max + 1)).tolist()
-        external = [(idx[lo:hi], cur[lo:hi]) if lo < hi else None
-                    for lo, hi in zip(bounds, bounds[1:])]
-        neg, pos = (np.diff(np.concatenate(([0], np.cumsum(part)))[bounds]).tolist()
-                    for part in (np.minimum(cur, 0), np.maximum(cur, 0)))
+        # each timestep's input events in neuron order, as the input store
+        # holds receptions: (local index, current, sender -1)
+        external = [[] for _ in range(prog.t_max)]
+        for li, nid in enumerate(lc.neuron_ids):
+            for t, cur in prog.inputs.get(nid, ()):
+                external[t].append((li, cur, -1))
 
         images.append(CoreImage(
             cid=lc.id, neuron_ids=lc.neuron_ids, fanout=lc.fanout,
@@ -151,7 +143,7 @@ def build_image(prog: CompiledProgram) -> tuple[CoreImage, ...]:
             pre=graph.pre[lc.id], post=graph.post[lc.id],
             tau=tau, g=g, vr=vr, vth=vth, v0=v0,
             lif_bounds=lif_bounds(tau, g, vr) if lc.neuron_ids else None,
-            external=tuple(external), external_span=tuple(zip(neg, pos)),
+            external=tuple(map(tuple, external)),
         ))
     return tuple(images)
 

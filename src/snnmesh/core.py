@@ -5,7 +5,8 @@ last START/FINISH heard from each dependency. Which store a core gets, and
 whether START/FINISH notifications are sent at all, is up to the
 coordination protocol (``engine.PROTOCOLS``).
 
-A timestep is begun, evaluated and finished. ``begin`` reads its input and
+A timestep is begun, evaluated and finished. ``begin`` reads its input, the
+store's receptions and the program's external input in the same shape, and
 returns its earliest completion, the update cost alone; ``evaluate`` computes
 the step and its true completion; ``finish`` commits it. The engine evaluates
 a step when its earliest completion comes, unless its protocol did so at
@@ -33,7 +34,8 @@ class ProtocolFault(RuntimeError):
 
 
 def input_sum(rows, n_local: int) -> np.ndarray:
-    """The sum of receptions ``(local target, weight, sender)`` per neuron."""
+    """The sum of receptions ``(local target, weight, sender)`` per neuron;
+    a timestep's external input comes as receptions with sender -1."""
     if len(rows) * 8 < n_local:
         # few receptions: converting a list of n_local ints would cost
         # more than indexing the array once per reception
@@ -177,8 +179,8 @@ class NeuromorphicCore:
         self.t_cur = -1
         self.frontier = -1  # highest timestep ever completed
         self.gen = 0  # invalidates in-flight completion events after rollback
-        # (t, start_cycle, receptions read, step): step is None until
-        # evaluated, then (v_new, its range, fired, cost)
+        # timestep t_cur + 1 once begun: (start_cycle, receptions read, step),
+        # step None until evaluated, then (v_new, its range, fired, cost)
         self.computing: tuple | None = None
 
         self.raster: dict[int, list[int]] = {}
@@ -233,29 +235,28 @@ class NeuromorphicCore:
     # -- timestep execution --------------------------------------------------
 
     def begin(self, cycle: int) -> int:
-        """Start timestep t_cur + 1: read its input. Returns its earliest
-        cost in cycles, the update cost alone; ``evaluate`` computes the
-        step."""
+        """Start timestep t_cur + 1: read its receptions and its external
+        input. Returns its earliest cost in cycles, the update cost alone;
+        ``evaluate`` computes the step."""
         t = self.t_cur + 1
         rows = self.inputs.take(t, (self.v, self.v_range))
+        external = self.image.external[t]
+        if external:  # a new list: the store's own is never written here
+            rows = [*rows, *external]
         self.counters["buffer_reads"] += self.n_local
-        self.computing = (t, cycle, rows, None)
+        self.computing = (cycle, rows, None)
         return max(1, self.c_update * self.n_local)
 
     def evaluate(self) -> int:
         """Compute the begun timestep, once: input sum, LIF step, fired set
         and cost. Returns the cycle it completes at."""
-        t, start_cycle, rows, step = self.computing
+        start_cycle, rows, step = self.computing
         if step is None:
             img = self.image
             if self.n_local:
-                acc = input_sum(rows, self.n_local)
-                ext = img.external[t]
-                if ext is not None:
-                    np.add.at(acc, ext[0], ext[1])
                 v_new, fired_mask, clamps = lif_step_arrays(
-                    self.v, acc, img.tau, img.g, img.vr, img.vth, img.lif_bounds,
-                    self.v_range)
+                    self.v, input_sum(rows, self.n_local), img.tau, img.g, img.vr,
+                    img.vth, img.lif_bounds, self.v_range)
                 self.counters["saturations"] += clamps
                 fired = np.nonzero(fired_mask)[0].tolist()
                 v_range = (int(v_new.min()), int(v_new.max()))
@@ -264,14 +265,15 @@ class NeuromorphicCore:
             emissions = sum(len(img.fanout.get(i, ())) for i in fired)
             cost = max(1, self.c_update * self.n_local + self.c_spike * emissions)
             step = (v_new, v_range, fired, cost)
-            self.computing = (t, start_cycle, rows, step)
+            self.computing = (start_cycle, rows, step)
         return start_cycle + step[3]
 
     def finish(self, cycle: int) -> list[SpikePacket]:
         """Commit the pending timestep: apply states, seal the timestep in
         the input store. Returns the spike packets to inject."""
         self.evaluate()
-        t, start_cycle, _rows, (self.v, self.v_range, fired, _cost) = self.computing
+        t = self.t_cur + 1
+        start_cycle, _rows, (self.v, self.v_range, fired, _cost) = self.computing
         self.computing = None
 
         if t <= self.frontier:  # recomputing after a rollback
@@ -311,7 +313,7 @@ class NeuromorphicCore:
             )
         self.rollbacks += 1
         if self.computing is not None:
-            self.rollback_cycles += cycle - self.computing[1]
+            self.rollback_cycles += cycle - self.computing[0]
             self.computing = None
             self.gen += 1
 

@@ -117,11 +117,11 @@ class Speculative(Protocol):
     def after_begin(self, core):
         """Evaluate the begun step at once when the range proof cannot show
         it clamp-free, so that ``saturations`` counts its clamps even if a
-        rollback cancels it; a step the proof clears has none to count."""
+        rollback cancels it; a step the proof clears has none to count. The
+        proof reads the sums of the step's negative and positive inputs."""
         if core.n_local:
-            t, _cycle, rows, _step = core.computing
-            neg, pos = core.image.external_span[t]
-            for _tgt, w, _sender in rows:
+            neg = pos = 0
+            for _tgt, w, _sender in core.computing[1]:
                 if w < 0:
                     neg += w
                 else:
@@ -414,7 +414,7 @@ def run(program: CompiledProgram, cfg: SimConfig) -> SimReport:
             if done > cycle:
                 heapq.heappush(completions, (done, s, cid, gen))
                 continue
-            t, start_cycle, *_rest = core.computing
+            t, start_cycle = core.started, core.computing[0]
             kind = "rollback" if t <= core.frontier else "compute"
             spikes = core.finish(cycle)
             notices = protocol.after_finish(core, spikes)

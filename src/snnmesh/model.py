@@ -334,7 +334,6 @@ def reference_run(net: Network) -> SpikeRaster:
 RateKnobs = tuple[float, float, float, float]
 
 _V_TH = 16.0
-_BASE_KNOBS: RateKnobs = (2.0, 4.0, 0.0, 4.0)
 
 
 #: the most draws ``random_floats`` is asked for at once

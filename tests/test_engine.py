@@ -143,11 +143,14 @@ class TestRuntimeImage:
         self.dump(prog, {"mode": "se"})
         image = prog.image
         arrays = [a for img in image for a in (img.tau, img.g, img.vr, img.vth, img.v0)]
-        arrays += [a for img in image for ext in img.external if ext for a in ext]
-        assert len(arrays) > 5 * len(image)
+        assert len(arrays) == 5 * len(image)
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1
+        inputs = [ext for img in image for ext in img.external]
+        assert inputs and any(inputs)
+        for ext in inputs:
+            assert type(ext) is tuple and all(type(row) is tuple for row in ext)
         with pytest.raises(dataclasses.FrozenInstanceError):
             image[0].v0 = image[0].v0.copy()
 
@@ -163,8 +166,7 @@ class TestRuntimeImage:
 
     def test_external_input_matches_the_per_event_loop(self):
         """Each timestep's input is the core's input events in neuron order,
-        as the loop below collects them, and its span their negative and
-        positive sums."""
+        as the loop below collects them, each a reception ``(li, cur, -1)``."""
         p = NeuronParams(tau_m=fx(1.0), v_rst=0, g_l=fx(1.0), v_th=fx(16.0))
         signed = Network(neurons=[(p, 0)] * 5, synapses=[], t_max=4, max_delay=1,
                          inputs={0: [(0, fx(2.0)), (2, -fx(1.5)), (0, fx(0.25))],
@@ -178,12 +180,8 @@ class TestRuntimeImage:
                 rows = [[] for _ in range(prog.t_max)]
                 for li, nid in enumerate(lc.neuron_ids):
                     for t, cur in prog.inputs.get(nid, ()):
-                        rows[t].append((li, cur))
-                assert [None if ext is None else list(zip(*(a.tolist() for a in ext)))
-                        for ext in img.external] == [r or None for r in rows]
-                assert img.external_span == tuple(
-                    (sum(c for _li, c in r if c < 0), sum(c for _li, c in r if c > 0))
-                    for r in rows)
+                        rows[t].append((li, cur, -1))
+                assert img.external == tuple(tuple(r) for r in rows)
 
     def test_verify_workload_builds_one_image_for_its_runs(self, monkeypatch):
         from snnmesh import compiler
