@@ -130,8 +130,7 @@ def build_image(prog: CompiledProgram) -> tuple[CoreImage, ...]:
         sliced.flags.writeable = False  # and with it each row
         tau, g, vr, vth, v0 = sliced
 
-        # each timestep's input events in neuron order, as the input store
-        # holds receptions: (local index, current, sender -1)
+        # each timestep's input events, in neuron order, as receptions
         external = [[] for _ in range(prog.t_max)]
         for li, nid in enumerate(lc.neuron_ids):
             for t, cur in prog.inputs.get(nid, ()):

@@ -36,12 +36,13 @@ class ProtocolFault(RuntimeError):
 def input_sum(rows, n_local: int) -> np.ndarray:
     """The sum of receptions ``(local target, weight, sender)`` per neuron;
     a timestep's external input comes as receptions with sender -1."""
-    if len(rows) * 8 < n_local:
-        # few receptions: converting a list of n_local ints would cost
-        # more than indexing the array once per reception
+    if len(rows) * 2 < n_local:
+        # few receptions: adding each through a memoryview of the array
+        # costs less than converting a list of n_local ints
         acc = np.zeros(n_local, dtype=np.int64)
+        view = acc.data
         for tgt, w, _sender in rows:
-            acc[tgt] += w
+            view[tgt] += w
         return acc
     acc = [0] * n_local
     for tgt, w, _sender in rows:
