@@ -496,6 +496,48 @@ def test_compile_cores_places_that_many_cores(tmp_path, capsys):
     assert not too_many.exists()
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["sweep", "--axis", "rate=0.5"], EXIT_BAD_INPUT,
+     "rate sweeps need --neurons and --synapses"),
+    (["sweep", "--axis", "m=2"], EXIT_BAD_INPUT, "sweep needs --workload"),
+    (["gen", "--kind", "layered", "--layers", "5"], EXIT_BAD_INPUT,
+     "need at least 2 layers"),
+    (["gen", "--kind", "layered", "--layers", "5,0"], EXIT_BAD_INPUT,
+     "layer sizes must be positive"),
+    (["gen", "--kind", "synthetic", "--neurons", "0", "--synapses", "3"],
+     EXIT_BAD_INPUT, "synapses require neurons"),
+    (["gen", "--kind", "synthetic", "--frac-inhibitory", "1.5"], EXIT_BAD_INPUT,
+     "frac_inhibitory must be in [0, 1]"),
+    (["gen", "--kind", "synthetic", "--rate", "1.5"], EXIT_BAD_INPUT,
+     "rate level must be in [0, 1]"),
+    (["compile", "--workload", "five_layers.json", "--grid", "2x2"], EXIT_COMPILE,
+     "cannot fit 5 layers on 4 cores"),
+    (["compile", "--workload", str(FIXTURES / "tiny_workload.json"),
+      "--mapping", "hilbert", "--cores", "5", "--grid", "2x2"], EXIT_COMPILE,
+     "5 cores exceed the 2x2 grid"),
+    (["run", "--program", "no_neurons.json"], EXIT_COMPILE,
+     "neuron records must be a list"),
+], ids=["sweep-rate-without-size", "sweep-without-workload", "gen-one-layer",
+        "gen-empty-layer", "gen-synapses-without-neurons",
+        "gen-frac-inhibitory-above-1", "gen-rate-above-1",
+        "compile-more-layers-than-cores", "compile-hilbert-more-cores-than-cells",
+        "run-neurons-not-a-list"])
+def test_refused_input_exits_with_its_code(tmp_path, monkeypatch, capsys, argv,
+                                           code, message):
+    monkeypatch.chdir(tmp_path)
+    model.save_workload(model.gen_layered([4, 3, 2, 1, 1], fanin=1, t_max=3),
+                        "five_layers.json")
+    doc = json.loads((FIXTURES / "tiny_program.json").read_text(encoding="utf-8"))
+    doc["neurons"] = {}
+    Path("no_neurons.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert main([*argv, "--out", "out.json"]) == code
+    err = capsys.readouterr().err
+    kind = "bad-input" if code == EXIT_BAD_INPUT else "compile"
+    assert err.startswith(f"snnmesh: error[{kind}] ") and err.count("\n") == 1
+    assert message in err
+    assert not Path("out.json").exists()
+
+
 def test_program_compiled_under_a_larger_dep_table_loads_and_runs(tmp_path, capsys):
     # 272 one-neuron cores; neuron 0 sends to and hears from every other one,
     # so core 0 has 542 dependencies: more than the default table's 512

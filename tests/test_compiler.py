@@ -264,6 +264,15 @@ class TestExchange:
         assign = [0, 0, 1, 1, 2, 2]
         assert exchange_with_core0(assign, 0.0) == assign
 
+    def test_layered_exchange_is_pinned(self):
+        # core 0 holds 4 of the 24 neurons; the swaps go round-robin to
+        # cores 1, 2 and 3, and at 1.0 wrap back to core 1
+        layered = gen_layered([8, 8, 8], fanin=4, seed=2, t_max=5)
+        assert exchanged_assignment(layered, 4, 0.5, seed=1) == [
+            0, 1, 2, 0, 0, 1, 1, 1, 2, 2, 2, 2, 0, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3]
+        assert exchanged_assignment(layered, 4, 1.0, seed=1) == [
+            3, 1, 2, 1, 0, 1, 0, 1, 2, 2, 2, 2, 2, 2, 2, 0, 3, 3, 3, 3, 3, 3, 3, 0]
+
 
 class TestProgramFile:
     def test_round_trip(self, tmp_path):

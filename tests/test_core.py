@@ -287,6 +287,42 @@ class TestPacketEmission:
         # timestep) under the timestep that consumes it
         assert cores[0].inputs.recv == {2: [(1, fx(1.0), 0)]}
 
+    def test_rollback_cancels_the_undone_spikes_in_send_order(self):
+        from snnmesh.compiler import compile_network
+        from snnmesh.engine import new_cores
+        from snnmesh.fixedpoint import fx
+        from snnmesh.model import Network, NeuronParams, Synapse
+
+        p = NeuronParams(tau_m=fx(1.0), v_rst=0, g_l=fx(1.0), v_th=fx(16.0))
+        # neurons 0 and 1 of core 0 fire at t=0 and t=1; each sends to
+        # neuron 2 of its own core and to cores 1 and 2
+        net = Network(
+            neurons=[(p, 0)] * 5,
+            synapses=[Synapse(0, 3, fx(1.0), 1), Synapse(0, 2, fx(1.0), 1),
+                      Synapse(0, 4, fx(1.0), 2), Synapse(1, 4, fx(1.0), 1),
+                      Synapse(1, 2, fx(1.0), 2), Synapse(1, 3, fx(1.0), 2)],
+            inputs={t: [(0, fx(20.0)), (1, fx(20.0))] for t in (0, 1)},
+            t_max=3, max_delay=2,
+        )
+        prog = compile_network(net, (3, 1), assignment=[0, 0, 0, 1, 2])
+        cfg = SimConfig(grid=(3, 1), mode="se", c_update=1, c_spike=1)
+        core = new_cores(prog, cfg, t_max=3)[0]
+        sent, cycle = [], 0
+        for _t in range(2):
+            core.begin(cycle)
+            cycle = core.evaluate()
+            sent.append(core.finish(cycle))
+        assert core.raster == {0: [0, 1], 1: [0, 1]}
+        # the local synapse to neuron 2 is a reception, not a packet
+        assert [len(spikes) for spikes in sent] == [4, 4]
+        anti = core.rollback(0, cycle)
+        assert anti == [SpikePacket(pk.src_core, pk.dst_core, pk.timestep,
+                                    pk.synapse_id, pk.delay, anti=True)
+                        for spikes in sent for pk in spikes]
+        assert [pk.timestep for pk in anti] == [0] * 4 + [1] * 4
+        assert all(pk.dst_core != core.cid for pk in anti)
+        assert core.raster == {}
+
 
 class TestDeferredEvaluation:
     """``begin`` only reads a timestep's input; the step is computed when
