@@ -346,7 +346,9 @@ def compile_network(
 def exchange_with_core0(assignment: list[int], fraction: float,
                         seed: int = 0) -> list[int]:
     """Swap a fraction of core 0's neurons with neurons of the other cores,
-    round-robin, to manufacture dependency cycles through core 0."""
+    round-robin over the cores with a neuron left, to manufacture dependency
+    cycles through core 0. No more neurons swap than the other cores hold."""
+    import itertools
     import random as _random
 
     if not (0.0 <= fraction <= 1.0):
@@ -358,15 +360,14 @@ def exchange_with_core0(assignment: list[int], fraction: float,
     by_core: dict[int, list[int]] = {}
     for nid, c in enumerate(assignment):
         by_core.setdefault(c, []).append(nid)
-    k = max(1, int(fraction * len(by_core.get(0, []))))
-    k = min(k, len(by_core.get(0, [])))
-    mine = rng.sample(by_core[0], k)
+    core0 = by_core.get(0, [])
+    k = min(max(1, int(fraction * len(core0))), len(core0),
+            len(assignment) - len(core0))
+    mine = rng.sample(core0, k)
     new_assign = list(assignment)
-    partners = [c for c in range(1, n_cores) if by_core.get(c)]
-    if not partners:
-        return new_assign
-    for i, nid in enumerate(mine):
-        partner_core = partners[i % len(partners)]
+    partners = itertools.cycle(range(1, n_cores))
+    for nid in mine:
+        partner_core = next(c for c in partners if by_core.get(c))
         partner_nid = rng.choice(by_core[partner_core])
         by_core[partner_core].remove(partner_nid)
         new_assign[nid], new_assign[partner_nid] = partner_core, 0

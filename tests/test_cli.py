@@ -1290,6 +1290,26 @@ def test_an_exchange_compile_partitions_once(tmp_path, monkeypatch, argv, progra
     assert not (tmp_path / "q.json").exists()
 
 
+@pytest.mark.parametrize("grid", ["2x2", "2x1"])
+def test_exchange_of_more_neurons_than_a_partner_holds(tmp_path, monkeypatch,
+                                                       capsys, grid):
+    # cores of 34/33/33/10 neurons on 2x2 and 100/10 on 2x1: a full exchange
+    # empties core 3 (or core 1) before core 0's swaps run out
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--kind", "layered", "--layers", "100,10", "--fanin", "5",
+                 "--t-max", "5", "--out", "w.json"]) == EXIT_OK
+    assert main(["compile", "--workload", "w.json", "--grid", grid,
+                 "--exchange-frac", "1.0", "--out", "p.json"]) == EXIT_OK
+    ref = model.reference_run(model.load_workload("w.json")).ordered()
+    for mode in ("sync", "se", "depasync"):
+        assert main(["run", "--program", "p.json", "--mode", mode,
+                     "--out", f"{mode}.json"]) == EXIT_OK
+        assert [tuple(p) for p in json.loads(Path(f"{mode}.json").read_text())["raster"]] == ref
+    assert main(["sweep", "--workload", "w.json", "--axis", "exchange=1.0",
+                 "--grid", grid, "--out", "r.csv"]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_summarize_results_harmonic_mean():
     rows = [
         {"axis": "m", "value": 2, "mode": "sync", "seed": 1,
