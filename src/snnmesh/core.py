@@ -3,7 +3,8 @@
 window; the speculative store adds checkpoints and rollback on top), and the
 last START/FINISH heard from each dependency. Which store a core gets, and
 whether START/FINISH notifications are sent at all, is up to the
-coordination protocol (``engine.PROTOCOLS``).
+coordination protocol (``engine.PROTOCOLS``). No store keeps the spikes
+sent: a rollback derives the ones it cancels from the raster.
 
 A timestep is begun, evaluated and finished. ``begin`` reads its input, the
 store's receptions and the program's external input in the same shape, and
@@ -80,31 +81,26 @@ class InputStore:
         return None
 
     def take(self, t: int, state) -> list[tuple[int, int, int]]:
-        """Read timestep t's input: mark it consumed and return its
-        receptions. No reception for t is added to them once read: it is a
-        violation here and a rollback in the speculative store. ``state`` is
-        the core's committed state at the entry of t."""
+        """Read timestep t's input: mark it consumed and hand over its
+        receptions, which the store forgets. No reception for t is added
+        once read: it is a violation. ``state`` is the core's committed
+        state at the entry of t."""
         self.consumed = t
-        return self.recv.get(t, ())
-
-    def seal(self, t: int, sent: list[SpikePacket]) -> None:
-        """Timestep t is committed; its receptions are no longer needed."""
-        self.recv.pop(t, None)
+        return self.recv.pop(t, ())
 
 
 class SpeculativeStore(InputStore):
     """Input store of a speculative (``se``) core. It has no window: every
     reception is kept, and one for a timestep already read names the
     timestep to roll back to. It adds the checkpoint taken at the entry of
-    every timestep begun and the spikes sent at every timestep finished, all
-    since the last epoch seal.
+    every timestep begun since the last epoch seal.
 
     The sending timestep of a reception is -1 for a spike from another core
     and the core's own timestep for a local synapse, so a rollback can drop
     exactly the local sends it undoes and keep every other reception.
     """
 
-    __slots__ = ("checkpoints", "sent")
+    __slots__ = ("checkpoints",)
 
     def __init__(self):
         super().__init__(None)
@@ -112,7 +108,6 @@ class SpeculativeStore(InputStore):
         # reference. Only a timestep read can be rolled back to, so the
         # checkpoints are those taken since the last epoch seal.
         self.checkpoints: dict[int, tuple] = {}
-        self.sent: dict[int, list[SpikePacket]] = {}
 
     def receive(self, consuming_t: int, local_idx: int, weight: int,
                 sender_t: int = -1) -> int | None:
@@ -122,31 +117,26 @@ class SpeculativeStore(InputStore):
         return consuming_t if consuming_t <= self.consumed else None
 
     def take(self, t: int, state) -> list[tuple[int, int, int]]:
-        """Checkpoint ``state`` at the entry of ``t`` and read t's input."""
+        """Checkpoint ``state`` at the entry of ``t`` and read t's input,
+        which stays stored: a rollback to t reads it again."""
         self.checkpoints[t] = state
-        return super().take(t, state)
+        self.consumed = t
+        return self.recv.get(t, ())
 
-    def seal(self, t: int, sent: list[SpikePacket]) -> None:
-        self.sent[t] = sent
-
-    def rollback(self, tc: int) -> tuple[tuple, list[SpikePacket]]:
-        """Forget timesteps >= tc: returns the state at the entry of tc and
-        the spikes sent since, oldest first."""
+    def rollback(self, tc: int) -> tuple:
+        """Forget timesteps >= tc: returns the state at the entry of tc."""
         for t in [t for t in self.checkpoints if t > tc]:
             del self.checkpoints[t]
-        undone = [pkt for t in sorted(t for t in self.sent if t >= tc)
-                  for pkt in self.sent.pop(t)]
         # own local sends from timesteps >= tc consume after tc (delay >= 1)
         for c, rows in self.recv.items():
             if c > tc:
                 self.recv[c] = [r for r in rows if r[2] < tc]
         self.consumed = tc - 1
-        return self.checkpoints[tc], undone
+        return self.checkpoints[tc]
 
     def epoch_reset(self, new_start: int) -> None:
         """Seal an epoch: no rollback can reach before ``new_start`` again."""
         self.checkpoints = {}
-        self.sent = {}
         self.recv = {c: rows for c, rows in self.recv.items() if c >= new_start}
 
 
@@ -270,8 +260,8 @@ class NeuromorphicCore:
         return start_cycle + step[3]
 
     def finish(self, cycle: int) -> list[SpikePacket]:
-        """Commit the pending timestep: apply states, seal the timestep in
-        the input store. Returns the spike packets to inject."""
+        """Commit the pending timestep: apply states, record its fired set
+        in the raster. Returns the spike packets to inject."""
         self.evaluate()
         t = self.t_cur + 1
         start_cycle, _rows, (self.v, self.v_range, fired, _cost) = self.computing
@@ -297,7 +287,6 @@ class NeuromorphicCore:
                     self.inputs.receive(t + delay, tgt, w, t)
                 else:
                     spikes.append(SpikePacket(cid, dst_core, t, syn_id, delay))
-        self.inputs.seal(t, spikes)
 
         self.t_cur = t
         return spikes
@@ -307,7 +296,8 @@ class NeuromorphicCore:
     def rollback(self, tc: int, cycle: int) -> list[SpikePacket]:
         """Restore the checkpoint at entry of ``tc`` and cancel everything
         sent for timesteps >= tc. Returns the cancellation packets to
-        inject."""
+        inject: for each undone timestep, oldest first, the spikes ``finish``
+        sent, rebuilt from its raster entry in the same order."""
         if tc not in self.inputs.checkpoints:
             raise ProtocolFault(
                 f"core {self.cid}: rollback to {tc} outside the checkpoint window"
@@ -318,12 +308,12 @@ class NeuromorphicCore:
             self.computing = None
             self.gen += 1
 
-        (self.v, self.v_range), undone = self.inputs.rollback(tc)
-        anti = [SpikePacket(self.cid, pkt.dst_core, pkt.timestep, pkt.synapse_id,
-                            pkt.delay, anti=True)
-                for pkt in undone]
-        for t in [t for t in self.raster if t >= tc]:
-            del self.raster[t]
+        self.v, self.v_range = self.inputs.rollback(tc)
+        cid, fanout = self.cid, self.image.fanout
+        # the raster holds every timestep committed: tc .. t_cur are undone
+        anti = [SpikePacket(cid, dst_core, t, syn_id, delay, anti=True)
+                for t in range(tc, self.t_cur + 1) for i in self.raster.pop(t)
+                for dst_core, syn_id, delay in fanout.get(i, ()) if dst_core != cid]
         self.t_cur = tc - 1
         return anti
 

@@ -112,9 +112,7 @@ class TestDependencyTables:
 def read(store, t, n_local=1):
     """What a core of ``n_local`` neurons does with its input store over one
     timestep."""
-    row = input_sum(store.take(t, None), n_local).tolist()
-    store.seal(t, [])
-    return row
+    return input_sum(store.take(t, None), n_local).tolist()
 
 
 class TestInputStore:
@@ -149,7 +147,6 @@ class TestInputStore:
         store.take(0, None)       # reading t=0
         store.receive(2, 0, 9)    # 0 + window: the furthest safe timestep
         assert store.violations == 0
-        store.seal(0, [])
         read(store, 1)
         assert read(store, 2) == [9]
 
